@@ -233,17 +233,21 @@ def verify_bundle(
     """
     drift1 = verify_drift(chain, v1, f, C)
     drift2 = verify_drift(chain, v2, np.ones(chain.n), C)
+    return CertificateBundle(drift1=drift1, drift2=drift2, small=_small_set(chain, C, m, lam, phi))
+
+
+def _small_set(chain: FiniteChain, C, m: int, lam, phi) -> SmallSetCertificate:
+    """The maximal minorization, or the supplied (lam, phi) pair verified."""
     if lam is None and phi is None:
-        small = minorize(chain, C, m)
-    elif lam is None or phi is None:
+        return minorize(chain, C, m)
+    if lam is None or phi is None:
         raise ValueError("supply both lambda and phi, or neither")
-    else:
-        mass = phi.mass if isinstance(phi, Distribution) else np.asarray(phi, dtype=float)
-        small = SmallSetCertificate(
-            C=_check_subset(C, chain.n), m=m, lam=float(lam), phi=Distribution(mass=mass)
-        )
-        small.verify(chain)
-    return CertificateBundle(drift1=drift1, drift2=drift2, small=small)
+    mass = phi.mass if isinstance(phi, Distribution) else np.asarray(phi, dtype=float)
+    small = SmallSetCertificate(
+        C=_check_subset(C, chain.n), m=m, lam=float(lam), phi=Distribution(mass=mass)
+    )
+    small.verify(chain)
+    return small
 
 
 def verify_potential(chain: FiniteChain, bundle: CertificateBundle, v3, v4) -> PotentialCertificate:

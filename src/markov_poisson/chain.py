@@ -9,13 +9,13 @@ here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
+    InvariantViolation,
     MultipleRecurrentClasses,
     NegativeEntry,
     NegativityViolation,
@@ -184,14 +184,15 @@ def recurrent_structure(chain: FiniteChain):
     return recurrent, transient
 
 
-def _single_recurrent_class(chain: FiniteChain) -> np.ndarray:
-    recurrent, _ = recurrent_structure(chain)
+def _single_recurrent_class(chain: FiniteChain):
+    """The one closed class and the transient states, as index arrays."""
+    recurrent, transient = recurrent_structure(chain)
     if len(recurrent) != 1:
         raise MultipleRecurrentClasses(
             f"chain has {len(recurrent)} closed communicating classes; "
             "the stationary distribution is not unique"
         )
-    return recurrent[0]
+    return recurrent[0], transient
 
 
 def stationary(chain: FiniteChain) -> Distribution:
@@ -204,7 +205,7 @@ def stationary(chain: FiniteChain) -> Distribution:
     deliberately avoided: n is small by design and periodic kernels do
     not converge under it.
     """
-    rec = _single_recurrent_class(chain)
+    rec, _ = _single_recurrent_class(chain)
     Pr = chain.kernel[np.ix_(rec, rec)]
     k = rec.size
     A = Pr.T - np.eye(k)
@@ -217,7 +218,8 @@ def stationary(chain: FiniteChain) -> Distribution:
     pi = np.zeros(chain.n)
     pi[rec] = pi_r
     residual = np.max(np.abs(pi @ chain.kernel - pi))
-    assert residual <= ATOL, f"stationary fixed-point residual {residual:.3e}"
+    if not residual <= ATOL:
+        raise InvariantViolation(f"stationary fixed-point residual {residual:.3e}")
     return Distribution(mass=pi)
 
 
@@ -245,30 +247,22 @@ def cyclic_decomposition(chain: FiniteChain) -> CyclicDecomposition:
     state index, and classes are ordered so one-step transitions map
     D_i into D_{i+1 mod p}.
     """
-    rec = _single_recurrent_class(chain)
-    P = chain.kernel
-    pos = {int(s): i for i, s in enumerate(rec)}
+    rec, transient = _single_recurrent_class(chain)
     k = rec.size
-    adj = [np.flatnonzero(P[s, rec] > 0.0) for s in rec]
+    adj = chain.kernel[np.ix_(rec, rec)] > 0.0
 
     level = np.full(k, -1, dtype=int)
     level[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
+    frontier, depth = np.array([0]), 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
+        level[frontier] = depth
 
-    p = 0
-    for u in range(k):
-        for v in adj[u]:
-            p = gcd(p, level[u] + 1 - level[v])
-    p = abs(p) if p != 0 else 1
+    u, v = np.nonzero(adj)
+    p = int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 
     classes = tuple(
         frozenset(int(rec[i]) for i in range(k) if level[i] % p == r) for r in range(p)
     )
-    _, transient = recurrent_structure(chain)
     return CyclicDecomposition(period=p, classes=classes, transient=tuple(int(t) for t in transient))

@@ -20,13 +20,13 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import gig1 as _gig1
-from .certify import verify_bundle, verify_potential
+from .certify import _small_set, verify_bundle, verify_potential
 from .chain import cyclic_decomposition, stationary
 from .errors import SpecFileError, ToolkitError
 from .mc import build_sampler, estimate_gstar, estimate_pif
 from .potential import truncated_potential, verify_truncation_gap
 from .specfile import dumps_canonical, load_chain_spec
-from .split import canonical_solution, cycle_values, marginal_curve, occupation_measure
+from .split import CycleSystem, canonical_solution, marginal_curve
 
 TOL_ASSERT = 1e-10
 TOL_IDENTITY = 1e-8
@@ -47,6 +47,25 @@ class _Assertions:
         return all(item["passed"] for item in self.items)
 
 
+def _run(command: str, inputs: dict, failure_name: str, body) -> dict:
+    """The report skeleton every command shares.
+
+    ``body(report, checks)`` fills the report and records assertions; a
+    ToolkitError it raises becomes the report's ``error`` entry plus a
+    failed ``failure_name`` assertion.
+    """
+    report = {"command": command, "inputs": inputs}
+    checks = _Assertions()
+    try:
+        body(report, checks)
+    except ToolkitError as err:
+        report["error"] = {"code": err.code, "message": str(err)}
+        checks.check(failure_name, False, str(err))
+    report["assertions"] = checks.items
+    report["passed"] = checks.all_passed
+    return report
+
+
 def _bundle_from_spec(spec):
     f = spec.function("f")
     v1 = spec.function("v1")
@@ -59,69 +78,67 @@ def _bundle_from_spec(spec):
     )
 
 
+def _potential_cert_from_spec(spec, bundle):
+    """The second-level certificate when the spec declares v3 and v4, else None."""
+    if {"v3", "v4"} <= set(spec.functions):
+        return verify_potential(spec.chain, bundle, spec.function("v3"), spec.function("v4"))
+    return None
+
+
+def _certificates(bundle, pot_cert) -> dict:
+    certs = {
+        "b1": bundle.b1,
+        "b2": bundle.b2,
+        "lambda": bundle.lam,
+        "m": bundle.m,
+        "C": list(bundle.C),
+        "phi": bundle.phi.mass,
+    }
+    if pot_cert is not None:
+        certs["b3"] = pot_cert.b3
+        certs["b4"] = pot_cert.b4
+    return certs
+
+
 def cmd_verify(args) -> dict:
     spec = load_chain_spec(args.spec)
-    report = {"command": "verify", "inputs": {"spec": spec.document}}
-    checks = _Assertions()
-    try:
+
+    def body(report, checks):
         bundle = _bundle_from_spec(spec)
-        certs = {
-            "b1": bundle.b1,
-            "b2": bundle.b2,
-            "lambda": bundle.lam,
-            "m": bundle.m,
-            "C": list(bundle.C),
-            "phi": bundle.phi.mass,
-        }
         checks.check("drift_minorization_certificate", True)
-        if "v3" in spec.functions and "v4" in spec.functions:
-            pot = verify_potential(
-                spec.chain, bundle, spec.function("v3"), spec.function("v4")
-            )
-            certs["b3"] = pot.b3
-            certs["b4"] = pot.b4
+        pot_cert = _potential_cert_from_spec(spec, bundle)
+        if pot_cert is not None:
             checks.check("second_level_certificate", True)
-        report["certificates"] = certs
-    except ToolkitError as err:
-        report["error"] = {"code": err.code, "message": str(err)}
-        checks.check("drift_minorization_certificate", False, str(err))
-    report["assertions"] = checks.items
-    report["passed"] = checks.all_passed
-    return report
+        report["certificates"] = _certificates(bundle, pot_cert)
+
+    return _run("verify", {"spec": spec.document}, "drift_minorization_certificate", body)
 
 
 def cmd_solve(args) -> dict:
     spec = load_chain_spec(args.spec)
-    report = {"command": "solve", "inputs": {"spec": spec.document}}
-    checks = _Assertions()
-    try:
-        _solve_body(spec, report, checks)
-    except ToolkitError as err:
-        report["error"] = {"code": err.code, "message": str(err)}
-        checks.check("solve_completed", False, str(err))
-    report["assertions"] = checks.items
-    report["passed"] = checks.all_passed
-    return report
+    return _run(
+        "solve", {"spec": spec.document}, "solve_completed",
+        lambda report, checks: _solve_body(spec, report, checks),
+    )
 
 
 def _solve_body(spec, report, checks):
     chain = spec.chain
     f = spec.function("f")
     bundle = _bundle_from_spec(spec)
-    pi = stationary(chain).mass
+    system = CycleSystem(chain, bundle)
+    pi = system.pi
     pi_f = float(pi @ f)
     f_c = f - pi_f
-    g = canonical_solution(chain, bundle, f).values
-    nu = occupation_measure(chain, bundle).mass
-    cyc_f = cycle_values(chain, bundle, f)
+    g = system.canonical_solution(f).values
+    nu = system.occupation_measure().mass
+    cyc_f = system.cycle_values(f)
     s_charge = np.zeros(chain.n)
     s_charge[list(bundle.C)] = bundle.b1
-    cyc_s = cycle_values(chain, bundle, s_charge)
+    cyc_s = system.cycle_values(s_charge)
 
-    pot_cert = None
     period = cyclic_decomposition(chain).period
-    if "v3" in spec.functions and "v4" in spec.functions:
-        pot_cert = verify_potential(chain, bundle, spec.function("v3"), spec.function("v4"))
+    pot_cert = _potential_cert_from_spec(spec, bundle)
     breport = _bounds.finite_bound_report(bundle, pot_cert, period)
 
     ratio = bundle.m / bundle.lam
@@ -172,18 +189,7 @@ def _solve_body(spec, report, checks):
         ok &= bool(np.all(curve <= v[None, :] + steps * b + TOL_IDENTITY))
     checks.check("power_drift_bound", ok)
 
-    certs = {
-        "b1": bundle.b1,
-        "b2": bundle.b2,
-        "lambda": bundle.lam,
-        "m": bundle.m,
-        "C": list(bundle.C),
-        "phi": bundle.phi.mass,
-    }
-    if pot_cert is not None:
-        certs["b3"] = pot_cert.b3
-        certs["b4"] = pot_cert.b4
-    report["certificates"] = certs
+    report["certificates"] = _certificates(bundle, pot_cert)
     report["period"] = period
     report["pi"] = pi
     report["pi_f"] = pi_f
@@ -206,19 +212,12 @@ def _solve_body(spec, report, checks):
 
 def cmd_potential(args) -> dict:
     spec = load_chain_spec(args.spec)
-    report = {
-        "command": "potential",
-        "inputs": {"spec": spec.document, "tol": args.tol, "max_blocks": args.max_blocks},
-    }
-    checks = _Assertions()
-    try:
-        _potential_body(spec, args, report, checks)
-    except ToolkitError as err:
-        report["error"] = {"code": err.code, "message": str(err)}
-        checks.check("potential_converged", False, str(err))
-    report["assertions"] = checks.items
-    report["passed"] = checks.all_passed
-    return report
+    return _run(
+        "potential",
+        {"spec": spec.document, "tol": args.tol, "max_blocks": args.max_blocks},
+        "potential_converged",
+        lambda report, checks: _potential_body(spec, args, report, checks),
+    )
 
 
 def _potential_body(spec, args, report, checks):
@@ -255,10 +254,8 @@ def _potential_body(spec, args, report, checks):
             expected = -float(pi @ g)
             dev = float(np.max(np.abs(gap - expected)))
             checks.check("gap_equals_minus_pi_gstar", dev <= TOL_IDENTITY, dev)
-        if {"v3", "v4"} <= set(spec.functions):
-            pot_cert = verify_potential(
-                chain, bundle, spec.function("v3"), spec.function("v4")
-            )
+        pot_cert = _potential_cert_from_spec(spec, bundle)
+        if pot_cert is not None:
             try:
                 truncation_gap = verify_truncation_gap(chain, bundle, pot_cert, g, result, p)
                 checks.check("truncation_gap_bounds", True)
@@ -279,39 +276,28 @@ def cmd_simulate(args) -> dict:
     if args.gig1:
         return _simulate_gig1(args)
     spec = load_chain_spec(args.spec)
-    report = {
-        "command": "simulate",
-        "inputs": {
-            "spec": spec.document,
-            "x0": args.x0,
-            "cycles": args.cycles,
-            "seed": args.seed,
-            "workers": args.workers,
-        },
+    inputs = {
+        "spec": spec.document,
+        "x0": args.x0,
+        "cycles": args.cycles,
+        "seed": args.seed,
+        "workers": args.workers,
     }
-    checks = _Assertions()
-    try:
+
+    def body(report, checks):
         chain = spec.chain
         f = spec.function("f")
         if spec.small is None:
             raise SpecFileError("simulate needs a 'small_set' declaration")
-        small = _bundle_from_spec(spec).small if "v1" in spec.functions else None
-        if small is None:
-            from .certify import SmallSetCertificate, minorize
-            from .chain import Distribution
-
+        if "v1" in spec.functions:
+            small = _bundle_from_spec(spec).small
+        else:
             s = spec.small
-            if s["lam"] is None:
-                small = minorize(chain, s["C"], s["m"])
-            else:
-                small = SmallSetCertificate(
-                    C=s["C"], m=s["m"], lam=s["lam"], phi=Distribution(mass=s["phi"])
-                )
-                small.verify(chain)
+            small = _small_set(chain, s["C"], s["m"], s["lam"], s["phi"])
         x0 = int(args.x0)
-        pi = stationary(chain).mass
-        pi_f = float(pi @ f)
-        g_exact = canonical_solution(chain, small, f).values
+        system = CycleSystem(chain, small)
+        pi_f = float(system.pi @ f)
+        g_exact = system.canonical_solution(f).values
         sc = build_sampler(chain, small, f)
         pif_est = estimate_pif(sc, args.cycles, args.seed, workers=args.workers)
         g_est = estimate_gstar(
@@ -335,29 +321,22 @@ def cmd_simulate(args) -> dict:
             abs(pif_est.point - pi_f) <= 3.0 * pif_est.std_error,
             pif_est.point - pi_f,
         )
-    except ToolkitError as err:
-        report["error"] = {"code": err.code, "message": str(err)}
-        checks.check("simulation_completed", False, str(err))
-    report["assertions"] = checks.items
-    report["passed"] = checks.all_passed
-    return report
+
+    return _run("simulate", inputs, "simulation_completed", body)
 
 
 def _simulate_gig1(args) -> dict:
-    report = {
-        "command": "simulate",
-        "inputs": {
-            "gig1": {"family": args.family, "mu": args.mu, "sigma": args.sigma,
-                     "kappa": args.kappa, "grid_step": args.grid_step},
-            "x0": args.x0,
-            "cycles": args.cycles,
-            "seed": args.seed,
-            "workers": args.workers,
-            "max_steps": args.max_steps,
-        },
+    inputs = {
+        "gig1": {"family": args.family, "mu": args.mu, "sigma": args.sigma,
+                 "kappa": args.kappa, "grid_step": args.grid_step},
+        "x0": args.x0,
+        "cycles": args.cycles,
+        "seed": args.seed,
+        "workers": args.workers,
+        "max_steps": args.max_steps,
     }
-    checks = _Assertions()
-    try:
+
+    def body(report, checks):
         model = _gig1.GIG1Model(
             increment=_gig1.increment_family(args.family, args.mu, args.sigma),
             kappa=args.kappa,
@@ -373,26 +352,19 @@ def _simulate_gig1(args) -> dict:
         }
         report["estimates"] = result
         checks.check("estimates_inside_envelope", result["all_inside"])
-    except ToolkitError as err:
-        report["error"] = {"code": err.code, "message": str(err)}
-        checks.check("simulation_completed", False, str(err))
-    report["assertions"] = checks.items
-    report["passed"] = checks.all_passed
-    return report
+
+    return _run("simulate", inputs, "simulation_completed", body)
 
 
 def cmd_gig1(args) -> dict:
-    report = {
-        "command": "gig1",
-        "inputs": {
-            "family": args.family, "mu": args.mu, "sigma": args.sigma,
-            "kappa": args.kappa, "grid_step": args.grid_step,
-            "tail_sigmas": args.tail_sigmas, "x_max": args.x_max,
-            "x_points": args.x_points, "seed": args.seed,
-        },
+    inputs = {
+        "family": args.family, "mu": args.mu, "sigma": args.sigma,
+        "kappa": args.kappa, "grid_step": args.grid_step,
+        "tail_sigmas": args.tail_sigmas, "x_max": args.x_max,
+        "x_points": args.x_points, "seed": args.seed,
     }
-    checks = _Assertions()
-    try:
+
+    def body(report, checks):
         model = _gig1.GIG1Model(
             increment=_gig1.increment_family(args.family, args.mu, args.sigma),
             kappa=args.kappa,
@@ -437,12 +409,8 @@ def cmd_gig1(args) -> dict:
                 header="x ours_upper ours_lower ours_abs competing",
             )
             report["curve_file"] = args.curves
-    except ToolkitError as err:
-        report["error"] = {"code": err.code, "message": str(err)}
-        checks.check("certificate_built", False, str(err))
-    report["assertions"] = checks.items
-    report["passed"] = checks.all_passed
-    return report
+
+    return _run("gig1", inputs, "certificate_built", body)
 
 
 def build_parser() -> argparse.ArgumentParser:

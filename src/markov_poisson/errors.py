@@ -106,6 +106,16 @@ class SingularSystem(ToolkitError):
     code = "singular-system"
 
 
+class InvariantViolation(ToolkitError):
+    """An identity the theory guarantees failed numerically.
+
+    Raised for the stationary fixed point, the Poisson residual of the
+    canonical solution and the occupation identity nu = pi.
+    """
+
+    code = "invariant-violation"
+
+
 class MaxStepsExceeded(ToolkitError):
     """A simulated cycle did not regenerate within the step budget."""
 

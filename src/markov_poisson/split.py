@@ -17,12 +17,14 @@ schedule coin tosses; the decomposition encodes that by construction.
 
 The unknowns G_h form a dense linear system solved by LU with partial
 pivoting; a pivot below 1e-13 raises SingularSystem (impossible under a
-valid certificate, surfaced defensively).
+valid certificate, surfaced defensively). :class:`CycleSystem` factors it
+once per chain and certificate and then solves any block of charges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -39,6 +41,7 @@ from .chain import (
 )
 from .errors import (
     InconsistentCertificate,
+    InvariantViolation,
     NegativeResidual,
     SingularSystem,
     Unreachable,
@@ -70,20 +73,6 @@ class ResidualKernel:
 
 
 @dataclass(frozen=True)
-class BridgeTable:
-    """Expected charge collected at the m-1 intermediate bridge indices.
-
-    ``table[i, y]`` is sum_{j=1}^{m-1} E[h(X_j) | X_0 = C[i], X_m = y] and
-    is only meaningful where ``support[i, y]`` (P^m(C[i], y) > 0) holds;
-    unsupported entries are zero. Identically zero when m = 1.
-    """
-
-    C: tuple
-    table: np.ndarray
-    support: np.ndarray
-
-
-@dataclass(frozen=True)
 class CycleValues:
     """Exact per-state cycle expectations for one charge.
 
@@ -111,11 +100,19 @@ def residual_kernel(chain: FiniteChain, small: SmallSetCertificate) -> ResidualK
     Q(x, y) = (P^m(x, y) - lam*phi(y)) / (1 - lam); rows are valid
     distributions whenever the certificate is valid at tolerance.
     """
+    Pm = kernel_powers(chain, small.m)[-1] if small.lam < 1.0 else None
+    return ResidualKernel(C=small.C, rows=_residual_rows(Pm, small))
+
+
+def _residual_rows(Pm: np.ndarray | None, small: SmallSetCertificate) -> np.ndarray | None:
     if small.lam >= 1.0:
-        return ResidualKernel(C=small.C, rows=None)
-    Pm = kernel_powers(chain, small.m)[-1]
-    rows = (Pm[list(small.C), :] - small.lam * small.phi.mass[None, :]) / (1.0 - small.lam)
-    if rows.min() < -ATOL:
+        return None
+    gap = Pm[list(small.C), :] - small.lam * small.phi.mass[None, :]
+    # the tolerance applies to P^m - lam*phi, as in SmallSetCertificate.verify:
+    # after the division by 1 - lam, rounding noise of a certificate that
+    # verify accepts can exceed it when lam is close to 1
+    rows = gap / (1.0 - small.lam)
+    if gap.min() < -ATOL:
         i, y = np.unravel_index(np.argmin(rows), rows.shape)
         raise NegativeResidual(
             f"Q({small.C[i]},{y}) = {rows.min():.3e} < 0: certificate invalid at tolerance"
@@ -129,28 +126,7 @@ def residual_kernel(chain: FiniteChain, small: SmallSetCertificate) -> ResidualK
         )
     rows /= sums[:, None]
     rows.flags.writeable = False
-    return ResidualKernel(C=small.C, rows=rows)
-
-
-def bridge_sums(chain: FiniteChain, small: SmallSetCertificate, h) -> BridgeTable:
-    """Endpoint-conditioned charge sums over the bridge indices 1..m-1.
-
-    Uses E[h(X_j) | X_0=x, X_m=y] = sum_z P^j(x,z) h(z) P^{m-j}(z,y) / P^m(x,y).
-    """
-    h = values_of(h, chain.n)
-    powers = kernel_powers(chain, small.m)
-    Pm = powers[-1]
-    k = len(small.C)
-    table = np.zeros((k, chain.n))
-    support = Pm[list(small.C), :] > 0.0
-    for i, w in enumerate(small.C):
-        num = np.zeros(chain.n)
-        for j in range(1, small.m):
-            num += (powers[j][w, :] * h) @ powers[small.m - j]
-        table[i, support[i]] = num[support[i]] / Pm[w, support[i]]
-    table.flags.writeable = False
-    support.flags.writeable = False
-    return BridgeTable(C=small.C, table=table, support=support)
+    return rows
 
 
 def _reach_check(chain: FiniteChain, C: tuple) -> None:
@@ -234,97 +210,114 @@ def _small_part(cert) -> SmallSetCertificate:
     return cert.small if isinstance(cert, CertificateBundle) else cert
 
 
-class _CycleSystem:
-    """Factored linear system for cycle expectations under one scheme.
+class CycleSystem:
+    """The factored regeneration system of one chain under one certificate.
 
-    Only the minorization part of a certificate is needed; a full bundle
-    or a bare SmallSetCertificate are both accepted.
+    Every cycle expectation G_h = E_. sum_{j<tau} h(X_j) solves the same
+    linear system with a charge-dependent right-hand side
+
+        (I - (1-lam) H Q) G_h = u_h + H B h,
+
+    where u_h is the pre-hit sum, H the first-hit law on C and B the
+    (|C|, n) block matrix: (B h)(w) is the expected charge of the m-step
+    block started at w, h(w) plus the bridge over indices 1..m-1
+    conditioned on the endpoint drawn from lam*phi + (1-lam)*Q(w, .).
+    Endpoints with P^m(w, y) = 0 carry no mixture mass and are excluded.
+    At m = 1, B holds the indicator rows of C.
+
+    Construction computes P^1..P^m, Q, B and both LU factorizations (the
+    absorbing boundary and the core) once; pi and E tau are computed on
+    first use. Only the minorization part of a certificate is needed; a
+    full bundle or a bare SmallSetCertificate are both accepted.
     """
 
     def __init__(self, chain: FiniteChain, cert):
-        self.chain = chain
         small = _small_part(cert)
+        self.chain = chain
         self.C = small.C
         self.m = small.m
         self.lam = small.lam
         self.phi = small.phi.mass
-        self.powers = kernel_powers(chain, small.m)
-        self.Pm = self.powers[-1]
-        self.Q = residual_kernel(chain, small).rows
+        powers = kernel_powers(chain, small.m)
+        Pm = powers[-1]
+        self.Q = _residual_rows(Pm, small)
         self.absorbing = _AbsorbingSystem(chain, small.C)
         self.H = self.absorbing.H
-        self._check_endpoint_mass()
-        if self.lam < 1.0:
-            M = self.H @ self.Q
-            self._core_lu = _lu(np.eye(chain.n) - (1.0 - self.lam) * M)
-        else:
-            self._core_lu = None
-
-    def _check_endpoint_mass(self):
+        B = np.zeros((len(self.C), chain.n))
         for i, w in enumerate(self.C):
-            dead = self.Pm[w, :] <= 0.0
-            if self.phi[dead].sum() > ENDPOINT_MASS_TOL:
+            live = Pm[w, :] > 0.0
+            if self.phi[~live].sum() > ENDPOINT_MASS_TOL:
                 raise InconsistentCertificate(
                     f"phi places mass on endpoints with P^m({w}, .) = 0"
                 )
-            if self.Q is not None and self.Q[i, dead].sum() > ENDPOINT_MASS_TOL:
+            if self.Q is not None and self.Q[i, ~live].sum() > ENDPOINT_MASS_TOL:
                 raise InconsistentCertificate(
                     f"Q({w}, .) places mass on endpoints with P^m({w}, .) = 0"
                 )
-
-    def block_charge(self, h: np.ndarray) -> np.ndarray:
-        """Expected charge of the m-step block started at each w in C.
-
-        c(w) = h(w) + lam * E_phi[bridge] + (1-lam) * E_Q[bridge], where the
-        bridge terms cover indices 1..m-1 conditioned on the drawn endpoint.
-        Endpoints with P^m(w, y) = 0 carry no mixture mass and are excluded.
-        """
-        n = self.chain.n
-        c = np.empty(len(self.C))
-        for i, w in enumerate(self.C):
-            c[i] = h[w]
-            if self.m == 1:
-                continue
-            live = self.Pm[w, :] > 0.0
-            num = np.zeros(n)
-            for j in range(1, self.m):
-                num += (self.powers[j][w, :] * h) @ self.powers[self.m - j]
-            bridge = np.zeros(n)
-            bridge[live] = num[live] / self.Pm[w, live]
-            c[i] += self.lam * float(self.phi @ bridge)
-            if self.Q is not None:
-                c[i] += (1.0 - self.lam) * float(self.Q[i] @ bridge)
-        return c
-
-    def solve(self, h) -> np.ndarray:
-        """G_h(x) = E_x sum_{j<tau} h(X_j) for one charge vector."""
-        h = values_of(h, self.chain.n)
-        rhs = self.absorbing.pre_hit(h) + self.H @ self.block_charge(h)
-        if self._core_lu is None:
-            return rhs
-        return lu_solve(self._core_lu, rhs)
-
-    def occupation_matrix(self) -> np.ndarray:
-        """W(x, z) = E_x sum_{j<tau} I(X_j = z), all indicator charges at once."""
-        n = self.chain.n
-        U = self.absorbing.pre_hit(np.eye(n))
-        Cmat = np.zeros((len(self.C), n))
-        for i, w in enumerate(self.C):
-            Cmat[i, w] = 1.0
-            if self.m == 1:
-                continue
-            live = self.Pm[w, :] > 0.0
-            weights = self.lam * self.phi.copy()
+            B[i, w] = 1.0
+            weights = self.lam * self.phi
             if self.Q is not None:
                 weights = weights + (1.0 - self.lam) * self.Q[i]
-            scaled = np.zeros(n)
-            scaled[live] = weights[live] / self.Pm[w, live]
+            scaled = np.zeros(chain.n)
+            scaled[live] = weights[live] / Pm[w, live]
             for j in range(1, self.m):
-                Cmat[i, :] += self.powers[j][w, :] * (self.powers[self.m - j] @ scaled)
-        rhs = U + self.H @ Cmat
+                B[i, :] += powers[j][w, :] * (powers[self.m - j] @ scaled)
+        self.B = B
+        if self.lam < 1.0:
+            self._core_lu = _lu(np.eye(chain.n) - (1.0 - self.lam) * (self.H @ self.Q))
+        else:
+            self._core_lu = None
+
+    def solve(self, charges) -> np.ndarray:
+        """G_h for one charge of shape (n,) or a block of charges (n, k)."""
+        X = values_of(charges)
+        if X.ndim not in (1, 2) or X.shape[0] != self.chain.n:
+            raise ValueError(f"expected {self.chain.n} rows of charges, got shape {X.shape}")
+        rhs = self.absorbing.pre_hit(X) + self.H @ (self.B @ X)
         if self._core_lu is None:
             return rhs
         return lu_solve(self._core_lu, rhs)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """The stationary law of the chain."""
+        return stationary(self.chain).mass
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """E_x tau: the charge h = 1, whose block contributes exactly m."""
+        return self.solve(np.ones(self.chain.n))
+
+    def cycle_values(self, h) -> CycleValues:
+        """See the module function :func:`cycle_values`."""
+        G = self.solve(values_of(h, self.chain.n))
+        return CycleValues(
+            values=G,
+            at_phi=float(self.phi @ G),
+            tau=self.tau,
+            tau_at_phi=float(self.phi @ self.tau),
+        )
+
+    def canonical_solution(self, f) -> StateFunction:
+        """See the module function :func:`canonical_solution`."""
+        f = values_of(f, self.chain.n)
+        f_c = f - float(self.pi @ f)
+        g = self.solve(f_c)
+        residual = np.max(np.abs((self.chain.kernel @ g - g) + f_c))
+        if not residual <= 1e-9:
+            raise InvariantViolation(f"Poisson residual {residual:.3e} exceeds 1e-9")
+        return StateFunction(values=g)
+
+    def occupation_measure(self) -> Distribution:
+        """See the module function :func:`occupation_measure`."""
+        per_state = self.phi @ self.solve(np.eye(self.chain.n))
+        nu = per_state / per_state.sum()
+        l1 = float(np.abs(nu - self.pi).sum())
+        if not l1 <= 1e-10:
+            raise InvariantViolation(
+                f"occupation measure deviates from stationary by {l1:.3e} in L1"
+            )
+        return Distribution(mass=nu)
 
 
 def cycle_values(chain: FiniteChain, cert, h) -> CycleValues:
@@ -334,58 +327,29 @@ def cycle_values(chain: FiniteChain, cert, h) -> CycleValues:
     is the charge h = 1, for which the m-step block contributes exactly m
     per coin toss (the bridge conditionals integrate to one).
     """
-    system = _CycleSystem(chain, cert)
-    G = system.solve(h)
-    tau = system.solve(np.ones(chain.n))
-    phi = _small_part(cert).phi.mass
-    return CycleValues(
-        values=G,
-        at_phi=float(phi @ G),
-        tau=tau,
-        tau_at_phi=float(phi @ tau),
-    )
+    return CycleSystem(chain, cert).cycle_values(h)
 
 
 def canonical_solution(chain: FiniteChain, cert, f) -> StateFunction:
     """The canonical solution g* of (P - I)g = -f_c with f_c = f - pi(f).
 
     g*(x) = E_x sum_{j<tau} f_c(X_j); the Poisson residual is verified to
-    1e-9 before returning. The additive normalization of g* is the one
-    induced by tau; phi . g* vanishes when m = 1 but has no closed form
-    for m >= 2 and is reported as a diagnostic elsewhere, not asserted.
+    1e-9 before returning (InvariantViolation otherwise). The additive
+    normalization of g* is the one induced by tau; phi . g* vanishes when
+    m = 1 but has no closed form for m >= 2 and is reported as a
+    diagnostic elsewhere, not asserted.
     """
-    f = values_of(f, chain.n)
-    pi = stationary(chain).mass
-    f_c = f - float(pi @ f)
-    g = _CycleSystem(chain, cert).solve(f_c)
-    residual = np.max(np.abs((chain.kernel @ g - g) + f_c))
-    assert residual <= 1e-9, f"Poisson residual {residual:.3e} exceeds 1e-9"
-    return StateFunction(values=g)
+    return CycleSystem(chain, cert).canonical_solution(f)
 
 
 def occupation_measure(chain: FiniteChain, cert) -> Distribution:
     """Expected time per cycle from phi, normalized by the cycle length.
 
     nu(z) = E_phi sum_{j<tau} I(X_j = z) / E_phi tau. This equals the
-    stationary distribution; the identity is asserted to 1e-10.
+    stationary distribution; the identity is verified to 1e-10 in L1
+    (InvariantViolation otherwise).
     """
-    system = _CycleSystem(chain, cert)
-    W = system.occupation_matrix()
-    phi = _small_part(cert).phi.mass
-    per_state = phi @ W
-    nu = per_state / per_state.sum()
-    pi = stationary(chain).mass
-    l1 = float(np.abs(nu - pi).sum())
-    assert l1 <= 1e-10, f"occupation measure deviates from stationary by {l1:.3e} in L1"
-    return Distribution(mass=nu)
-
-
-def exact_marginal(chain: FiniteChain, x: int, f, n: int) -> float:
-    """E_x f(X_n) = (P^n f)(x) by iterated kernel-vector products."""
-    vec = values_of(f, chain.n)
-    for _ in range(n):
-        vec = chain.kernel @ vec
-    return float(vec[x])
+    return CycleSystem(chain, cert).occupation_measure()
 
 
 def marginal_curve(chain: FiniteChain, f, n_max: int) -> np.ndarray:

@@ -14,10 +14,9 @@ from markov_poisson.errors import (
     Unreachable,
 )
 from markov_poisson.split import (
-    bridge_sums,
+    CycleSystem,
     canonical_solution,
     cycle_values,
-    exact_marginal,
     hitting,
     marginal_curve,
     occupation_measure,
@@ -145,27 +144,37 @@ def test_occupation_measure_three_cycle_uniform():
 
 
 def test_exact_marginal_examples(chain):
-    assert exact_marginal(chain, 1, [1, 0], 0) == pytest.approx(0.0)
-    assert exact_marginal(chain, 0, [1, 0], 0) == pytest.approx(1.0)
-    assert exact_marginal(chain, 1, [1, 0], 1) == pytest.approx(0.25)
-    assert exact_marginal(chain, 1, [1, 0], 2) == pytest.approx(0.3125)
+    curve = marginal_curve(chain, [1, 0], 2)
+    assert curve[0, 1] == pytest.approx(0.0)
+    assert curve[0, 0] == pytest.approx(1.0)
+    assert curve[1, 1] == pytest.approx(0.25)
+    assert curve[2, 1] == pytest.approx(0.3125)
 
 
 def test_bridge_sums_zero_for_one_step(chain):
-    table = bridge_sums(chain, minorize(chain, [0], 1), [1.0, 2.0])
-    assert np.array_equal(table.table, np.zeros((1, 2)))
+    # at m = 1 there is no bridge: the block charge is h itself on C
+    h = np.array([1.0, 2.0])
+    system = CycleSystem(chain, minorize(chain, [0], 1))
+    assert np.array_equal(system.B @ h, h[[0]])
 
 
 def test_bridge_sums_match_path_enumeration(chain):
-    # m = 2: E[h(X_1) | X_0 = x, X_2 = y] = sum_z P(x,z) h(z) P(z,y) / P^2(x,y)
-    small = minorize(chain, [0], 2)
+    # m = 2: the block charge at w is h(w) plus the bridge term
+    # sum_y [lam*phi(y) + (1-lam)*Q(w,y)] * sum_z P(w,z) h(z) P(z,y) / P^2(w,y)
+    small = minorize(chain, [0, 1], 2)
+    assert 0.0 < small.lam < 1.0
     h = np.array([0.7, -0.2])
-    table = bridge_sums(chain, small, h)
+    system = CycleSystem(chain, small)
     P = chain.kernel
     P2 = P @ P
-    for y in range(2):
-        direct = sum(P[0, z] * h[z] * P[z, y] for z in range(2)) / P2[0, y]
-        assert table.table[0, y] == pytest.approx(direct)
+    Q = residual_kernel(chain, small).rows
+    for i, w in enumerate(small.C):
+        direct = h[w]
+        for y in range(2):
+            weight = small.lam * small.phi.mass[y] + (1.0 - small.lam) * Q[i, y]
+            bridge = sum(P[w, z] * h[z] * P[z, y] for z in range(2)) / P2[w, y]
+            direct += weight * bridge
+        assert (system.B @ h)[i] == pytest.approx(direct, rel=1e-14)
 
 
 def test_inconsistent_certificate_rejected():
