@@ -5,14 +5,16 @@ Regenerative Monte Carlo against exact values
 Cycles are simulated with the split-chain mechanism: walk to the small
 set, toss a lambda-coin, draw the m-step endpoint from phi or the
 residual kernel, and fill the intermediate indices with the exact bridge
-conditionals. Every cycle owns a counter-based stream keyed by
-(master seed, cycle index), so estimates reproduce bitwise.
+conditionals. Cycles run side by side in numpy lanes, and every cycle
+owns a counter-based stream keyed by (master seed, cycle index), so
+estimates reproduce bitwise.
 """
 
 import numpy as np
 
 from markov_poisson import (
-    build_sampler,
+    CycleSystem,
+    FiniteChainSampler,
     canonical_solution,
     cycle_values,
     estimate_gstar,
@@ -30,7 +32,7 @@ for m, label in [(1, "one-step regeneration"), (2, "two-step blocks with bridge"
     bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0], m)
     exact = canonical_solution(chain, bundle, f).values
     tau = cycle_values(chain, bundle, f).tau
-    sc = build_sampler(chain, bundle, f)
+    sc = FiniteChainSampler(CycleSystem(chain, bundle), f)
 
     est = estimate_gstar(sc, 1, pi_f, n_cycles=50_000, master_seed=2024)
     again = estimate_gstar(sc, 1, pi_f, n_cycles=50_000, master_seed=2024)
@@ -44,7 +46,7 @@ for m, label in [(1, "one-step regeneration"), (2, "two-step blocks with bridge"
 # a residual kernel in action: C = {0, 1} gives lambda = 3/4 < 1
 bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0, 1], 1)
 exact = canonical_solution(chain, bundle, f).values
-sc = build_sampler(chain, bundle, f)
+sc = FiniteChainSampler(CycleSystem(chain, bundle), f)
 est = estimate_gstar(sc, 1, pi_f, n_cycles=50_000, master_seed=11)
 print(f"residual-kernel scheme (lambda={bundle.lam:g})")
 print(f"  g*(1) exact {exact[1]:+.6f}   mc {est.point:+.6f} +- {est.std_error:.6f}")

@@ -31,27 +31,16 @@ from .chain import (
     validate_chain,
 )
 from .gig1 import GIG1Certificate, GIG1Model, bound_curves, build_certificate, find_x0, mc_validate
-from .mc import (
-    CycleSample,
-    MCEstimate,
-    SamplerChain,
-    build_sampler,
-    cycle_stream,
-    estimate_gstar,
-    estimate_pif,
-    simulate_cycle,
-)
+from .mc import FiniteChainSampler, MCEstimate, estimate_gstar, estimate_pif
 from .potential import PotentialResult, truncated_potential, verify_truncation_gap
 from .split import (
     CycleSystem,
     CycleValues,
-    ResidualKernel,
     canonical_solution,
     cycle_values,
     hitting,
     marginal_curve,
     occupation_measure,
-    residual_kernel,
 )
 
 __version__ = "0.1.0"
@@ -59,27 +48,23 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CertificateBundle",
-    "CycleSample",
     "CycleSystem",
     "CycleValues",
     "CyclicDecomposition",
     "Distribution",
     "DriftCertificate",
     "FiniteChain",
+    "FiniteChainSampler",
     "GIG1Certificate",
     "GIG1Model",
     "MCEstimate",
     "PotentialCertificate",
     "PotentialResult",
-    "ResidualKernel",
-    "SamplerChain",
     "SmallSetCertificate",
     "StateFunction",
     "bound_curves",
     "build_certificate",
-    "build_sampler",
     "canonical_solution",
-    "cycle_stream",
     "cycle_values",
     "cyclic_decomposition",
     "delta_bounds",
@@ -95,8 +80,6 @@ __all__ = [
     "minorize",
     "occupation_measure",
     "uniform_marginal_bound",
-    "residual_kernel",
-    "simulate_cycle",
     "stationary",
     "solution_envelope",
     "truncation_gap_bounds",

@@ -23,10 +23,10 @@ from . import gig1 as _gig1
 from .certify import _small_set, verify_bundle, verify_potential
 from .chain import cyclic_decomposition, stationary
 from .errors import SpecFileError, ToolkitError
-from .mc import build_sampler, estimate_gstar, estimate_pif
+from .mc import FiniteChainSampler, estimate_gstar, estimate_pif
 from .potential import truncated_potential, verify_truncation_gap
 from .specfile import dumps_canonical, load_chain_spec
-from .split import CycleSystem, canonical_solution, marginal_curve
+from .split import CycleSystem, marginal_curve
 
 TOL_ASSERT = 1e-10
 TOL_IDENTITY = 1e-8
@@ -225,9 +225,9 @@ def _potential_body(spec, args, report, checks):
     f = spec.function("f")
     decomp = cyclic_decomposition(chain)
     p = decomp.period
-    result = truncated_potential(chain, f, p, tol=args.tol, max_blocks=args.max_blocks)
-    g_t = result.g_tilde.values
     pi = stationary(chain).mass
+    result = truncated_potential(chain, f, p, tol=args.tol, max_blocks=args.max_blocks, pi=pi)
+    g_t = result.g_tilde.values
     f_c = f - float(pi @ f)
     one_step = float(np.max(np.abs(chain.kernel @ g_t - g_t + f_c)))
     checks.check("potential_converged", result.residual <= args.tol, result.residual)
@@ -241,7 +241,7 @@ def _potential_body(spec, args, report, checks):
 
     if spec.small is not None and {"f", "v1", "v2"} <= set(spec.functions):
         bundle = _bundle_from_spec(spec)
-        g = canonical_solution(chain, bundle, f).values
+        g = CycleSystem(chain, bundle, pi=pi).canonical_solution(f).values
         gap = g_t - g
         report["tables"]["g_star"] = g
         report["tables"]["gap"] = gap
@@ -298,7 +298,7 @@ def cmd_simulate(args) -> dict:
         system = CycleSystem(chain, small)
         pi_f = float(system.pi @ f)
         g_exact = system.canonical_solution(f).values
-        sc = build_sampler(chain, small, f)
+        sc = FiniteChainSampler(system, f)
         pif_est = estimate_pif(sc, args.cycles, args.seed, workers=args.workers)
         g_est = estimate_gstar(
             sc, x0, pi_f, args.cycles, args.seed,

@@ -38,14 +38,14 @@ as g_a - phi(g_a) from the atom scheme's solution g_a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .bounds import envelope_comparison
 from .errors import InfeasibleX0, QuadratureFailure, SearchExhausted
-from .mc import SamplerChain, estimate_gstar, estimate_pif, mean_and_se, run_cycles
+from .mc import estimate_gstar, estimate_pif, mean_and_se, run_cycles
 
 #: tolerance on the truncated density mass
 MASS_TOL = 1e-6
@@ -309,101 +309,77 @@ def drift_spot_check(
 
 
 class QueueSampler:
-    """Lindley-recursion sampler wired to the certificate's scheme.
+    """Batched Lindley-recursion sampler wired to a regeneration scheme.
 
-    phi is sampled by inverse CDF on its quadrature representation (atom
-    at 0 plus a piecewise-linear density CDF). The residual kernel Q is
-    sampled by rejection: propose a one-step transition from x and accept
-    with probability 1 - psi(y)/p(x, y), where psi is the unnormalized
-    minorizing measure; acceptance happens with overall probability
-    1 - lam, which is exactly the Q-normalization.
+    Increments are drawn as ``ppf(u)`` of the increment law. With the
+    certificate's scheme (the default), C = [0, x0], lam is the
+    certificate's and phi is sampled by inverse CDF on its quadrature
+    representation (atom at 0 plus a piecewise-linear density CDF). The
+    residual kernel Q is sampled by rejection: propose a one-step
+    transition from x and accept with probability 1 - psi(y)/p(x, y),
+    where psi is the unnormalized minorizing measure; acceptance happens
+    with overall probability 1 - lam, which is exactly the
+    Q-normalization. With ``at_atom=True`` the same chain regenerates at
+    its atom: C = {0}, lam = 1 and phi = P(0, .).
     """
 
-    def __init__(self, model: GIG1Model, cert: GIG1Certificate):
-        self.x0 = cert.x0
-        self.lam = cert.lam
-        self.m = 1
+    dtype = float
+    m = 1
+
+    def __init__(self, model: GIG1Model, cert: GIG1Certificate, at_atom: bool = False):
+        self.at_atom = at_atom
+        self.x0 = 0.0 if at_atom else cert.x0
+        self.lam = 1.0 if at_atom else cert.lam
         self.atom = cert.atom
         self.ys = cert.ys
         self.density = cert.density
-        dist = model.increment
-        self._dist = dist
-        self._normal = getattr(dist, "dist", None) is not None and dist.dist.name == "norm"
-        if self._normal:
-            self._mu, self._sigma = float(dist.mean()), float(dist.std())
+        self._dist = model.increment
         cum = cumulative_trapezoid(cert.density, cert.ys, initial=0.0)
         self._phi_cum = (cert.atom + cum) / cert.lam
         self._atom_p = cert.atom / cert.lam
 
-    # increment law, with a fast path for normal increments
-    def _draw_z(self, rng) -> float:
-        if self._normal:
-            return rng.normal(self._mu, self._sigma)
-        return float(self._dist.ppf(rng.random()))
-
-    def _pdf_z(self, z: float) -> float:
-        if self._normal:
-            t = (z - self._mu) / self._sigma
-            return math.exp(-0.5 * t * t) / (self._sigma * math.sqrt(2.0 * math.pi))
-        return float(self._dist.pdf(z))
-
-    def _cdf_z(self, z: float) -> float:
-        if self._normal:
-            return 0.5 * math.erfc((self._mu - z) / (self._sigma * math.sqrt(2.0)))
-        return float(self._dist.cdf(z))
-
-    def step(self, x: float, rng) -> float:
-        w = x + self._draw_z(rng)
-        return w if w > 0.0 else 0.0
-
-    def charge(self, x: float) -> float:
+    def charge(self, x: np.ndarray) -> np.ndarray:
         return x
 
-    def in_small_set(self, x: float) -> bool:
+    def in_small_set(self, x: np.ndarray) -> np.ndarray:
         return x <= self.x0
 
-    def at_atom(self, x: float) -> bool:
-        return x == 0.0
+    def step(self, x, streams, lanes):
+        w = x + self._dist.ppf(streams.uniform(lanes))
+        return np.where(w > 0.0, w, 0.0)
 
-    def leave_atom(self, rng) -> float:
-        return self.step(0.0, rng)
+    def sample_phi(self, streams, lanes):
+        if self.at_atom:
+            return self.step(np.zeros(lanes.size), streams, lanes)
+        return self.sample_certificate_phi(streams, lanes)
 
-    def _psi(self, y: float) -> float:
+    def sample_certificate_phi(self, streams, lanes):
+        """Draws from the certificate's phi, whatever the scheme."""
+        u = streams.uniform(lanes)
+        return np.where(u < self._atom_p, 0.0, np.interp(u, self._phi_cum, self.ys))
+
+    def _psi(self, y: np.ndarray) -> np.ndarray:
         """Unnormalized minorizing density at y > 0 (0 beyond the grid)."""
-        if y <= 0.0 or y >= self.ys[-1]:
-            return 0.0
-        return float(np.interp(y, self.ys, self.density))
+        inside = (y > 0.0) & (y < self.ys[-1])
+        return np.where(inside, np.interp(y, self.ys, self.density), 0.0)
 
-    def sample_phi(self, rng) -> float:
-        u = rng.random()
-        if u < self._atom_p:
-            return 0.0
-        return float(np.interp(u, self._phi_cum, self.ys))
-
-    def sample_residual(self, x: float, rng) -> float:
-        while True:
-            y = self.step(x, rng)
-            if y == 0.0:
-                p = self._cdf_z(-x)
-                accept = 1.0 - (self.atom / p if p > 0.0 else 1.0)
-            else:
-                p = self._pdf_z(y - x)
-                accept = 1.0 - (self._psi(y) / p if p > 0.0 else 1.0)
-            if rng.random() < accept:
-                return y
-
-
-def make_sampler(model: GIG1Model, cert: GIG1Certificate) -> SamplerChain:
-    impl = QueueSampler(model, cert)
-    return SamplerChain(
-        step=impl.step,
-        charge=impl.charge,
-        in_small_set=impl.in_small_set,
-        m=1,
-        lam=impl.lam,
-        sample_phi=impl.sample_phi,
-        sample_residual=impl.sample_residual,
-    )
+    def sample_residual(self, x, streams, lanes, budget):
+        y = np.empty(x.size)
+        rejected = np.zeros(x.size, dtype=np.int64)
+        pending = np.arange(x.size)
+        while pending.size:
+            xp = x[pending]
+            yp = self.step(xp, streams, lanes[pending])
+            at_zero = yp == 0.0
+            p = np.where(at_zero, self._dist.cdf(-xp), self._dist.pdf(yp - xp))
+            mass = np.where(at_zero, self.atom, self._psi(yp))
+            ratio = np.divide(mass, p, out=np.ones_like(p), where=p > 0.0)
+            accept = streams.uniform(lanes[pending]) < 1.0 - ratio
+            y[pending[accept]] = yp[accept]
+            pending = pending[~accept]
+            rejected[pending] += 1
+            pending = pending[rejected[pending] <= budget[pending]]
+        return y, rejected
 
 
 def _atom_points(model, cert, x_list, n_cycles, master_seed, workers, max_steps):
@@ -413,31 +389,20 @@ def _atom_points(model, cert, x_list, n_cycles, master_seed, workers, max_steps)
     and phi = P(0, .): a cycle runs to the first visit of 0 (charged, with
     f(0) = 0) and regenerates with certainty there.
     """
-    impl = QueueSampler(model, cert)
-    atom = SamplerChain(
-        step=impl.step,
-        charge=impl.charge,
-        in_small_set=impl.at_atom,
-        m=1,
-        lam=1.0,
-        sample_phi=impl.leave_atom,
-    )
-    # the same cycles with starts drawn from the certificate's phi; the state
-    # drawn at the regeneration only closes the cycle and is never charged
-    from_phi = replace(atom, sample_phi=impl.sample_phi)
+    atom = QueueSampler(model, cert, at_atom=True)
     pif = estimate_pif(atom, n_cycles, master_seed, workers=workers, max_steps=max_steps)
 
-    def centred(sc, x, block):
-        sums, lengths = run_cycles(
-            sc, x, n_cycles, master_seed, workers, block * n_cycles, max_steps
-        )
+    def centred(x, block):
+        offset = block * n_cycles
+        sums, lengths = run_cycles(atom, x, n_cycles, master_seed, workers, offset, max_steps)
         point, se = mean_and_se(sums - pif.point * lengths)
         return point, se, math.fsum(lengths) / n_cycles
 
-    phi_g, phi_se, phi_len = centred(from_phi, None, len(x_list) + 1)
+    # the same cycles with starts drawn from the certificate's phi
+    phi_g, phi_se, phi_len = centred(atom.sample_certificate_phi, len(x_list) + 1)
     points = []
     for k, x in enumerate(x_list):
-        g, se, length = centred(atom, x, k + 1)
+        g, se, length = centred(x, k + 1)
         var = se**2 + phi_se**2 + ((length - phi_len) * pif.std_error) ** 2
         points.append((g - phi_g, math.sqrt(var)))
     return pif, points
@@ -482,7 +447,7 @@ def mc_validate(
     x_list = [float(x) for x in x_list]
     if cert.m / cert.lam <= SPLIT_MAX_CYCLE:
         regeneration = "split"
-        sc = make_sampler(model, cert)
+        sc = QueueSampler(model, cert)
         pif = estimate_pif(sc, n_cycles, master_seed, workers=workers, max_steps=max_steps)
         points = []
         for k, x in enumerate(x_list):
@@ -528,7 +493,3 @@ def mc_validate(
         "all_inside": all_inside,
     }
 
-
-def with_x0(model: GIG1Model, x0: float) -> GIG1Model:
-    """A copy of the model with the small-set endpoint pinned."""
-    return replace(model, x0=x0)

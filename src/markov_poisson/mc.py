@@ -1,4 +1,4 @@
-"""Regenerative Monte Carlo over sampler-defined chains.
+"""Regenerative Monte Carlo over sampler-defined chains, in numpy lanes.
 
 A cycle runs the one-step sampler to the next eligible visit of the
 small set, tosses a Bernoulli(lambda) coin there, draws the m-step-ahead
@@ -8,64 +8,125 @@ and stops at the first success. Visits to the small set strictly inside
 a bridge segment never toss coins; the next eligible visit is the first
 one at least m steps after the previous toss.
 
-Randomness is drawn from counter-based Philox streams keyed by
-(master_seed, cycle_index), so estimates are bitwise reproducible for a
-fixed master seed regardless of worker count, and cycles can run
-concurrently. Sampler procedures must be picklable (plain functions or
-methods of module-level classes) when workers > 1.
+Cycles run in numpy lanes, one cycle per lane and ``LANES`` at a time;
+per iteration a lane outside the small set takes a free step, and a lane
+in it tosses the coin, draws the endpoint and runs the bridge draws.
+
+The k-th uniform of cycle i is word k % 4 of the Philox-4x64-10 block
+with key (master_seed, i) and counter k // 4 + 1, as (w >> 11) 2^-53:
+the k-th ``random()`` of ``np.random.Generator(np.random.Philox(key=[seed,
+i]))``. Each lane draws in the order of a one-cycle-at-a-time simulation
+(the phi start first when no start state is given), so estimates are
+bitwise reproducible whatever the worker count or chunk.
+
+Samplers implement one batched protocol on arrays of states, with draws
+taken from the lane source :class:`CycleStreams` for the lanes given:
+
+* ``m``, ``lam`` and ``dtype`` (the dtype of a state array);
+* ``charge(x)`` and ``in_small_set(x)``;
+* ``step(x, streams, lanes)`` and ``sample_phi(streams, lanes)``;
+* ``sample_residual(x, streams, lanes, budget)``, returning the endpoints
+  and the proposals each lane rejected; a lane stops proposing once its
+  rejections exceed its budget (needed only when lam < 1);
+* ``sample_bridge(x, y, streams, lanes)``, the m-1 intermediate state
+  arrays given the block's start and endpoint (needed only when m >= 2).
+
+Samplers must be picklable when workers > 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .certify import CertificateBundle, SmallSetCertificate
-from .chain import FiniteChain, kernel_powers, values_of
+from .chain import values_of
 from .errors import MaxStepsExceeded, MissingBridgeSampler
-from .split import residual_kernel
+from .split import CycleSystem
 
 DEFAULT_MAX_STEPS = 10**8
 EPS = float(np.finfo(float).eps)
 
+#: cycles simulated together, one per lane; a finite chain's draws compare
+#: (lanes, n) CDF rows, so this bounds their memory
+LANES = 4096
 
-def cycle_stream(master_seed: int, cycle_index: int) -> np.random.Generator:
-    """The dedicated RNG stream of one cycle: Philox keyed by (seed, index)."""
-    key = np.array([master_seed, cycle_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+#: uniforms computed per lane for its first draws, and at each later refill
+#: (multiples of 4): most cycles end within the first few draws
+FIRST_DRAWS, WINDOW = 8, 32
+
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_MASK, _S32, _S11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
 
 
-@dataclass(frozen=True)
-class SamplerChain:
-    """Step-sampler interface for a chain with a known regeneration scheme.
+def _mulhilo(m: int, b: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * b."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    b_lo, b_hi = b & _MASK, b >> _S32
+    t = m_hi * b_lo + ((m_lo * b_lo) >> _S32)
+    u = m_lo * b_hi + (t & _MASK)
+    return m_hi * b_hi + (t >> _S32) + (u >> _S32), np.uint64(m) * b
 
-    ``sample_residual`` may be None when lam = 1; ``sample_bridge`` is
-    required for m >= 2 and must return the m-1 intermediate states given
-    (start, endpoint). ``charge`` is the nonnegative reward f.
+
+def _philox(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
+    """Philox-4x64-10 of the counters (c, 0, 0, 0), shape (..., 4).
+
+    ``key1`` broadcasts against ``counter``; the key bumps by the Weyl
+    constants between the ten rounds.
+    """
+    zero = np.zeros_like(counter)
+    c0, c1, c2, c3 = counter, zero, zero, zero
+    for r in range(10):
+        k0 = np.uint64((key0 + r * _W0) % 2**64)
+        k1 = key1 + np.uint64(r * _W1 % 2**64)
+        hi0, lo0 = _mulhilo(_M0, c0)
+        hi1, lo1 = _mulhilo(_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1)
+
+
+class CycleStreams:
+    """The uniform streams of ``n`` consecutive cycles, one per lane.
+
+    Lane j is cycle ``first_cycle + j``. ``uniform(lanes)`` returns the
+    next uniform of each lane in the index array ``lanes`` and advances
+    their draw counters; ``count`` holds the draws made per lane.
     """
 
-    step: Callable[[Any, np.random.Generator], Any]
-    charge: Callable[[Any], float]
-    in_small_set: Callable[[Any], bool]
-    m: int
-    lam: float
-    sample_phi: Callable[[np.random.Generator], Any]
-    sample_residual: Callable[[Any, np.random.Generator], Any] | None = None
-    sample_bridge: Callable[[Any, Any, np.random.Generator], Sequence[Any]] | None = None
+    def __init__(self, master_seed: int, first_cycle: int, n: int):
+        key = np.array([master_seed, first_cycle], dtype=np.uint64)
+        self.n = n
+        self._key0 = int(key[0])
+        self._key1 = key[1] + np.arange(n, dtype=np.uint64)
+        self.count = np.zeros(n, dtype=np.int64)
+        # the window of lane j holds its draws _base[j] .. _end[j] - 1
+        self._base = np.zeros(n, dtype=np.int64)
+        self._end = np.zeros(n, dtype=np.int64)
+        self._window = np.empty((n, WINDOW))
 
+    def uniform(self, lanes: np.ndarray) -> np.ndarray:
+        k = self.count[lanes]
+        left = self._end[lanes] - k
+        if (left <= 0).any():
+            # lanes close to their window's end refill along with the stale
+            # ones, so that straggling lanes share their Philox evaluations
+            renew = left < WINDOW // 4
+            self._refill(lanes[renew], k[renew])
+        self.count[lanes] = k + 1
+        return self._window[lanes, k - self._base[lanes]]
 
-@dataclass(frozen=True)
-class CycleSample:
-    """One simulated regeneration cycle."""
-
-    sum_f: float
-    length: int
-    start: Any
-    end: Any
-    seed: Any = None
+    def _refill(self, lanes: np.ndarray, k: np.ndarray) -> None:
+        base = k - k % 4
+        draws = WINDOW if k.any() else FIRST_DRAWS
+        counter = (base // 4 + 1).astype(np.uint64)[:, None] + np.arange(
+            draws // 4, dtype=np.uint64
+        )
+        words = _philox(counter, self._key0, self._key1[lanes, None])
+        self._window[lanes, :draws] = (words.reshape(lanes.size, draws) >> _S11) * 2.0**-53
+        self._base[lanes] = base
+        self._end[lanes] = base + draws
 
 
 @dataclass(frozen=True)
@@ -78,64 +139,67 @@ class MCEstimate:
     seed: int
 
 
-def simulate_cycle(
-    sc: SamplerChain,
-    x0,
-    rng: np.random.Generator,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    seed=None,
-) -> CycleSample:
-    """Simulate one cycle from x0 and accumulate the charge over 0..tau-1.
-
-    The endpoint drawn at the successful toss is excluded from the sum
-    (it has index tau) but returned as ``end``; its law is phi.
-
-    Raises MaxStepsExceeded when the step budget runs out before a
-    regeneration, and MissingBridgeSampler for m >= 2 without a bridge.
-    """
-    if sc.m >= 2 and sc.sample_bridge is None:
-        raise MissingBridgeSampler(f"m={sc.m} requires a bridge sampler")
-    if sc.lam < 1.0 and sc.sample_residual is None:
-        raise ValueError("lam < 1 requires a residual sampler")
-    x = x0
-    total = 0.0
-    t = 0
-    while True:
-        while not sc.in_small_set(x):
-            total += sc.charge(x)
-            x = sc.step(x, rng)
-            t += 1
-            if t > max_steps:
-                raise MaxStepsExceeded(max_steps)
-        success = rng.random() < sc.lam
-        y = sc.sample_phi(rng) if success else sc.sample_residual(x, rng)
-        total += sc.charge(x)
-        if sc.m >= 2:
-            for z in sc.sample_bridge(x, y, rng):
-                total += sc.charge(z)
-        t += sc.m
-        if t > max_steps:
+def _run_lanes(sc, x0, streams: CycleStreams, max_steps: int):
+    """Per-lane (sum_f, length) of the cycles of ``streams``."""
+    lanes = np.arange(streams.n)
+    if x0 is None:
+        x = sc.sample_phi(streams, lanes)
+    elif callable(x0):
+        x = x0(streams, lanes)
+    else:
+        x = np.full(streams.n, x0, dtype=sc.dtype)
+    sums = np.zeros(streams.n)
+    length = np.zeros(streams.n, dtype=np.int64)
+    # steps plus rejected residual proposals: what max_steps guards
+    spent = np.zeros(streams.n, dtype=np.int64)
+    while lanes.size:
+        inside = sc.in_small_set(x)
+        walk = ~inside
+        if walk.any():
+            lw, xw = lanes[walk], x[walk]
+            sums[lw] += sc.charge(xw)
+            x[walk] = sc.step(xw, streams, lw)
+            length[lw] += 1
+            spent[lw] += 1
+        done = np.zeros(lanes.size, dtype=bool)
+        if inside.any():
+            lc, xc = lanes[inside], x[inside]
+            success = streams.uniform(lc) < sc.lam
+            y = xc.copy()
+            if sc.m >= 2 and success.any():
+                y[success] = sc.sample_phi(streams, lc[success])
+            fail = ~success
+            if fail.any():
+                lf = lc[fail]
+                y[fail], rejected = sc.sample_residual(
+                    xc[fail], streams, lf, max_steps - spent[lf]
+                )
+                spent[lf] += rejected
+            sums[lc] += sc.charge(xc)
+            if sc.m >= 2:
+                for z in sc.sample_bridge(xc, y, streams, lc):
+                    sums[lc] += sc.charge(z)
+            length[lc] += sc.m
+            spent[lc] += sc.m
+            x[inside] = y
+            done[inside] = success
+        if spent[lanes].max() > max_steps:
             raise MaxStepsExceeded(max_steps)
-        if success:
-            return CycleSample(sum_f=total, length=t, start=x0, end=y, seed=seed)
-        x = y
+        lanes, x = lanes[~done], x[~done]
+    return sums, length.astype(float)
 
 
-def _cycle_batch(args):
-    sc, x0, master_seed, lo, hi, stream_offset, max_steps = args
-    sums = np.empty(hi - lo)
-    lengths = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = cycle_stream(master_seed, stream_offset + i)
-        start = sc.sample_phi(rng) if x0 is None else x0
-        cs = simulate_cycle(sc, start, rng, max_steps=max_steps, seed=(master_seed, stream_offset + i))
-        sums[i - lo] = cs.sum_f
-        lengths[i - lo] = cs.length
-    return sums, lengths
+def _cycle_block(args):
+    """Per-cycle (sum_f, length) of ``n`` cycles from ``first``, LANES at a time."""
+    sc, x0, master_seed, first, n, max_steps = args
+    return [
+        _run_lanes(sc, x0, CycleStreams(master_seed, a, min(LANES, first + n - a)), max_steps)
+        for a in range(first, first + n, LANES)
+    ]
 
 
 def run_cycles(
-    sc: SamplerChain,
+    sc,
     x0,
     n_cycles: int,
     master_seed: int,
@@ -145,27 +209,38 @@ def run_cycles(
 ):
     """Per-cycle (sum_f, length) arrays for i.i.d. cycles from x0.
 
-    ``x0=None`` draws each cycle's start from phi using the cycle's own
-    stream. Results are concatenated in cycle-index order, so the arrays
-    (and anything reduced from them) do not depend on ``workers``.
+    ``x0`` is a start state, ``None`` to draw each cycle's start from the
+    sampler's phi, or a start law ``x0(streams, lanes)``; either draw is
+    the first of the cycle's stream. The charge is summed over indices
+    0..tau-1. Results are in cycle-index order, so the arrays (and
+    anything reduced from them) do not depend on ``workers``, which run
+    contiguous blocks of cycles in a process pool.
+
+    Raises MaxStepsExceeded when a cycle's steps plus its rejected
+    residual proposals exceed ``max_steps``, and MissingBridgeSampler for
+    m >= 2 without a bridge.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    if workers <= 1:
-        return _cycle_batch((sc, x0, master_seed, 0, n_cycles, stream_offset, max_steps))
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, n_cycles, workers + 1, dtype=int)
+    if sc.m >= 2 and getattr(sc, "sample_bridge", None) is None:
+        raise MissingBridgeSampler(f"m={sc.m} requires a bridge sampler")
+    if sc.lam < 1.0 and getattr(sc, "sample_residual", None) is None:
+        raise ValueError("lam < 1 requires a residual sampler")
+    bounds = stream_offset + np.linspace(0, n_cycles, max(workers, 1) + 1, dtype=int)
     jobs = [
-        (sc, x0, master_seed, int(lo), int(hi), stream_offset, max_steps)
+        (sc, x0, master_seed, int(lo), int(hi - lo), max_steps)
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_cycle_batch, jobs))
-    sums = np.concatenate([p[0] for p in parts])
-    lengths = np.concatenate([p[1] for p in parts])
-    return sums, lengths
+    if len(jobs) == 1:
+        blocks = [_cycle_block(jobs[0])]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_cycle_block, jobs))
+    sums, lengths = zip(*(part for block in blocks for part in block))
+    return np.concatenate(sums), np.concatenate(lengths)
 
 
 def mean_and_se(y: np.ndarray) -> tuple:
@@ -187,7 +262,7 @@ def mean_and_se(y: np.ndarray) -> tuple:
 
 
 def estimate_gstar(
-    sc: SamplerChain,
+    sc,
     x0,
     pi_f: float,
     n_cycles: int,
@@ -201,15 +276,13 @@ def estimate_gstar(
     Each cycle contributes sum_f - pi_f * length; the point and its
     standard error are those of :func:`mean_and_se`.
     """
-    sums, lengths = run_cycles(
-        sc, x0, n_cycles, master_seed, workers, stream_offset, max_steps
-    )
+    sums, lengths = run_cycles(sc, x0, n_cycles, master_seed, workers, stream_offset, max_steps)
     point, se = mean_and_se(sums - pi_f * lengths)
     return MCEstimate(point=point, std_error=se, n_cycles=n_cycles, seed=master_seed)
 
 
 def estimate_pif(
-    sc: SamplerChain,
+    sc,
     n_cycles: int,
     master_seed: int,
     workers: int = 1,
@@ -222,9 +295,7 @@ def estimate_pif(
     method for the regenerative ratio, sd(sum_f - r*length) / (mean
     length * sqrt(n)), floored at 2 eps |r| as in :func:`mean_and_se`.
     """
-    sums, lengths = run_cycles(
-        sc, None, n_cycles, master_seed, workers, stream_offset, max_steps
-    )
+    sums, lengths = run_cycles(sc, None, n_cycles, master_seed, workers, stream_offset, max_steps)
     r = math.fsum(sums) / math.fsum(lengths)
     if n_cycles > 1:
         resid = sums - r * lengths
@@ -235,76 +306,61 @@ def estimate_pif(
     return MCEstimate(point=r, std_error=se, n_cycles=n_cycles, seed=master_seed)
 
 
-class FiniteChainSampler:
-    """Exact sampler machinery for a finite chain under a small-set scheme.
+def _inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per lane, the row's ``searchsorted(u, side="right")`` capped at n-1."""
+    idx = np.count_nonzero(rows <= u[:, None], axis=1)
+    return np.minimum(idx, rows.shape[1] - 1)
 
-    The bridge sampler draws the intermediate states by sequential
-    conditionals: given the previous bridge state w and the endpoint y at
-    lag r, the next state has law proportional to P(w, .) * P^{r-1}(., y).
+
+class FiniteChainSampler:
+    """Exact batched sampler of a finite chain under its regeneration system.
+
+    Every draw is an inverse-CDF lookup. The kernel powers and residual
+    rows come from the chain's :class:`CycleSystem`. The bridge draws
+    the intermediate states by sequential conditionals: given the
+    previous bridge state w and the endpoint y at lag r, the next state
+    has law proportional to P(w, .) * P^{r-1}(., y).
     """
 
-    def __init__(self, chain: FiniteChain, small: SmallSetCertificate, f):
-        self.kernel = chain.kernel
-        self.cdf = np.cumsum(chain.kernel, axis=1)
-        self.f = values_of(f, chain.n)
-        self.members = frozenset(small.C)
-        self.c_index = {w: i for i, w in enumerate(small.C)}
-        self.m = small.m
-        self.lam = small.lam
-        self.phi_cdf = np.cumsum(small.phi.mass)
-        rows = residual_kernel(chain, small).rows
-        self.q_cdf = np.cumsum(rows, axis=1) if rows is not None else None
-        self.powers = kernel_powers(chain, small.m)
+    dtype = np.intp
 
-    @staticmethod
-    def _draw(cdf_row: np.ndarray, rng) -> int:
-        idx = int(np.searchsorted(cdf_row, rng.random(), side="right"))
-        return min(idx, len(cdf_row) - 1)
+    def __init__(self, system: CycleSystem, f):
+        n = system.chain.n
+        self.kernel = system.chain.kernel
+        self.cdf = np.cumsum(self.kernel, axis=1)
+        self.f = values_of(f, n)
+        self.m = system.m
+        self.lam = system.lam
+        self.powers = system.powers
+        self.members = np.zeros(n, dtype=bool)
+        self.members[list(system.C)] = True
+        self.c_index = np.cumsum(self.members) - 1
+        self.phi_cdf = np.cumsum(system.phi)
+        self.q_cdf = np.cumsum(system.Q, axis=1) if system.Q is not None else None
 
-    def step(self, x: int, rng) -> int:
-        return self._draw(self.cdf[x], rng)
+    def charge(self, x: np.ndarray) -> np.ndarray:
+        return self.f[x]
 
-    def charge(self, x: int) -> float:
-        return float(self.f[x])
+    def in_small_set(self, x: np.ndarray) -> np.ndarray:
+        return self.members[x]
 
-    def in_small_set(self, x: int) -> bool:
-        return x in self.members
+    def step(self, x, streams, lanes):
+        return _inverse_cdf(self.cdf[x], streams.uniform(lanes))
 
-    def sample_phi(self, rng) -> int:
-        return self._draw(self.phi_cdf, rng)
+    def sample_phi(self, streams, lanes):
+        return _inverse_cdf(self.phi_cdf[None, :], streams.uniform(lanes))
 
-    def sample_residual(self, x: int, rng) -> int:
-        return self._draw(self.q_cdf[self.c_index[x]], rng)
+    def sample_residual(self, x, streams, lanes, budget):
+        return _inverse_cdf(self.q_cdf[self.c_index[x]], streams.uniform(lanes)), 0
 
-    def sample_bridge(self, x: int, y: int, rng) -> list:
-        path = []
-        w = x
+    def sample_bridge(self, x, y, streams, lanes) -> list:
+        path, w = [], x
         for j in range(1, self.m):
-            probs = self.kernel[w, :] * self.powers[self.m - j][:, y]
-            total = probs.sum()
-            if total <= 0.0:
-                raise ValueError(f"no bridge path from {x} to {y} at lag {self.m}")
-            w = self._draw(np.cumsum(probs / total), rng)
+            probs = self.kernel[w] * self.powers[self.m - j][:, y].T
+            total = probs.sum(axis=1)
+            if not np.all(total > 0.0):
+                i = int(np.argmin(total))
+                raise ValueError(f"no bridge path from {x[i]} to {y[i]} at lag {self.m}")
+            w = _inverse_cdf(np.cumsum(probs / total[:, None], axis=1), streams.uniform(lanes))
             path.append(w)
         return path
-
-
-def build_sampler(chain: FiniteChain, cert, f) -> SamplerChain:
-    """Wire a finite chain into the sampler interface.
-
-    ``cert`` is a SmallSetCertificate or a CertificateBundle (only the
-    minorization part is used). The bridge sampler is derived exactly
-    from the endpoint-conditioned kernel, so m >= 2 works out of the box.
-    """
-    small = cert.small if isinstance(cert, CertificateBundle) else cert
-    impl = FiniteChainSampler(chain, small, f)
-    return SamplerChain(
-        step=impl.step,
-        charge=impl.charge,
-        in_small_set=impl.in_small_set,
-        m=impl.m,
-        lam=impl.lam,
-        sample_phi=impl.sample_phi,
-        sample_residual=impl.sample_residual if impl.q_cdf is not None else None,
-        sample_bridge=impl.sample_bridge if impl.m >= 2 else None,
-    )

@@ -48,6 +48,7 @@ def truncated_potential(
     p: int,
     tol: float = DEFAULT_TOL,
     max_blocks: int = DEFAULT_MAX_BLOCKS,
+    pi: np.ndarray | None = None,
 ) -> PotentialResult:
     """Accumulate sum_{i<np} (P^i f_c)(x) until the block residual meets tol.
 
@@ -58,6 +59,7 @@ def truncated_potential(
     p : chain period (use cyclic_decomposition), block length in steps
     tol : sup-norm threshold on successive block sums
     max_blocks : give up (NoConvergence) after this many blocks
+    pi : the stationary law, when the caller has it already
 
     Returns the truncated sum g_tilde, the number of blocks used, and the
     sup norm of the last block.
@@ -65,7 +67,8 @@ def truncated_potential(
     if p < 1:
         raise ValueError("period must be >= 1")
     f = values_of(f, chain.n)
-    pi = stationary(chain).mass
+    if pi is None:
+        pi = stationary(chain).mass
     term = f - float(pi @ f)  # P^i f_c, advanced in place
     total = np.zeros(chain.n)
     for blocks in range(1, max_blocks + 1):

@@ -62,17 +62,6 @@ def _lu(A: np.ndarray):
 
 
 @dataclass(frozen=True)
-class ResidualKernel:
-    """Rows of Q(x, .) = (P^m(x, .) - lam*phi)/(1 - lam) for x in C.
-
-    ``rows`` is None when lam = 1 (the residual component is never drawn).
-    """
-
-    C: tuple
-    rows: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class CycleValues:
     """Exact per-state cycle expectations for one charge.
 
@@ -94,17 +83,12 @@ class CycleValues:
     tau_at_phi: float
 
 
-def residual_kernel(chain: FiniteChain, small: SmallSetCertificate) -> ResidualKernel:
-    """The non-regenerative mixture component on C.
+def _residual_rows(Pm: np.ndarray, small: SmallSetCertificate) -> np.ndarray | None:
+    """Rows of Q(x, .) = (P^m(x, .) - lam*phi)/(1 - lam) for x in C.
 
-    Q(x, y) = (P^m(x, y) - lam*phi(y)) / (1 - lam); rows are valid
-    distributions whenever the certificate is valid at tolerance.
+    The non-regenerative mixture component on C; None when lam = 1 (it
+    is never drawn).
     """
-    Pm = kernel_powers(chain, small.m)[-1] if small.lam < 1.0 else None
-    return ResidualKernel(C=small.C, rows=_residual_rows(Pm, small))
-
-
-def _residual_rows(Pm: np.ndarray | None, small: SmallSetCertificate) -> np.ndarray | None:
     if small.lam >= 1.0:
         return None
     gap = Pm[list(small.C), :] - small.lam * small.phi.mass[None, :]
@@ -170,11 +154,13 @@ class _AbsorbingSystem:
             H[self.outside, :] = H_out
         self.H = H
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         # one step of iterative refinement keeps drift residuals of
-        # hitting-sum Lyapunov functions below the 1e-12 tolerance
-        x = lu_solve(self._lu, rhs)
-        x += lu_solve(self._lu, rhs - self._A @ x)
+        # hitting-sum Lyapunov functions below the 1e-12 tolerance;
+        # trans=1 solves with the transpose
+        A = self._A.T if trans else self._A
+        x = lu_solve(self._lu, rhs, trans=trans)
+        x += lu_solve(self._lu, rhs - A @ x, trans=trans)
         return x
 
     def pre_hit(self, charges: np.ndarray) -> np.ndarray:
@@ -225,20 +211,23 @@ class CycleSystem:
     Endpoints with P^m(w, y) = 0 carry no mixture mass and are excluded.
     At m = 1, B holds the indicator rows of C.
 
-    Construction computes P^1..P^m, Q, B and both LU factorizations (the
-    absorbing boundary and the core) once; pi and E tau are computed on
-    first use. Only the minorization part of a certificate is needed; a
+    Construction computes ``powers`` = [I, P, ..., P^m], Q, B and both LU
+    factorizations (the absorbing boundary and the core) once; pi and
+    E tau are computed on first use, unless the stationary law ``pi`` is
+    passed in. Only the minorization part of a certificate is needed; a
     full bundle or a bare SmallSetCertificate are both accepted.
     """
 
-    def __init__(self, chain: FiniteChain, cert):
+    def __init__(self, chain: FiniteChain, cert, pi: np.ndarray | None = None):
         small = _small_part(cert)
+        if pi is not None:
+            self.pi = pi
         self.chain = chain
         self.C = small.C
         self.m = small.m
         self.lam = small.lam
         self.phi = small.phi.mass
-        powers = kernel_powers(chain, small.m)
+        self.powers = powers = kernel_powers(chain, small.m)
         Pm = powers[-1]
         self.Q = _residual_rows(Pm, small)
         self.absorbing = _AbsorbingSystem(chain, small.C)
@@ -310,7 +299,13 @@ class CycleSystem:
 
     def occupation_measure(self) -> Distribution:
         """See the module function :func:`occupation_measure`."""
-        per_state = self.phi @ self.solve(np.eye(self.chain.n))
+        # phi G_h = y (u_h + H B h) with y = phi (I - (1-lam) H Q)^{-1}: two
+        # transposed single-vector solves (core, then pre-hit) give every h
+        y = self.phi if self._core_lu is None else lu_solve(self._core_lu, self.phi, trans=1)
+        per_state = (y @ self.H) @ self.B
+        outside = self.absorbing.outside
+        if outside.size:
+            per_state[outside] += self.absorbing._solve(y[outside], trans=1)
         nu = per_state / per_state.sum()
         l1 = float(np.abs(nu - self.pi).sum())
         if not l1 <= 1e-10:

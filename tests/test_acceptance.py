@@ -27,9 +27,9 @@ from scipy import stats
 from markov_poisson.bounds import envelope_comparison
 from markov_poisson.errors import MaxStepsExceeded
 from markov_poisson.gig1 import GIG1Model, build_certificate, drift_spot_check, mc_validate
-from markov_poisson.mc import build_sampler, run_cycles
+from markov_poisson.mc import FiniteChainSampler, run_cycles
 from markov_poisson.potential import truncated_potential
-from markov_poisson.split import marginal_curve
+from markov_poisson.split import CycleSystem, marginal_curve
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -192,7 +192,8 @@ def test_a08_truncated_potential(suite, two_state):
 
 
 def test_a09_two_state_monte_carlo(two_state):
-    sc = build_sampler(two_state.chain, two_state.bundle, two_state.f)
+    system = CycleSystem(two_state.chain, two_state.bundle)
+    sc = FiniteChainSampler(system, two_state.f)
     t0 = time.perf_counter()
     sums, lengths = run_cycles(sc, 1, 100_000, master_seed=424242)
     pi_f = float(two_state.pi @ two_state.f)

@@ -138,3 +138,54 @@ def test_canonical_float_round_trip():
 def test_simulate_requires_exactly_one_mode(capsys):
     code, out = run_cli(capsys, "simulate", "--x0", "1")
     assert code == 2
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Count calls of a chain-layer function through every module binding it."""
+    import importlib
+
+    calls = []
+    original = getattr(importlib.import_module("markov_poisson.chain"), name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        module = importlib.import_module(f"markov_poisson.{mod}")
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_simulate_builds_kernel_powers_once(tmp_path, capsys, monkeypatch):
+    # the sampler takes P^1..P^m and the residual rows from the op's
+    # CycleSystem: one kernel_powers call per op, with and without a bridge
+    from markov_poisson.chain import validate_chain
+    from markov_poisson.split import hitting
+
+    rng = np.random.default_rng(20250401)
+    P = rng.dirichlet(np.ones(30), size=30)
+    f = rng.uniform(0.0, 2.0, size=30)
+    C = [0, 1, 2]
+    chain = validate_chain(P)
+    _, v1 = hitting(chain, C, f + 1.0)
+    _, v2 = hitting(chain, C, np.full(30, 2.0))
+    doc = {"states": 30, "kernel": P.tolist(),
+           "functions": {"f": f.tolist(), "v1": v1.tolist(), "v2": v2.tolist()},
+           "small_set": {"C": C, "m": 3}}
+    bridge = tmp_path / "bridge.json"
+    bridge.write_text(json.dumps(doc))
+    for spec in (BUNDLED_SPEC, bridge):
+        calls = _count_calls(monkeypatch, "kernel_powers", ("chain", "split", "mc", "cli"))
+        code, out = run_cli(capsys, "simulate", "--spec", str(spec), "--x0", "1",
+                            "--cycles", "200", "--seed", "1")
+        assert code == 0
+        assert len(calls) == 1, spec
+
+
+def test_potential_solves_for_pi_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "stationary", ("chain", "split", "potential", "cli"))
+    code, _ = run_cli(capsys, "potential", "--spec", str(BUNDLED_SPEC))
+    assert code == 0
+    assert len(calls) == 1

@@ -17,11 +17,9 @@ from markov_poisson.gig1 import (
     build_certificate,
     drift_spot_check,
     find_x0,
-    make_sampler,
     mc_validate,
-    with_x0,
 )
-from markov_poisson.mc import cycle_stream, estimate_pif, run_cycles
+from markov_poisson.mc import CycleStreams, estimate_pif, run_cycles
 
 STANDARD = dict(increment=stats.norm(-0.5, 1.0))
 
@@ -66,7 +64,7 @@ def test_atom_is_tail_mass_below_minus_x0(cert_tight):
 
 def test_infeasible_preset_endpoint():
     # kappa barely above 1 leaves a thin margin; C = [0, 1] is far too small
-    model = with_x0(GIG1Model(kappa=1.2, **STANDARD), 1.0)
+    model = GIG1Model(kappa=1.2, x0=1.0, **STANDARD)
     with pytest.raises(InfeasibleX0):
         build_certificate(model)
 
@@ -133,8 +131,7 @@ def test_comparison_coefficients(cert_tight):
 def test_phi_sampler_matches_quadrature_moments(cert_roomy):
     model, cert = cert_roomy
     sampler = QueueSampler(model, cert)
-    rng = cycle_stream(101, 0)
-    draws = np.array([sampler.sample_phi(rng) for _ in range(20000)])
+    draws = sampler.sample_phi(CycleStreams(101, 0, 20000), np.arange(20000))
     atom_freq = np.mean(draws == 0.0)
     assert atom_freq == pytest.approx(cert.phi_atom(), abs=0.01)
     mean_quad = (np.trapezoid(cert.density * cert.ys, cert.ys)) / cert.lam
@@ -147,15 +144,16 @@ def test_residual_sampler_reconstructs_one_step_law(cert_roomy):
     # of the two samplers against direct one-step draws via their CDFs
     model, cert = cert_roomy
     sampler = QueueSampler(model, cert)
-    rng = cycle_stream(103, 0)
     x = 1.3
     n = 20000
+    streams, lanes = CycleStreams(103, 0, n), np.arange(n)
+    toss = streams.uniform(lanes) < cert.lam
     mixture = np.empty(n)
-    for i in range(n):
-        if rng.random() < cert.lam:
-            mixture[i] = sampler.sample_phi(rng)
-        else:
-            mixture[i] = sampler.sample_residual(x, rng)
+    mixture[toss] = sampler.sample_phi(streams, lanes[toss])
+    mixture[~toss], _ = sampler.sample_residual(
+        np.full(n, x)[~toss], streams, lanes[~toss], np.full(n, 10**6)[~toss]
+    )
+    rng = np.random.Generator(np.random.Philox(key=np.array([103, n], dtype=np.uint64)))
     direct = np.maximum(x + model.increment.rvs(size=n, random_state=rng), 0.0)
     result = stats.ks_2samp(mixture, direct)
     assert result.pvalue > 1e-3
@@ -179,7 +177,7 @@ def test_atom_regeneration_matches_split_chain(cert_roomy):
     # mc_validate keeps this certificate on the split chain (m/lam ~ 5), so
     # the atom estimator is called directly
     _, points = _atom_points(model, cert, xs, n, 41, workers=1, max_steps=10**8)
-    sc = make_sampler(model, cert)
+    sc = QueueSampler(model, cert)
     sums, lengths = run_cycles(sc, None, n, master_seed=42)
     pi_f = sums.sum() / lengths.sum()
     pi_se = (sums - pi_f * lengths).std(ddof=1) / (lengths.mean() * np.sqrt(n))
@@ -211,7 +209,7 @@ def test_mc_validate_scheme_follows_certificate_not_budget(cert_tight, cert_room
 
 def test_mc_pif_matches_long_run_average(cert_roomy):
     model, cert = cert_roomy
-    sc = make_sampler(model, cert)
+    sc = QueueSampler(model, cert)
     est = estimate_pif(sc, 20000, master_seed=5)
     # independent oracle: time average of a long Lindley trajectory
     rng = np.random.default_rng(12345)
@@ -233,7 +231,7 @@ def test_non_normal_family_pipeline():
     # the quadrature and the generic inverse-CDF sampler handle any
     # continuous positive density; laplace exercises the fallback path
     # (its kink needs a finer grid to clear the mass tolerance)
-    from markov_poisson.gig1 import increment_family, make_sampler
+    from markov_poisson.gig1 import increment_family
 
     model = GIG1Model(increment=increment_family("laplace", -0.5, 1.0), kappa=2.0, step=0.004)
     cert = build_certificate(model)
@@ -241,7 +239,7 @@ def test_non_normal_family_pipeline():
     assert cert.b1 > 0.0
     worst = drift_spot_check(model, cert, 50, np.random.default_rng(4))
     assert worst <= 1e-6
-    sc = make_sampler(model, cert)
+    sc = QueueSampler(model, cert)
     est = estimate_pif(sc, 500, master_seed=6)
     assert np.isfinite(est.point) and est.point > 0.0
 
@@ -255,7 +253,29 @@ def test_unknown_family_rejected():
 
 def test_sampler_is_deterministic_per_stream(cert_roomy):
     model, cert = cert_roomy
-    sc = make_sampler(model, cert)
+    sc = QueueSampler(model, cert)
     a = estimate_pif(sc, 500, master_seed=77)
     b = estimate_pif(sc, 500, master_seed=77)
     assert (a.point, a.std_error) == (b.point, b.std_error)
+
+
+def test_residual_rejections_count_against_the_step_budget(cert_roomy):
+    # a residual whose proposals are never accepted (psi >= p everywhere)
+    # must stop at the budget instead of proposing forever
+    model, cert = cert_roomy
+    sampler = QueueSampler(model, cert)
+    sampler.atom = 1.0
+    sampler.density = np.full(cert.density.size, 1e300)
+    lanes = np.arange(4)
+    y, rejected = sampler.sample_residual(
+        np.full(4, 1.0), CycleStreams(7, 0, 4), lanes, np.array([0, 3, 10, 50])
+    )
+    assert np.array_equal(rejected, [1, 4, 11, 51])
+    # in a cycle the chain steps stay far below the budget, the proposals do not
+    with pytest.raises(MaxStepsExceeded) as err:
+        run_cycles(sampler, 1.0, 20, master_seed=7, max_steps=500)
+    assert err.value.steps == 500
+    assert err.value.code == "max-steps-exceeded"
+    # the unmodified sampler completes the same cycles within that budget
+    _, lengths = run_cycles(QueueSampler(model, cert), 1.0, 20, master_seed=7, max_steps=500)
+    assert lengths.max() <= 500

@@ -1,19 +1,21 @@
+import types
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from markov_poisson import mc
 from markov_poisson.certify import minorize, verify_bundle
 from markov_poisson.chain import validate_chain
 from markov_poisson.errors import MaxStepsExceeded, MissingBridgeSampler
 from markov_poisson.mc import (
-    SamplerChain,
-    build_sampler,
-    cycle_stream,
+    CycleStreams,
+    FiniteChainSampler,
     estimate_gstar,
     estimate_pif,
-    simulate_cycle,
+    run_cycles,
 )
-from markov_poisson.split import canonical_solution, cycle_values, hitting
+from markov_poisson.split import CycleSystem, canonical_solution, cycle_values, hitting
 
 
 @pytest.fixture
@@ -26,42 +28,37 @@ def bundle(chain):
     return verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
 
 
+def sampler(chain, cert, f):
+    return FiniteChainSampler(CycleSystem(chain, cert), f)
+
+
 def test_cycle_from_inside_small_set_is_deterministic(chain, bundle):
     # from state 0 with lam = 1 and m = 1 every cycle is one step long
-    sc = build_sampler(chain, bundle, [1, 0])
-    for i in range(50):
-        cs = simulate_cycle(sc, 0, cycle_stream(1, i))
-        assert cs.length == 1
-        assert cs.sum_f == 1.0
+    sums, lengths = run_cycles(sampler(chain, bundle, [1, 0]), 0, 50, master_seed=1)
+    assert np.all(lengths == 1)
+    assert np.all(sums == 1.0)
 
 
 def test_cycle_length_at_least_m(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 2)
-    sc = build_sampler(chain, bundle, [1, 0])
-    for i in range(50):
-        assert simulate_cycle(sc, 1, cycle_stream(2, i)).length >= 2
+    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), 1, 50, master_seed=2)
+    assert np.all(lengths >= 2)
 
 
 def test_zero_charge_gives_zero_sum(chain, bundle):
-    sc = build_sampler(chain, bundle, [0, 0])
-    for i in range(20):
-        assert simulate_cycle(sc, 1, cycle_stream(3, i)).sum_f == 0.0
+    sums, _ = run_cycles(sampler(chain, bundle, [0, 0]), 1, 20, master_seed=3)
+    assert np.all(sums == 0.0)
 
 
 def test_cycle_moments_match_exact(chain, bundle):
-    sc = build_sampler(chain, bundle, [1, 0])
-    sums = np.empty(10000)
-    lengths = np.empty(10000)
-    for i in range(10000):
-        cs = simulate_cycle(sc, 1, cycle_stream(4, i))
-        sums[i], lengths[i] = cs.sum_f, cs.length
+    sums, lengths = run_cycles(sampler(chain, bundle, [1, 0]), 1, 10000, master_seed=4)
     # exact: E sum_f = 1, E length = 5 from state 1
     assert abs(sums.mean() - 1.0) <= 3 * sums.std(ddof=1) / 100 + 1e-12
     assert abs(lengths.mean() - 5.0) <= 3 * lengths.std(ddof=1) / 100
 
 
 def test_estimate_gstar_two_state(chain, bundle):
-    sc = build_sampler(chain, bundle, [1, 0])
+    sc = sampler(chain, bundle, [1, 0])
     est = estimate_gstar(sc, 1, 1 / 3, 20000, master_seed=11)
     assert abs(est.point - (-2 / 3)) <= 3 * est.std_error
     est0 = estimate_gstar(sc, 0, 1 / 3, 20000, master_seed=12)
@@ -69,26 +66,26 @@ def test_estimate_gstar_two_state(chain, bundle):
 
 
 def test_estimate_gstar_constant_reward_is_exact(chain, bundle):
-    sc = build_sampler(chain, bundle, [2.0, 2.0])
+    sc = sampler(chain, bundle, [2.0, 2.0])
     est = estimate_gstar(sc, 1, 2.0, 500, master_seed=13)
     assert est.point == 0.0
     assert est.std_error == 0.0
 
 
 def test_estimate_pif_two_state(chain, bundle):
-    sc = build_sampler(chain, bundle, [1, 0])
+    sc = sampler(chain, bundle, [1, 0])
     est = estimate_pif(sc, 20000, master_seed=14)
     assert abs(est.point - 1 / 3) <= 3 * est.std_error
 
 
 def test_estimate_pif_unit_charge_is_exactly_one(chain, bundle):
-    sc = build_sampler(chain, bundle, [1.0, 1.0])
+    sc = sampler(chain, bundle, [1.0, 1.0])
     est = estimate_pif(sc, 200, master_seed=15)
     assert est.point == 1.0
 
 
 def test_identical_seeds_identical_estimates(chain, bundle):
-    sc = build_sampler(chain, bundle, [1, 0])
+    sc = sampler(chain, bundle, [1, 0])
     a = estimate_gstar(sc, 1, 1 / 3, 2000, master_seed=99)
     b = estimate_gstar(sc, 1, 1 / 3, 2000, master_seed=99)
     assert (a.point, a.std_error) == (b.point, b.std_error)
@@ -97,7 +94,7 @@ def test_identical_seeds_identical_estimates(chain, bundle):
 
 
 def test_worker_count_does_not_change_estimates(chain, bundle):
-    sc = build_sampler(chain, bundle, [1, 0])
+    sc = sampler(chain, bundle, [1, 0])
     serial = estimate_gstar(sc, 1, 1 / 3, 400, master_seed=7)
     parallel = estimate_gstar(sc, 1, 1 / 3, 400, master_seed=7, workers=2)
     assert (serial.point, serial.std_error) == (parallel.point, parallel.std_error)
@@ -105,15 +102,17 @@ def test_worker_count_does_not_change_estimates(chain, bundle):
 
 def test_regeneration_endpoint_distribution(chain):
     # with lam < 1 the residual kernel is exercised; the post-cycle state
-    # must still follow phi (goodness of fit at significance 1e-3)
+    # must still follow phi (goodness of fit at significance 1e-3). A cycle
+    # that ends at m = 1 leaves its endpoint undrawn: it is the next draw
+    # of the cycle's stream, taken from phi.
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0, 1], 1)
     assert bundle.lam == pytest.approx(0.75)
-    sc = build_sampler(chain, bundle, [1, 0])
-    counts = np.zeros(2)
+    sc = sampler(chain, bundle, [1, 0])
     n = 10000
-    for i in range(n):
-        cs = simulate_cycle(sc, 1, cycle_stream(21, i))
-        counts[cs.end] += 1
+    streams = CycleStreams(21, 0, n)
+    mc._run_lanes(sc, 1, streams, mc.DEFAULT_MAX_STEPS)
+    ends = sc.sample_phi(streams, np.arange(n))
+    counts = np.bincount(ends, minlength=2)
     expected = bundle.phi.mass * n
     result = stats.chisquare(counts, expected)
     assert result.pvalue > 1e-3
@@ -122,12 +121,7 @@ def test_regeneration_endpoint_distribution(chain):
 def test_cycle_length_matches_exact_with_residual_kernel(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0, 1], 1)
     exact = cycle_values(chain, bundle, [1, 0])
-    sc = build_sampler(chain, bundle, [1, 0])
-    lengths = np.empty(10000)
-    for i in range(10000):
-        rng = cycle_stream(22, i)
-        start = sc.sample_phi(rng)
-        lengths[i] = simulate_cycle(sc, start, rng).length
+    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), None, 10000, master_seed=22)
     se = lengths.std(ddof=1) / 100
     assert abs(lengths.mean() - exact.tau_at_phi) <= 3 * se
 
@@ -147,7 +141,7 @@ def test_mc_matches_exact_on_random_instances():
         from markov_poisson.chain import stationary
 
         pi_f = float(stationary(chain).mass @ f)
-        sc = build_sampler(chain, bundle, f)
+        sc = sampler(chain, bundle, f)
         x0 = int(rng.integers(0, n))
         est = estimate_gstar(sc, x0, pi_f, 4000, master_seed=1000 + k)
         assert abs(est.point - g[x0]) <= 3 * est.std_error, (
@@ -156,29 +150,122 @@ def test_mc_matches_exact_on_random_instances():
 
 
 def test_missing_bridge_sampler_raises(chain, bundle):
-    sc = SamplerChain(
-        step=lambda x, rng: x,
-        charge=lambda x: 0.0,
-        in_small_set=lambda x: True,
+    sc = types.SimpleNamespace(
         m=2,
         lam=1.0,
-        sample_phi=lambda rng: 0,
+        dtype=np.intp,
+        step=lambda x, streams, lanes: x,
+        charge=lambda x: np.zeros(x.size),
+        in_small_set=lambda x: np.ones(x.size, dtype=bool),
+        sample_phi=lambda streams, lanes: np.zeros(lanes.size, dtype=np.intp),
     )
     with pytest.raises(MissingBridgeSampler):
-        simulate_cycle(sc, 0, cycle_stream(0, 0))
+        run_cycles(sc, 0, 1, master_seed=0)
 
 
 def test_max_steps_guard(chain, bundle):
     # state 1 only reaches the small set {0} with probability 1/4 per step,
     # so a 2-step budget is exhausted almost surely under this seed
-    sc = build_sampler(chain, bundle, [1, 0])
-    with pytest.raises(MaxStepsExceeded):
-        for i in range(50):
-            simulate_cycle(sc, 1, cycle_stream(33, i), max_steps=2)
+    sc = sampler(chain, bundle, [1, 0])
+    with pytest.raises(MaxStepsExceeded) as err:
+        run_cycles(sc, 1, 50, master_seed=33, max_steps=2)
+    assert err.value.steps == 2
 
 
 def test_minorize_only_certificate_supported(chain):
     small = minorize(chain, [0], 1)
-    sc = build_sampler(chain, small, [1, 0])
-    cs = simulate_cycle(sc, 1, cycle_stream(8, 0))
-    assert cs.length >= 1
+    _, lengths = run_cycles(sampler(chain, small, [1, 0]), 1, 1, master_seed=8)
+    assert lengths[0] >= 1
+
+
+# ------------------------------------------------------------------ lanes
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 7, 2**64 - 1])
+def test_lane_philox_matches_numpy_philox(seed):
+    # lanes advance unevenly, so their 4-word blocks and refills fall at
+    # different draws; every lane must still read its own numpy stream
+    first = 2**33 - 2 if seed % 2 else 0
+    n, draws = 5, 41
+    streams = CycleStreams(seed, first, n)
+    got = [[] for _ in range(n)]
+    rng = np.random.default_rng(seed % 1000)
+    while min(len(g) for g in got) < draws:
+        lanes = np.flatnonzero(rng.random(n) < 0.6)
+        lanes = lanes[[len(got[j]) < draws for j in lanes]]
+        for j, u in zip(lanes, streams.uniform(lanes)):
+            got[j].append(u)
+    for j in range(n):
+        key = np.array([seed, first + j], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key)).random(draws)
+        assert np.array_equal(np.array(got[j]), ref), f"lane {j}"
+    assert np.array_equal(streams.count, np.full(n, draws))
+
+
+def _draw(cdf_row, rng):
+    idx = int(np.searchsorted(cdf_row, rng.random(), side="right"))
+    return min(idx, len(cdf_row) - 1)
+
+
+def _reference_cycle(P, f, C, m, lam, phi, Q, x0, rng):
+    """One cycle drawn the plain way: one Python step at a time."""
+    powers = [np.linalg.matrix_power(P, r) for r in range(m + 1)]
+    x = _draw(np.cumsum(phi), rng) if x0 is None else x0
+    total, t = 0.0, 0
+    while True:
+        while x not in C:
+            total += f[x]
+            x = _draw(np.cumsum(P[x]), rng)
+            t += 1
+        success = rng.random() < lam
+        if success:
+            y = _draw(np.cumsum(phi), rng)
+        else:
+            y = _draw(np.cumsum(Q[C.index(x)]), rng)
+        total += f[x]
+        w = x
+        for j in range(1, m):
+            probs = P[w, :] * powers[m - j][:, y]
+            w = _draw(np.cumsum(probs / probs.sum()), rng)
+            total += f[w]
+        t += m
+        if success:
+            return total, t
+        x = y
+
+
+@pytest.mark.parametrize("m, x0", [(3, None), (3, 4), (1, None), (2, 0)])
+def test_lanes_reproduce_per_cycle_reference(m, x0):
+    # phi starts, free steps, tosses, phi and residual endpoints and, at
+    # m >= 2, bridge draws, all against a per-cycle reference on
+    # numpy's own Philox streams
+    rng = np.random.default_rng(5)
+    n = 9
+    chain = validate_chain(rng.dirichlet(np.full(n, 0.7), size=n))
+    f = rng.uniform(0.0, 2.0, n)
+    C = [1, 3]
+    system = CycleSystem(chain, minorize(chain, C, m))
+    assert system.lam < 1.0
+    sc = FiniteChainSampler(system, f)
+    n_cycles, seed, offset = 300, 2**35 + 11, 17
+    sums, lengths = run_cycles(sc, x0, n_cycles, seed, stream_offset=offset)
+    for i in range(n_cycles):
+        key = np.array([seed, offset + i], dtype=np.uint64)
+        ref = _reference_cycle(chain.kernel, f, C, m, system.lam, system.phi, system.Q, x0,
+                               np.random.Generator(np.random.Philox(key=key)))
+        assert (sums[i], lengths[i]) == ref, f"cycle {i}"
+
+
+def test_lanes_independent_of_workers_and_chunks(monkeypatch):
+    rng = np.random.default_rng(6)
+    chain = validate_chain(rng.dirichlet(np.ones(6), size=6))
+    f = rng.uniform(0.0, 2.0, 6)
+    sc = FiniteChainSampler(CycleSystem(chain, minorize(chain, [0, 2], 2)), f)
+    n_cycles = mc.LANES + 37
+    serial = run_cycles(sc, 1, n_cycles, master_seed=9)
+    parallel = run_cycles(sc, 1, n_cycles, master_seed=9, workers=2)
+    monkeypatch.setattr(mc, "LANES", 7)
+    chunked = run_cycles(sc, 1, n_cycles, master_seed=9)
+    for other in (parallel, chunked):
+        assert np.array_equal(serial[0], other[0])
+        assert np.array_equal(serial[1], other[1])

@@ -20,7 +20,6 @@ from markov_poisson.split import (
     hitting,
     marginal_curve,
     occupation_measure,
-    residual_kernel,
 )
 
 
@@ -35,12 +34,12 @@ def bundle(chain):
 
 
 def test_residual_kernel_empty_when_lambda_one(chain):
-    assert residual_kernel(chain, minorize(chain, [0], 1)).rows is None
+    assert CycleSystem(chain, minorize(chain, [0], 1)).Q is None
 
 
 def test_residual_kernel_rows(chain):
-    rk = residual_kernel(chain, minorize(chain, [0, 1], 1))
-    assert np.allclose(rk.rows, [[1.0, 0.0], [0.0, 1.0]], atol=1e-12)
+    Q = CycleSystem(chain, minorize(chain, [0, 1], 1)).Q
+    assert np.allclose(Q, [[1.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_residual_kernel_rejects_overstated_certificate(chain):
@@ -48,7 +47,7 @@ def test_residual_kernel_rejects_overstated_certificate(chain):
         C=(0, 1), m=1, lam=0.9, phi=Distribution(mass=[1 / 3, 2 / 3])
     )
     with pytest.raises(NegativeResidual):
-        residual_kernel(chain, bad)
+        CycleSystem(chain, bad)
 
 
 def test_hitting_running_example(chain):
@@ -167,7 +166,7 @@ def test_bridge_sums_match_path_enumeration(chain):
     system = CycleSystem(chain, small)
     P = chain.kernel
     P2 = P @ P
-    Q = residual_kernel(chain, small).rows
+    Q = system.Q
     for i, w in enumerate(small.C):
         direct = h[w]
         for y in range(2):
