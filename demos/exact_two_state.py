@@ -12,10 +12,8 @@ identity, and every bound, all computed in closed form on
 import numpy as np
 
 from markov_poisson import (
-    canonical_solution,
-    cycle_values,
+    CycleSystem,
     finite_bound_report,
-    occupation_measure,
     stationary,
     validate_chain,
     verify_bundle,
@@ -34,15 +32,16 @@ print("phi =", bundle.phi.mass)
 pi = stationary(chain).mass
 print("\nstationary law:", pi, "  pi(f) =", pi @ f)
 
-g = canonical_solution(chain, bundle, f).values
+# one factored regeneration system serves g*, every cycle sum and nu
+system = CycleSystem(chain, bundle)
+g = system.canonical_solution(f).values
 print("canonical solution g* =", g)
 print("Poisson residual     =", np.max(np.abs(chain.kernel @ g - g + (f - pi @ f))))
 
-cyc = cycle_values(chain, bundle, f)
-print("\ncycle sums  E_x sum f =", cyc.values)
-print("cycle length E_x tau  =", cyc.tau, "  from phi:", cyc.tau_at_phi)
+print("\ncycle sums  E_x sum f =", system.solve(f))
+print("cycle length E_x tau  =", system.tau, "  from phi:", float(system.phi @ system.tau))
 
-nu = occupation_measure(chain, bundle).mass
+nu = system.occupation_measure().mass
 print("occupation law nu     =", nu, " (equals pi)")
 
 pot = verify_potential(chain, bundle, v3=[1, 17], v4=[1, 21])

@@ -16,7 +16,7 @@ constant on each cyclic class:
 import numpy as np
 
 from markov_poisson import (
-    canonical_solution,
+    CycleSystem,
     cyclic_decomposition,
     hitting,
     stationary,
@@ -34,7 +34,7 @@ bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0], 1)
 pot_cert = verify_potential(chain, bundle, [1, 17], [1, 21])
 
 result = truncated_potential(chain, f, p=1)
-g = canonical_solution(chain, bundle, f).values
+g = CycleSystem(chain, bundle).canonical_solution(f).values
 pi = stationary(chain).mass
 print("aperiodic two-state chain")
 print("  g_tilde =", result.g_tilde.values, f" ({result.terms} blocks, "
@@ -59,7 +59,7 @@ print("\nperiodic chain, period", decomp.period, "classes", [sorted(c) for c in 
 _, v1 = hitting(chain, [0], f)
 _, v2 = hitting(chain, [0], np.ones(4))
 bundle = verify_bundle(chain, f, v1, v2, [0], 1)
-g = canonical_solution(chain, bundle, f).values
+g = CycleSystem(chain, bundle).canonical_solution(f).values
 result = truncated_potential(chain, f, p=2)
 gap = result.g_tilde.values - g
 pi = stationary(chain).mass

@@ -15,8 +15,6 @@ import numpy as np
 from markov_poisson import (
     CycleSystem,
     FiniteChainSampler,
-    canonical_solution,
-    cycle_values,
     estimate_gstar,
     estimate_pif,
     stationary,
@@ -30,9 +28,10 @@ pi_f = float(stationary(chain).mass @ f)
 
 for m, label in [(1, "one-step regeneration"), (2, "two-step blocks with bridge")]:
     bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0], m)
-    exact = canonical_solution(chain, bundle, f).values
-    tau = cycle_values(chain, bundle, f).tau
-    sc = FiniteChainSampler(CycleSystem(chain, bundle), f)
+    system = CycleSystem(chain, bundle)
+    exact = system.canonical_solution(f).values
+    tau = system.tau
+    sc = FiniteChainSampler(system, f)
 
     est = estimate_gstar(sc, 1, pi_f, n_cycles=50_000, master_seed=2024)
     again = estimate_gstar(sc, 1, pi_f, n_cycles=50_000, master_seed=2024)
@@ -45,8 +44,9 @@ for m, label in [(1, "one-step regeneration"), (2, "two-step blocks with bridge"
 
 # a residual kernel in action: C = {0, 1} gives lambda = 3/4 < 1
 bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0, 1], 1)
-exact = canonical_solution(chain, bundle, f).values
-sc = FiniteChainSampler(CycleSystem(chain, bundle), f)
+system = CycleSystem(chain, bundle)
+exact = system.canonical_solution(f).values
+sc = FiniteChainSampler(system, f)
 est = estimate_gstar(sc, 1, pi_f, n_cycles=50_000, master_seed=11)
 print(f"residual-kernel scheme (lambda={bundle.lam:g})")
 print(f"  g*(1) exact {exact[1]:+.6f}   mc {est.point:+.6f} +- {est.std_error:.6f}")

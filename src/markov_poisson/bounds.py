@@ -12,7 +12,7 @@ the formulas assume the infimum is known rather than optimized for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class BoundReport:
     comparison_a: float | None = None
     competing_asymptotic_coeff: float | None = None
     ours_asymptotic_coeff: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         out = {
@@ -111,7 +110,6 @@ class BoundReport:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
-        out.update(self.extras)
         return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ATOL, Distribution, FiniteChain, kernel_power, values_of
+from .chain import ATOL, Distribution, FiniteChain, kernel_powers, values_of
 from .errors import (
     DriftViolation,
     EmptyMinorization,
@@ -59,7 +59,7 @@ class SmallSetCertificate:
 
     def verify(self, chain: FiniteChain) -> None:
         """Raise MinorizationViolation unless the inequality holds on chain."""
-        Pm = kernel_power(chain, self.m)
+        Pm = kernel_powers(chain, self.m)[-1]
         gap = Pm[list(self.C), :] - self.lam * self.phi.mass[None, :]
         if gap.min() < -ATOL:
             x = self.C[int(np.argmin(gap.min(axis=1)))]
@@ -200,7 +200,7 @@ def minorize(chain: FiniteChain, C, m: int) -> SmallSetCertificate:
     C = _check_subset(C, chain.n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    Pm = kernel_power(chain, m)
+    Pm = kernel_powers(chain, m)[-1]
     floor = Pm[list(C), :].min(axis=0)
     lam = float(floor.sum())
     if lam <= 0.0:

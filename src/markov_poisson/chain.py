@@ -223,17 +223,13 @@ def stationary(chain: FiniteChain) -> Distribution:
     return Distribution(mass=pi)
 
 
-def kernel_power(chain: FiniteChain, m: int) -> np.ndarray:
-    """P^m for integer m >= 0, with P^0 = I."""
+def kernel_powers(chain: FiniteChain, m: int) -> list:
+    """[I, P, P^2, ..., P^m] for integer m >= 0, by repeated multiplication."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return np.linalg.matrix_power(chain.kernel, m)
-
-
-def kernel_powers(chain: FiniteChain, m: int) -> list:
-    """[I, P, P^2, ..., P^m] computed by repeated multiplication."""
-    powers = [np.eye(chain.n)]
-    for _ in range(m):
+    # P itself rather than I @ P: the same floats without an n^3 product
+    powers = [np.eye(chain.n), chain.kernel][: m + 1]
+    while len(powers) <= m:
         powers.append(powers[-1] @ chain.kernel)
     return powers
 

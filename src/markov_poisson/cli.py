@@ -14,6 +14,7 @@ error was reported, 2 the inputs could not be parsed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -132,10 +133,13 @@ def _solve_body(spec, report, checks):
     f_c = f - pi_f
     g = system.canonical_solution(f).values
     nu = system.occupation_measure().mass
-    cyc_f = system.cycle_values(f)
+    G_f = system.solve(f)
     s_charge = np.zeros(chain.n)
     s_charge[list(bundle.C)] = bundle.b1
-    cyc_s = system.cycle_values(s_charge)
+    G_s = system.solve(s_charge)
+    tau = system.tau
+    G_f_at_phi = float(system.phi @ G_f)
+    tau_at_phi = float(system.phi @ tau)
 
     period = cyclic_decomposition(chain).period
     pot_cert = _potential_cert_from_spec(spec, bundle)
@@ -148,14 +152,14 @@ def _solve_body(spec, report, checks):
     checks.check("occupation_matches_stationary", l1 <= TOL_ASSERT, l1)
     checks.check(
         "cycle_f_bound",
-        bool(np.all(cyc_f.values <= bundle.v1 + bundle.b1 * ratio + TOL_ASSERT)),
+        bool(np.all(G_f <= bundle.v1 + bundle.b1 * ratio + TOL_ASSERT)),
     )
     checks.check(
         "cycle_tau_bound",
-        bool(np.all(cyc_f.tau <= bundle.v2 + bundle.b2 * ratio + TOL_ASSERT)),
+        bool(np.all(tau <= bundle.v2 + bundle.b2 * ratio + TOL_ASSERT)),
     )
-    checks.check("cycle_f_phi_bound", cyc_f.at_phi <= breport.delta1 + TOL_ASSERT)
-    checks.check("cycle_tau_phi_bound", cyc_f.tau_at_phi <= breport.delta2 + TOL_ASSERT)
+    checks.check("cycle_f_phi_bound", G_f_at_phi <= breport.delta1 + TOL_ASSERT)
+    checks.check("cycle_tau_phi_bound", tau_at_phi <= breport.delta2 + TOL_ASSERT)
     checks.check(
         "solution_envelope",
         bool(
@@ -166,7 +170,7 @@ def _solve_body(spec, report, checks):
     )
     checks.check(
         "comparison_inequality",
-        bool(np.all(cyc_f.values <= bundle.v1 + cyc_s.values + 1e-9)),
+        bool(np.all(G_f <= bundle.v1 + G_s + 1e-9)),
     )
     checks.check("pi_f_le_b1", pi_f <= bundle.b1 + TOL_ASSERT, pi_f)
     if bundle.m == 1:
@@ -195,8 +199,8 @@ def _solve_body(spec, report, checks):
     report["pi_f"] = pi_f
     report["tables"] = {
         "g_star": g,
-        "expected_tau": cyc_f.tau,
-        "cycle_f": cyc_f.values,
+        "expected_tau": tau,
+        "cycle_f": G_f,
         "nu": nu,
         "envelope_slack_upper": breport.envelope_upper - g,
         "envelope_slack_lower": g - breport.envelope_lower,
@@ -205,8 +209,8 @@ def _solve_body(spec, report, checks):
     report["diagnostics"] = {
         "phi_g_star": float(bundle.phi.mass @ g),
         "poisson_residual": poisson_residual,
-        "cycle_f_at_phi": cyc_f.at_phi,
-        "expected_tau_at_phi": cyc_f.tau_at_phi,
+        "cycle_f_at_phi": G_f_at_phi,
+        "expected_tau_at_phi": tau_at_phi,
     }
 
 
@@ -270,12 +274,37 @@ def _potential_body(spec, args, report, checks):
                 checks.check("truncation_gap_bounds", False, str(err))
 
 
+def _state_index(text: str, n: int) -> int:
+    """--x0 with --spec: a state index in 0..n-1."""
+    try:
+        x0 = int(text)
+    except ValueError:
+        x0 = -1
+    if not 0 <= x0 < n:
+        raise SpecFileError(f"--x0 must be a state index in 0..{n - 1}, got {text!r}")
+    return x0
+
+
+def _waiting_time(text: str) -> float:
+    """--x0 with --gig1: a finite waiting time >= 0."""
+    try:
+        x0 = float(text)
+    except ValueError:
+        x0 = math.nan
+    if not (math.isfinite(x0) and x0 >= 0.0):
+        raise SpecFileError(f"--x0 must be a finite waiting time >= 0, got {text!r}")
+    return x0
+
+
 def cmd_simulate(args) -> dict:
     if (args.spec is None) == (not args.gig1):
         raise SpecFileError("simulate needs exactly one of --spec or --gig1")
+    if args.cycles < 1:
+        raise SpecFileError(f"--cycles must be at least 1, got {args.cycles}")
     if args.gig1:
         return _simulate_gig1(args)
     spec = load_chain_spec(args.spec)
+    x0 = _state_index(args.x0, spec.chain.n)
     inputs = {
         "spec": spec.document,
         "x0": args.x0,
@@ -294,7 +323,6 @@ def cmd_simulate(args) -> dict:
         else:
             s = spec.small
             small = _small_set(chain, s["C"], s["m"], s["lam"], s["phi"])
-        x0 = int(args.x0)
         system = CycleSystem(chain, small)
         pi_f = float(system.pi @ f)
         g_exact = system.canonical_solution(f).values
@@ -326,6 +354,7 @@ def cmd_simulate(args) -> dict:
 
 
 def _simulate_gig1(args) -> dict:
+    x0 = _waiting_time(args.x0)
     inputs = {
         "gig1": {"family": args.family, "mu": args.mu, "sigma": args.sigma,
                  "kappa": args.kappa, "grid_step": args.grid_step},
@@ -344,7 +373,7 @@ def _simulate_gig1(args) -> dict:
         )
         cert = _gig1.build_certificate(model)
         result = _gig1.mc_validate(
-            model, cert, [float(args.x0)], args.cycles, args.seed,
+            model, cert, [x0], args.cycles, args.seed,
             workers=args.workers, max_steps=args.max_steps,
         )
         report["certificate"] = {

@@ -17,10 +17,10 @@ densities the grid infimum (with both interval endpoints on the grid)
 equals the true infimum, because a unimodal function attains its minimum
 over an interval at an endpoint.
 
-Choosing x0 has no closed form. ``find_x0`` takes the smallest grid point
-such that the drift inequality holds at every larger grid point up to an
-analytic horizon; beyond the horizon the inequality is certified by the
-moment bound
+Choosing x0 has no closed form. ``build_certificate`` takes the smallest
+grid point such that the drift inequality holds at every larger grid point
+up to an analytic horizon; beyond the horizon the inequality is certified
+by the moment bound
 
     v1(x) - max(x, 1) - (Pv1)(x) >= (kappa - 1) x - c1 E[Z^2] - 1  > 0
 
@@ -45,7 +45,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .bounds import envelope_comparison
 from .errors import InfeasibleX0, QuadratureFailure, SearchExhausted
-from .mc import estimate_gstar, estimate_pif, mean_and_se, run_cycles
+from .mc import estimate_pif, mean_and_se, run_cycles
 
 #: tolerance on the truncated density mass
 MASS_TOL = 1e-6
@@ -79,9 +79,9 @@ class GIG1Model:
 
     ``increment`` is a frozen scipy.stats continuous distribution (its pdf
     is the increment density h_Z). ``x0`` may be preset; when None it is
-    determined by :func:`find_x0`. The quadrature grid uses spacing
-    ``step`` and truncates the increment support at mean +- ``tail_sigmas``
-    standard deviations.
+    determined by :func:`build_certificate`. The quadrature grid uses
+    spacing ``step`` and truncates the increment support at mean +-
+    ``tail_sigmas`` standard deviations.
     """
 
     increment: object
@@ -194,40 +194,32 @@ class GIG1Certificate:
         return self.atom / self.lam
 
 
-def find_x0(model: GIG1Model) -> float:
-    """Smallest grid endpoint x0 with the drift inequality valid beyond it.
-
-    Margins are evaluated on the grid [0, horizon + pad]; past the
-    analytic horizon the moment bound in the module docstring certifies
-    the inequality, so the grid scan is exhaustive. Raises SearchExhausted
-    when no grid point works (kappa too close to 1 for the truncation).
-    """
-    horizon = model.drift_horizon() + model.horizon_pad
-    xs = np.arange(0.0, horizon + model.step, model.step)
-    margin = model.drift_margin(xs)
-    bad = np.flatnonzero(margin < 0.0)
-    if bad.size == 0:
-        return float(xs[1])  # C must be a nonempty interval
-    if bad[-1] == xs.size - 1:
-        raise SearchExhausted(
-            f"drift margin still negative at the horizon {xs[-1]:.3f}"
-        )
-    return float(xs[bad[-1]])
-
-
 def build_certificate(model: GIG1Model) -> GIG1Certificate:
-    """Compute (lam, phi, b1) for C = [0, x0] by quadrature.
+    """Compute (x0, lam, phi, b1) for C = [0, x0] by quadrature.
 
-    Uses the model's preset x0 or runs :func:`find_x0`. The drift
-    inequality is re-verified on the grid beyond x0 (InfeasibleX0 when a
-    preset endpoint is too small).
+    Drift margins are evaluated once, on the grid [0, horizon + pad] (or
+    [0, x0] when a preset x0 lies beyond it). Without a preset, x0 is the
+    smallest grid endpoint with the drift inequality valid at every larger
+    grid point; past the analytic horizon the moment bound in the module
+    docstring certifies the inequality, so the grid scan is exhaustive.
+    Raises SearchExhausted when no grid point works (kappa too close to 1
+    for the truncation), and InfeasibleX0 when the inequality fails on the
+    grid beyond a preset endpoint or x0 is not positive.
     """
-    x0 = model.x0 if model.x0 is not None else find_x0(model)
+    x0 = model.x0
+    horizon = model.drift_horizon() + model.horizon_pad
+    xs = np.arange(0.0, max(horizon, x0 or 0.0) + model.step, model.step)
+    margin = model.drift_margin(xs)
+    if x0 is None:
+        bad = np.flatnonzero(margin < 0.0)
+        if bad.size and bad[-1] == xs.size - 1:
+            raise SearchExhausted(
+                f"drift margin still negative at the horizon {xs[-1]:.3f}"
+            )
+        # C must be a nonempty interval
+        x0 = float(xs[bad[-1]]) if bad.size else float(xs[1])
     if x0 <= 0:
         raise InfeasibleX0("x0 must be positive")
-    horizon = model.drift_horizon() + model.horizon_pad
-    xs = np.arange(0.0, max(horizon, x0) + model.step, model.step)
-    margin = model.drift_margin(xs)
     outside = xs > x0
     if np.any(margin[outside] < 0.0):
         x_bad = float(xs[outside][np.argmin(margin[outside])])
@@ -382,32 +374,6 @@ class QueueSampler:
         return y, rejected
 
 
-def _atom_points(model, cert, x_list, n_cycles, master_seed, workers, max_steps):
-    """pi(f) and (g*(x), SE) pairs from atom cycles; see :func:`mc_validate`.
-
-    P(x, {0}) = P(Z <= -x) > 0, so {0} is a small set with m = 1, lam = 1
-    and phi = P(0, .): a cycle runs to the first visit of 0 (charged, with
-    f(0) = 0) and regenerates with certainty there.
-    """
-    atom = QueueSampler(model, cert, at_atom=True)
-    pif = estimate_pif(atom, n_cycles, master_seed, workers=workers, max_steps=max_steps)
-
-    def centred(x, block):
-        offset = block * n_cycles
-        sums, lengths = run_cycles(atom, x, n_cycles, master_seed, workers, offset, max_steps)
-        point, se = mean_and_se(sums - pif.point * lengths)
-        return point, se, math.fsum(lengths) / n_cycles
-
-    # the same cycles with starts drawn from the certificate's phi
-    phi_g, phi_se, phi_len = centred(atom.sample_certificate_phi, len(x_list) + 1)
-    points = []
-    for k, x in enumerate(x_list):
-        g, se, length = centred(x, k + 1)
-        var = se**2 + phi_se**2 + ((length - phi_len) * pif.std_error) ** 2
-        points.append((g - phi_g, math.sqrt(var)))
-    return pif, points
-
-
 def mc_validate(
     model: GIG1Model,
     cert: GIG1Certificate,
@@ -431,9 +397,12 @@ def mc_validate(
       solution g_a solves the same Poisson equation, so it differs from
       g* by a constant, and phi(g*) = 0 at m = 1 fixes that constant:
       g* = g_a - phi(g_a) with phi the certificate's minorizing law.
-      pi(f) is the ratio estimator over atom cycles, g_a(x) averages
-      atom cycles from x and phi(g_a) atom cycles started from phi. The
-      standard error adds the three sources by the delta method:
+      {0} is a small set with m = 1, lam = 1 and phi = P(0, .): an atom
+      cycle runs to the first visit of 0 (charged, with f(0) = 0) and
+      regenerates with certainty there. pi(f) is the ratio estimator
+      over atom cycles, g_a(x) averages atom cycles from x and phi(g_a)
+      atom cycles started from phi. The standard error adds the three
+      sources by the delta method:
       Var g_a(x) + Var phi(g_a) + ((E_x len - E_phi len) SE(pi_f))^2.
 
     The scheme depends on the certificate alone: the split chain when
@@ -445,31 +414,29 @@ def mc_validate(
     within 3 standard errors of each estimate.
     """
     x_list = [float(x) for x in x_list]
-    if cert.m / cert.lam <= SPLIT_MAX_CYCLE:
-        regeneration = "split"
-        sc = QueueSampler(model, cert)
-        pif = estimate_pif(sc, n_cycles, master_seed, workers=workers, max_steps=max_steps)
-        points = []
-        for k, x in enumerate(x_list):
-            est = estimate_gstar(
-                sc,
-                x,
-                pif.point,
-                n_cycles,
-                master_seed,
-                workers=workers,
-                stream_offset=(k + 1) * n_cycles,
-                max_steps=max_steps,
-            )
-            points.append((est.point, est.std_error))
-    else:
-        regeneration = "atom"
-        pif, points = _atom_points(
-            model, cert, x_list, n_cycles, master_seed, workers, max_steps
+    regeneration = "split" if cert.m / cert.lam <= SPLIT_MAX_CYCLE else "atom"
+    sc = QueueSampler(model, cert, at_atom=regeneration == "atom")
+    pif = estimate_pif(sc, n_cycles, master_seed, workers=workers, max_steps=max_steps)
+
+    # (mean, SE) of sum_f - pi_f * length and the mean length, over the
+    # cycles from x on stream block ``block``
+    def centred(x, block):
+        sums, lengths = run_cycles(
+            sc, x, n_cycles, master_seed, workers, block * n_cycles, max_steps
         )
+        point, se = mean_and_se(sums - pif.point * lengths)
+        return point, se, math.fsum(lengths) / n_cycles
+
+    points = [centred(x, k + 1) for k, x in enumerate(x_list)]
+    if regeneration == "atom":
+        # the same cycles with starts drawn from the certificate's phi
+        phi_g, phi_se, phi_len = centred(sc.sample_certificate_phi, len(x_list) + 1)
+        for k, (g, se, length) in enumerate(points):
+            var = se**2 + phi_se**2 + ((length - phi_len) * pif.std_error) ** 2
+            points[k] = (g - phi_g, math.sqrt(var), length)
     rows = []
     all_inside = True
-    for x, (point, se) in zip(x_list, points):
+    for x, (point, se, _) in zip(x_list, points):
         envelope = float(cert.v1(np.asarray(x)) + cert.b1 / cert.lam)
         lower, upper = -cert.b1 * envelope, envelope
         inside = point >= lower - 3.0 * se and point <= upper + 3.0 * se

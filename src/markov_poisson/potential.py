@@ -39,7 +39,6 @@ class PotentialResult:
     g_tilde: StateFunction
     terms: int
     residual: float
-    gap: np.ndarray | None = None
 
 
 def truncated_potential(

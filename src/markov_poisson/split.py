@@ -23,7 +23,6 @@ once per chain and certificate and then solves any block of charges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,28 +58,6 @@ def _lu(A: np.ndarray):
     if smallest < PIVOT_TOL:
         raise SingularSystem(f"pivot {smallest:.3e} below {PIVOT_TOL:.0e}")
     return lu, piv
-
-
-@dataclass(frozen=True)
-class CycleValues:
-    """Exact per-state cycle expectations for one charge.
-
-    Attributes
-    ----------
-    values : (n,) ndarray
-        G_h(x) = E_x sum_{j<tau} h(X_j).
-    at_phi : float
-        The same expectation started from phi.
-    tau : (n,) ndarray
-        E_x tau (the charge h = 1).
-    tau_at_phi : float
-        E_phi tau.
-    """
-
-    values: np.ndarray
-    at_phi: float
-    tau: np.ndarray
-    tau_at_phi: float
 
 
 def _residual_rows(Pm: np.ndarray, small: SmallSetCertificate) -> np.ndarray | None:
@@ -216,6 +193,10 @@ class CycleSystem:
     E tau are computed on first use, unless the stationary law ``pi`` is
     passed in. Only the minorization part of a certificate is needed; a
     full bundle or a bare SmallSetCertificate are both accepted.
+
+    This is the one entry point to every cycle quantity: ``solve(h)``
+    (G_h), ``tau`` (E_x tau), ``canonical_solution(f)`` (g*) and
+    ``occupation_measure()`` (nu = pi); values from phi are ``phi @ G_h``.
     """
 
     def __init__(self, chain: FiniteChain, cert, pi: np.ndarray | None = None):
@@ -274,21 +255,22 @@ class CycleSystem:
 
     @cached_property
     def tau(self) -> np.ndarray:
-        """E_x tau: the charge h = 1, whose block contributes exactly m."""
+        """E_x tau: the charge h = 1.
+
+        Its m-step block contributes exactly m per coin toss (the bridge
+        conditionals integrate to one); E_phi tau is ``phi @ tau``.
+        """
         return self.solve(np.ones(self.chain.n))
 
-    def cycle_values(self, h) -> CycleValues:
-        """See the module function :func:`cycle_values`."""
-        G = self.solve(values_of(h, self.chain.n))
-        return CycleValues(
-            values=G,
-            at_phi=float(self.phi @ G),
-            tau=self.tau,
-            tau_at_phi=float(self.phi @ self.tau),
-        )
-
     def canonical_solution(self, f) -> StateFunction:
-        """See the module function :func:`canonical_solution`."""
+        """The canonical solution g* of (P - I)g = -f_c with f_c = f - pi(f).
+
+        g*(x) = E_x sum_{j<tau} f_c(X_j); the Poisson residual is verified
+        to 1e-9 before returning (InvariantViolation otherwise). The
+        additive normalization of g* is the one induced by tau; phi . g*
+        vanishes when m = 1 but has no closed form for m >= 2 and is
+        reported as a diagnostic elsewhere, not asserted.
+        """
         f = values_of(f, self.chain.n)
         f_c = f - float(self.pi @ f)
         g = self.solve(f_c)
@@ -298,7 +280,12 @@ class CycleSystem:
         return StateFunction(values=g)
 
     def occupation_measure(self) -> Distribution:
-        """See the module function :func:`occupation_measure`."""
+        """Expected time per cycle from phi, normalized by the cycle length.
+
+        nu(z) = E_phi sum_{j<tau} I(X_j = z) / E_phi tau. This equals the
+        stationary distribution; the identity is verified to 1e-10 in L1
+        (InvariantViolation otherwise).
+        """
         # phi G_h = y (u_h + H B h) with y = phi (I - (1-lam) H Q)^{-1}: two
         # transposed single-vector solves (core, then pre-hit) give every h
         y = self.phi if self._core_lu is None else lu_solve(self._core_lu, self.phi, trans=1)
@@ -313,38 +300,6 @@ class CycleSystem:
                 f"occupation measure deviates from stationary by {l1:.3e} in L1"
             )
         return Distribution(mass=nu)
-
-
-def cycle_values(chain: FiniteChain, cert, h) -> CycleValues:
-    """Exact cycle expectations of a charge, together with E_x tau.
-
-    ``cert`` is a CertificateBundle or a bare SmallSetCertificate. E_x tau
-    is the charge h = 1, for which the m-step block contributes exactly m
-    per coin toss (the bridge conditionals integrate to one).
-    """
-    return CycleSystem(chain, cert).cycle_values(h)
-
-
-def canonical_solution(chain: FiniteChain, cert, f) -> StateFunction:
-    """The canonical solution g* of (P - I)g = -f_c with f_c = f - pi(f).
-
-    g*(x) = E_x sum_{j<tau} f_c(X_j); the Poisson residual is verified to
-    1e-9 before returning (InvariantViolation otherwise). The additive
-    normalization of g* is the one induced by tau; phi . g* vanishes when
-    m = 1 but has no closed form for m >= 2 and is reported as a
-    diagnostic elsewhere, not asserted.
-    """
-    return CycleSystem(chain, cert).canonical_solution(f)
-
-
-def occupation_measure(chain: FiniteChain, cert) -> Distribution:
-    """Expected time per cycle from phi, normalized by the cycle length.
-
-    nu(z) = E_phi sum_{j<tau} I(X_j = z) / E_phi tau. This equals the
-    stationary distribution; the identity is verified to 1e-10 in L1
-    (InvariantViolation otherwise).
-    """
-    return CycleSystem(chain, cert).occupation_measure()
 
 
 def marginal_curve(chain: FiniteChain, f, n_max: int) -> np.ndarray:

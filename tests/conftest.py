@@ -34,13 +34,7 @@ from markov_poisson.chain import (
     stationary,
     validate_chain,
 )
-from markov_poisson.split import (
-    CycleValues,
-    canonical_solution,
-    cycle_values,
-    hitting,
-    occupation_measure,
-)
+from markov_poisson.split import CycleSystem, hitting
 
 SUITE_SEED = 20240801
 
@@ -59,8 +53,9 @@ class Instance:
     f_c: np.ndarray
     g_star: np.ndarray
     poisson_residual: float
-    cycle_f: CycleValues
-    cycle_s: CycleValues
+    cycle_f: np.ndarray  # G_f(x) = E_x sum_{j<tau} f(X_j)
+    cycle_s: np.ndarray  # the same for s = b1 * I_C
+    tau: np.ndarray  # E_x tau
     nu: np.ndarray
     report: BoundReport
 
@@ -102,13 +97,12 @@ def build_instance(name: str, chain: FiniteChain, f: np.ndarray, C, m: int) -> I
     pot = verify_potential(chain, bundle, v3, v4)
     pi = stationary(chain).mass
     f_c = f - float(pi @ f)
-    g = canonical_solution(chain, bundle, f).values
+    system = CycleSystem(chain, bundle)
+    g = system.canonical_solution(f).values
     residual = float(np.max(np.abs(chain.kernel @ g - g + f_c)))
-    cyc_f = cycle_values(chain, bundle, f)
     s = np.zeros(n)
     s[list(bundle.C)] = bundle.b1
-    cyc_s = cycle_values(chain, bundle, s)
-    nu = occupation_measure(chain, bundle).mass
+    nu = system.occupation_measure().mass
     decomp = cyclic_decomposition(chain)
     report = finite_bound_report(bundle, pot, decomp.period)
     return Instance(
@@ -124,8 +118,9 @@ def build_instance(name: str, chain: FiniteChain, f: np.ndarray, C, m: int) -> I
         f_c=f_c,
         g_star=g,
         poisson_residual=residual,
-        cycle_f=cyc_f,
-        cycle_s=cyc_s,
+        cycle_f=system.solve(f),
+        cycle_s=system.solve(s),
+        tau=system.tau,
         nu=nu,
         report=report,
     )

@@ -64,10 +64,10 @@ def test_a02_cycle_and_solution_bounds(suite):
         b = inst.bundle
         ratio = b.m / b.lam
         slacks = [
-            np.min(b.v1 + b.b1 * ratio - inst.cycle_f.values),
-            np.min(b.v2 + b.b2 * ratio - inst.cycle_f.tau),
-            inst.report.delta1 - inst.cycle_f.at_phi,
-            inst.report.delta2 - inst.cycle_f.tau_at_phi,
+            np.min(b.v1 + b.b1 * ratio - inst.cycle_f),
+            np.min(b.v2 + b.b2 * ratio - inst.tau),
+            inst.report.delta1 - float(b.phi.mass @ inst.cycle_f),
+            inst.report.delta2 - float(b.phi.mass @ inst.tau),
             np.min(inst.report.envelope_upper - inst.g_star),
             np.min(inst.g_star - inst.report.envelope_lower),
             np.min(inst.report.envelope_abs - np.abs(inst.g_star)),
@@ -127,7 +127,7 @@ def test_a06_martingale_and_power_drift(suite):
 def test_a07_generalized_comparison(suite):
     worst = np.inf
     for inst in suite.instances:
-        slack = inst.bundle.v1 + inst.cycle_s.values - inst.cycle_f.values
+        slack = inst.bundle.v1 + inst.cycle_s - inst.cycle_f
         worst = min(worst, float(slack.min()))
     ok = worst >= -1e-9
     assert _report(7, "cycle comparison inequality", ok, f"min slack {worst:.2e}")

@@ -5,7 +5,7 @@ from markov_poisson.chain import (
     Distribution,
     StateFunction,
     cyclic_decomposition,
-    kernel_power,
+    kernel_powers,
     stationary,
     validate_chain,
 )
@@ -106,17 +106,17 @@ def test_stationary_residual_on_random_chains():
 
 def test_kernel_power_basics():
     flip = validate_chain([[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(kernel_power(flip, 2), np.eye(2))
-    assert np.array_equal(kernel_power(flip, 0), np.eye(2))
+    assert np.array_equal(kernel_powers(flip, 2)[-1], np.eye(2))
+    assert np.array_equal(kernel_powers(flip, 0)[-1], np.eye(2))
     chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
     assert np.allclose(
-        kernel_power(chain, 2), [[0.375, 0.625], [0.3125, 0.6875]], atol=1e-15
+        kernel_powers(chain, 2)[-1], [[0.375, 0.625], [0.3125, 0.6875]], atol=1e-15
     )
 
 
 def test_kernel_power_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        kernel_power(validate_chain([[1.0]]), -1)
+        kernel_powers(validate_chain([[1.0]]), -1)
 
 
 def test_kernel_power_rows_stay_stochastic():
@@ -125,7 +125,7 @@ def test_kernel_power_rows_stay_stochastic():
         n = int(rng.integers(2, 16))
         chain = validate_chain(rng.dirichlet(np.ones(n), size=n))
         for m in (1, 2, 7, 64):
-            sums = kernel_power(chain, m).sum(axis=1)
+            sums = kernel_powers(chain, m)[-1].sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-10
 
 

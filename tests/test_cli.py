@@ -140,6 +140,32 @@ def test_simulate_requires_exactly_one_mode(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spec", str(BUNDLED_SPEC), "--x0", "5"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "2"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "-1"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1.5"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--cycles", "0"],
+        ["--gig1", "--x0", "abc"],
+        ["--gig1", "--x0", "-3"],
+        ["--gig1", "--x0", "nan"],
+        ["--gig1", "--x0", "inf"],
+        ["--gig1", "--x0", "1", "--cycles", "0"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a != str(BUNDLED_SPEC)),
+)
+def test_simulate_rejects_start_state_and_cycle_count_out_of_range(capsys, argv):
+    # the state index must lie in 0..n-1 (n = 2 here), the waiting time
+    # must be finite and >= 0, and at least one cycle must run
+    code, out = run_cli(capsys, "simulate", *argv)
+    assert code == 2
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["error"]["code"] == "spec-file-error"
+
+
 def _count_calls(monkeypatch, name, modules):
     """Count calls of a chain-layer function through every module binding it."""
     import importlib

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import markov_poisson
+from conftest import build_instance
 from markov_poisson.certify import minorize
 from markov_poisson.chain import stationary, validate_chain
-from markov_poisson.split import CycleSystem
+from markov_poisson.potential import truncated_potential, verify_truncation_gap
+from markov_poisson.split import CycleSystem, marginal_curve
 
 BUNDLED_SPEC = Path(__file__).resolve().parents[1] / "demos" / "specs" / "running_example.json"
 
@@ -77,6 +79,33 @@ def test_cycle_system_invariants(case):
     assert np.max(np.abs(system.solve(np.eye(n)) @ f - G_f)) <= 1e-12 * np.max(np.abs(G_f))
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(chains_with_certificates())
+def test_bounds_contain_exact_values_and_gap_is_constant_per_class(case):
+    # hitting-sum Lyapunov functions v1..v4 on the drawn small set, as in
+    # the shared instance suite; every inequality below is guaranteed
+    chain, small, rng = case
+    inst = build_instance("drawn", chain, rng.uniform(0.0, 2.0, chain.n), small.C, small.m)
+    b, report, g = inst.bundle, inst.report, inst.g_star
+    tol = 1e-10
+    assert np.all(g <= report.envelope_upper + tol)
+    assert np.all(g >= report.envelope_lower - tol)
+    assert np.all(np.abs(g) <= report.envelope_abs + tol)
+    ratio = b.m / b.lam
+    assert np.all(inst.cycle_f <= b.v1 + b.b1 * ratio + tol)
+    assert np.all(inst.tau <= b.v2 + b.b2 * ratio + tol)
+    assert b.phi.mass @ inst.cycle_f <= report.delta1 + tol
+    assert b.phi.mass @ inst.tau <= report.delta2 + tol
+    curve = marginal_curve(chain, inst.f, 200)
+    assert np.all(curve <= report.marginal_bound[None, :] + tol)
+
+    p = inst.decomp.period
+    result = truncated_potential(chain, inst.f, p, pi=inst.pi)
+    gap = verify_truncation_gap(chain, b, inst.pot, g, result, p)["gap"]
+    for cls in inst.decomp.classes:
+        assert np.ptp(gap[sorted(cls)]) <= 1e-8
+
+
 def test_invariant_checks_raise_coded_errors_under_python_O():
     # python -O strips assert statements; each invariant check must still
     # raise InvariantViolation, and the CLI must report it with its code
@@ -107,8 +136,10 @@ def test_invariant_checks_raise_coded_errors_under_python_O():
         small = minorize(chain, [0], 1)
         wrong = Distribution(mass=[0.5, 0.5])  # the true law is (1/3, 2/3)
         split.stationary = lambda c: wrong
-        seen["poisson"] = code_of(lambda: split.canonical_solution(chain, small, [1.0, 0.0]))
-        seen["occupation"] = code_of(lambda: split.occupation_measure(chain, small))
+        seen["poisson"] = code_of(
+            lambda: split.CycleSystem(chain, small).canonical_solution([1.0, 0.0])
+        )
+        seen["occupation"] = code_of(lambda: split.CycleSystem(chain, small).occupation_measure())
 
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

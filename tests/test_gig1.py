@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from markov_poisson import gig1
 from markov_poisson.errors import (
     InfeasibleX0,
     MaxStepsExceeded,
@@ -12,11 +13,9 @@ from markov_poisson.gig1 import (
     SPLIT_MAX_CYCLE,
     GIG1Model,
     QueueSampler,
-    _atom_points,
     bound_curves,
     build_certificate,
     drift_spot_check,
-    find_x0,
     mc_validate,
 )
 from markov_poisson.mc import CycleStreams, estimate_pif, run_cycles
@@ -72,14 +71,14 @@ def test_infeasible_preset_endpoint():
 def test_search_exhausted_when_horizon_cut_short():
     model = GIG1Model(kappa=1.1, horizon_pad=-20.0, **STANDARD)
     with pytest.raises(SearchExhausted):
-        find_x0(model)
+        build_certificate(model)
 
 
 def test_stronger_drift_shrinks_small_set():
     # monotone on this family: the margin threshold behaves like
     # (|mu| + 1/|mu|)/2 here, decreasing while |mu| stays below 1
     x0s = [
-        find_x0(GIG1Model(increment=stats.norm(mu, 1.0), kappa=2.0))
+        build_certificate(GIG1Model(increment=stats.norm(mu, 1.0), kappa=2.0)).x0
         for mu in (-0.5, -0.6, -0.75)
     ]
     assert x0s[0] >= x0s[1] >= x0s[2]
@@ -88,7 +87,7 @@ def test_stronger_drift_shrinks_small_set():
 def test_grid_refinement_moves_x0_at_most_one_coarse_step():
     coarse = GIG1Model(kappa=2.0, step=0.02, **STANDARD)
     fine = GIG1Model(kappa=2.0, step=0.01, **STANDARD)
-    assert abs(find_x0(coarse) - find_x0(fine)) <= 0.02 + 1e-12
+    assert abs(build_certificate(coarse).x0 - build_certificate(fine).x0) <= 0.02 + 1e-12
 
 
 def test_quadrature_self_consistency(cert_roomy):
@@ -167,16 +166,19 @@ def test_mc_validation_inside_envelope(cert_roomy):
         assert row["std_error"] > 0.0
 
 
-def test_atom_regeneration_matches_split_chain(cert_roomy):
+def test_atom_regeneration_matches_split_chain(cert_roomy, monkeypatch):
     # both schemes estimate the certificate's g*; the split-chain reference
     # is computed here from raw cycles, its SE carrying pi(f)'s error by the
     # delta method. A wrong phi(g_a) would shift every point by one constant.
     model, cert = cert_roomy
     xs = [0.0, 1.0, 2.0, 5.0, 10.0]
     n = 5000
-    # mc_validate keeps this certificate on the split chain (m/lam ~ 5), so
-    # the atom estimator is called directly
-    _, points = _atom_points(model, cert, xs, n, 41, workers=1, max_steps=10**8)
+    # mc_validate keeps this certificate on the split chain (m/lam ~ 5); a
+    # zero threshold sends it to the atom scheme
+    monkeypatch.setattr(gig1, "SPLIT_MAX_CYCLE", 0.0)
+    report = mc_validate(model, cert, xs, n, 41, workers=1, max_steps=10**8)
+    assert report["regeneration"] == "atom"
+    points = [(row["estimate"], row["std_error"]) for row in report["points"]]
     sc = QueueSampler(model, cert)
     sums, lengths = run_cycles(sc, None, n, master_seed=42)
     pi_f = sums.sum() / lengths.sum()

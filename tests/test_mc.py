@@ -15,7 +15,7 @@ from markov_poisson.mc import (
     estimate_pif,
     run_cycles,
 )
-from markov_poisson.split import CycleSystem, canonical_solution, cycle_values, hitting
+from markov_poisson.split import CycleSystem, hitting
 
 
 @pytest.fixture
@@ -120,10 +120,10 @@ def test_regeneration_endpoint_distribution(chain):
 
 def test_cycle_length_matches_exact_with_residual_kernel(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0, 1], 1)
-    exact = cycle_values(chain, bundle, [1, 0])
+    system = CycleSystem(chain, bundle)
     _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), None, 10000, master_seed=22)
     se = lengths.std(ddof=1) / 100
-    assert abs(lengths.mean() - exact.tau_at_phi) <= 3 * se
+    assert abs(lengths.mean() - system.phi @ system.tau) <= 3 * se
 
 
 def test_mc_matches_exact_on_random_instances():
@@ -137,7 +137,7 @@ def test_mc_matches_exact_on_random_instances():
         _, v1 = hitting(chain, C, f)
         _, v2 = hitting(chain, C, np.ones(n))
         bundle = verify_bundle(chain, f, v1, v2, C, m)
-        g = canonical_solution(chain, bundle, f).values
+        g = CycleSystem(chain, bundle).canonical_solution(f).values
         from markov_poisson.chain import stationary
 
         pi_f = float(stationary(chain).mass @ f)

@@ -5,7 +5,7 @@ from markov_poisson.certify import verify_bundle, verify_potential
 from markov_poisson.chain import cyclic_decomposition, stationary, validate_chain
 from markov_poisson.errors import NoConvergence
 from markov_poisson.potential import truncated_potential, verify_truncation_gap
-from markov_poisson.split import canonical_solution, hitting
+from markov_poisson.split import CycleSystem, hitting
 
 
 def brute_force_blocks(kernel, f_c, p, n_blocks):
@@ -101,7 +101,7 @@ def test_periodic_gap_matches_class_conditioned_shift():
     _, v1 = hitting(chain, [0], f)
     _, v2 = hitting(chain, [0], np.ones(4))
     bundle = verify_bundle(chain, f, v1, v2, [0], 1)
-    g = canonical_solution(chain, bundle, f).values
+    g = CycleSystem(chain, bundle).canonical_solution(f).values
     decomp = cyclic_decomposition(chain)
     assert decomp.period == 2
     result = truncated_potential(chain, f, p=2)
@@ -117,7 +117,7 @@ def test_periodic_gap_matches_class_conditioned_shift():
 def test_truncation_gap_running_example(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
     pot = verify_potential(chain, bundle, [1, 17], [1, 21])
-    g = canonical_solution(chain, bundle, [1, 0]).values
+    g = CycleSystem(chain, bundle).canonical_solution([1, 0]).values
     result = truncated_potential(chain, [1, 0], p=1)
     report = verify_truncation_gap(chain, bundle, pot, g, result, p=1)
     assert report["gap"] == pytest.approx([2 / 9, 2 / 9], abs=1e-9)
@@ -128,7 +128,7 @@ def test_truncation_gap_running_example(chain):
 def test_truncation_gap_constant_reward_gap_zero(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
     pot = verify_potential(chain, bundle, [1, 17], [1, 21])
-    g = canonical_solution(chain, bundle, [1.0, 1.0]).values
+    g = CycleSystem(chain, bundle).canonical_solution([1.0, 1.0]).values
     result = truncated_potential(chain, [1.0, 1.0], p=1)
     report = verify_truncation_gap(chain, bundle, pot, g, result, p=1)
     assert report["gap"] == pytest.approx([0.0, 0.0], abs=1e-12)

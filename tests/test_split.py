@@ -13,14 +13,7 @@ from markov_poisson.errors import (
     NegativeResidual,
     Unreachable,
 )
-from markov_poisson.split import (
-    CycleSystem,
-    canonical_solution,
-    cycle_values,
-    hitting,
-    marginal_curve,
-    occupation_measure,
-)
+from markov_poisson.split import CycleSystem, hitting, marginal_curve
 
 
 @pytest.fixture
@@ -71,50 +64,50 @@ def test_hitting_unreachable():
 
 
 def test_cycle_values_running_example(chain, bundle):
-    cv = cycle_values(chain, bundle, [2 / 3, -1 / 3])
-    assert cv.values == pytest.approx([2 / 3, -2 / 3])
-    assert cv.tau == pytest.approx([1.0, 5.0])
-    assert cv.tau_at_phi == pytest.approx(3.0)
+    system = CycleSystem(chain, bundle)
+    assert system.solve([2 / 3, -1 / 3]) == pytest.approx([2 / 3, -2 / 3])
+    assert system.tau == pytest.approx([1.0, 5.0])
+    assert system.phi @ system.tau == pytest.approx(3.0)
 
 
 def test_cycle_values_zero_charge(chain, bundle):
-    assert np.array_equal(cycle_values(chain, bundle, [0, 0]).values, [0.0, 0.0])
+    assert np.array_equal(CycleSystem(chain, bundle).solve([0, 0]), [0.0, 0.0])
 
 
 def test_cycle_values_nonnegative_for_nonnegative_charge(suite):
     for inst in suite.instances[:10]:
-        assert inst.cycle_f.values.min() >= -1e-12
+        assert inst.cycle_f.min() >= -1e-12
 
 
 def test_tau_dominates_first_hit_plus_m(suite):
     for inst in suite.instances:
         _, u_e = hitting(inst.chain, inst.bundle.C, np.ones(inst.chain.n))
-        assert np.all(inst.cycle_f.tau >= u_e + inst.bundle.m - 1e-9)
+        assert np.all(inst.tau >= u_e + inst.bundle.m - 1e-9)
 
 
 def test_canonical_solution_running_example(chain, bundle):
-    g = canonical_solution(chain, bundle, [1, 0]).values
+    g = CycleSystem(chain, bundle).canonical_solution([1, 0]).values
     assert g == pytest.approx([2 / 3, -2 / 3])
     # matches the pinned linear-solve solution (4/3, 0) up to the constant -2/3
     assert g - np.array([4 / 3, 0.0]) == pytest.approx([-2 / 3, -2 / 3])
 
 
 def test_canonical_solution_constant_reward(chain, bundle):
-    g = canonical_solution(chain, bundle, [3.5, 3.5]).values
+    g = CycleSystem(chain, bundle).canonical_solution([3.5, 3.5]).values
     assert np.max(np.abs(g)) <= 1e-12
 
 
 def test_phi_gstar_vanishes_at_m_equal_one(chain, bundle):
-    g = canonical_solution(chain, bundle, [1, 0]).values
+    g = CycleSystem(chain, bundle).canonical_solution([1, 0]).values
     assert abs(bundle.phi.mass @ g) <= 1e-10
 
 
 def test_two_step_certificate_hand_values(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 2)
-    g = canonical_solution(chain, bundle, [1, 0]).values
+    system = CycleSystem(chain, bundle)
+    g = system.canonical_solution([1, 0]).values
     assert g == pytest.approx([5 / 6, -1 / 2])
-    cv = cycle_values(chain, bundle, [1, 0])
-    assert cv.tau == pytest.approx([2.0, 6.0])
+    assert system.tau == pytest.approx([2.0, 6.0])
 
 
 def test_three_cycle_hand_values():
@@ -122,16 +115,17 @@ def test_three_cycle_hand_values():
     _, v1 = hitting(chain, [0], [1, 0, 0])
     _, v2 = hitting(chain, [0], np.ones(3))
     bundle = verify_bundle(chain, [1, 0, 0], v1, v2, [0], 3)
-    g = canonical_solution(chain, bundle, [1, 0, 0]).values
+    system = CycleSystem(chain, bundle)
+    g = system.canonical_solution([1, 0, 0]).values
     assert g == pytest.approx([0.0, -2 / 3, -1 / 3], abs=1e-12)
-    assert cycle_values(chain, bundle, [1, 0, 0]).tau == pytest.approx([3.0, 5.0, 4.0])
+    assert system.tau == pytest.approx([3.0, 5.0, 4.0])
 
 
 def test_occupation_measure_examples(chain, bundle):
-    assert occupation_measure(chain, bundle).mass == pytest.approx([1 / 3, 2 / 3])
+    assert CycleSystem(chain, bundle).occupation_measure().mass == pytest.approx([1 / 3, 2 / 3])
     one = validate_chain([[1.0]])
     b1 = verify_bundle(one, [0.0], [0.0], [0.0], [0], 1)
-    assert occupation_measure(one, b1).mass == pytest.approx([1.0])
+    assert CycleSystem(one, b1).occupation_measure().mass == pytest.approx([1.0])
 
 
 def test_occupation_measure_three_cycle_uniform():
@@ -139,7 +133,7 @@ def test_occupation_measure_three_cycle_uniform():
     _, v1 = hitting(chain, [0], [1, 0, 0])
     _, v2 = hitting(chain, [0], np.ones(3))
     bundle = verify_bundle(chain, [1, 0, 0], v1, v2, [0], 3)
-    assert occupation_measure(chain, bundle).mass == pytest.approx([1 / 3] * 3)
+    assert CycleSystem(chain, bundle).occupation_measure().mass == pytest.approx([1 / 3] * 3)
 
 
 def test_exact_marginal_examples(chain):
@@ -185,7 +179,7 @@ def test_inconsistent_certificate_rejected():
     )
     tiny.verify(flip)
     with pytest.raises(InconsistentCertificate):
-        cycle_values(flip, tiny, [1.0, 0.0])
+        CycleSystem(flip, tiny)
 
 
 def test_singular_system_guard():
@@ -201,7 +195,7 @@ def test_singular_system_guard():
 
 def test_charge_shape_mismatch_rejected(chain, bundle):
     with pytest.raises(ValueError):
-        cycle_values(chain, bundle, [1.0, 2.0, 3.0])
+        CycleSystem(chain, bundle).solve([1.0, 2.0, 3.0])
 
 
 def test_poisson_residual_small_random_sweep():
@@ -214,7 +208,7 @@ def test_poisson_residual_small_random_sweep():
         _, v1 = hitting(chain, C, f)
         _, v2 = hitting(chain, C, np.ones(n))
         bundle = verify_bundle(chain, f, v1, v2, C, int(rng.integers(1, 4)))
-        g = canonical_solution(chain, bundle, f).values
+        g = CycleSystem(chain, bundle).canonical_solution(f).values
         from markov_poisson.chain import stationary
 
         f_c = f - stationary(chain).mass @ f
@@ -224,8 +218,8 @@ def test_poisson_residual_small_random_sweep():
 def test_comparison_inequality_on_suite(suite):
     # any valid drift (v, f, s = b*I_C) bounds the f-cycle by v + s-cycle
     for inst in suite.instances:
-        lhs = inst.cycle_f.values
-        rhs = inst.bundle.v1 + inst.cycle_s.values
+        lhs = inst.cycle_f
+        rhs = inst.bundle.v1 + inst.cycle_s
         assert np.all(lhs <= rhs + 1e-9)
 
 
@@ -259,7 +253,7 @@ def test_atom_solution_shifted_by_phi_average_is_gstar(suite):
             atom = SmallSetCertificate(
                 C=(a,), m=1, lam=1.0, phi=Distribution(mass=inst.chain.kernel[a])
             )
-            g_a = canonical_solution(inst.chain, atom, inst.f).values
+            g_a = CycleSystem(inst.chain, atom).canonical_solution(inst.f).values
             shifted = g_a - float(inst.bundle.phi.mass @ g_a)
             assert np.max(np.abs(shifted - inst.g_star)) <= 1e-12, (inst.name, a)
             pairs += 1
