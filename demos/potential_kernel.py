@@ -2,9 +2,9 @@
 Truncated potential sums and their gap from the canonical solution
 ==================================================================
 
-The block-truncated potential g_tilde accumulates sum_{i<np} P^i f_c in
-blocks of one period p. It differs from the canonical solution g* by a
-constant on each cyclic class:
+The block-truncated potential g_tilde = lim_n sum_{i<np} P^i f_c, with p
+the chain period, is computed by one linear solve with P^p. It differs
+from the canonical solution g* by a constant on each cyclic class:
 
 * aperiodic chains: one global constant, -pi(g*), and g_tilde is itself
   a solution of (P - I)g = -f_c;
@@ -37,8 +37,7 @@ result = truncated_potential(chain, f, p=1)
 g = CycleSystem(chain, bundle).canonical_solution(f).values
 pi = stationary(chain).mass
 print("aperiodic two-state chain")
-print("  g_tilde =", result.g_tilde.values, f" ({result.terms} blocks, "
-      f"last block {result.residual:.1e})")
+print("  g_tilde =", result.g_tilde.values, f" (solve residual {result.residual:.1e})")
 print("  g*      =", g)
 print("  gap     =", result.g_tilde.values - g, "  -pi(g*) =", -(pi @ g))
 report = verify_truncation_gap(chain, bundle, pot_cert, g, result, p=1)

@@ -8,7 +8,8 @@ digits, and Monte Carlo results embed their master seed, so re-running
 a command with the echoed inputs reproduces the report byte for byte.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed or a domain
-error was reported, 2 the inputs could not be parsed.
+error was reported, 2 the inputs could not be parsed or were rejected
+before any computation.
 """
 
 from __future__ import annotations
@@ -217,27 +218,24 @@ def _solve_body(spec, report, checks):
 def cmd_potential(args) -> dict:
     spec = load_chain_spec(args.spec)
     return _run(
-        "potential",
-        {"spec": spec.document, "tol": args.tol, "max_blocks": args.max_blocks},
-        "potential_converged",
-        lambda report, checks: _potential_body(spec, args, report, checks),
+        "potential", {"spec": spec.document}, "potential_residual",
+        lambda report, checks: _potential_body(spec, report, checks),
     )
 
 
-def _potential_body(spec, args, report, checks):
+def _potential_body(spec, report, checks):
     chain = spec.chain
     f = spec.function("f")
     decomp = cyclic_decomposition(chain)
     p = decomp.period
     pi = stationary(chain).mass
-    result = truncated_potential(chain, f, p, tol=args.tol, max_blocks=args.max_blocks, pi=pi)
+    result = truncated_potential(chain, f, p, pi=pi)
     g_t = result.g_tilde.values
     f_c = f - float(pi @ f)
     one_step = float(np.max(np.abs(chain.kernel @ g_t - g_t + f_c)))
-    checks.check("potential_converged", result.residual <= args.tol, result.residual)
+    checks.check("potential_residual", result.residual <= TOL_ASSERT, result.residual)
     report["period"] = p
-    report["blocks"] = result.terms
-    report["block_residual"] = result.residual
+    report["solve_residual"] = result.residual
     report["tables"] = {"g_tilde": g_t}
     report["diagnostics"] = {"one_step_poisson_residual": one_step}
     if p == 1:
@@ -311,6 +309,7 @@ def cmd_simulate(args) -> dict:
         "cycles": args.cycles,
         "seed": args.seed,
         "workers": args.workers,
+        "max_steps": args.max_steps,
     }
 
     def body(report, checks):
@@ -327,10 +326,11 @@ def cmd_simulate(args) -> dict:
         pi_f = float(system.pi @ f)
         g_exact = system.canonical_solution(f).values
         sc = FiniteChainSampler(system, f)
-        pif_est = estimate_pif(sc, args.cycles, args.seed, workers=args.workers)
+        pif_est = estimate_pif(sc, args.cycles, args.seed, workers=args.workers,
+                               max_steps=args.max_steps)
         g_est = estimate_gstar(
             sc, x0, pi_f, args.cycles, args.seed,
-            workers=args.workers, stream_offset=args.cycles,
+            workers=args.workers, stream_offset=args.cycles, max_steps=args.max_steps,
         )
         report["estimates"] = {
             "pi_f": {"point": pif_est.point, "std_error": pif_est.std_error},
@@ -353,8 +353,22 @@ def cmd_simulate(args) -> dict:
     return _run("simulate", inputs, "simulation_completed", body)
 
 
+def _gig1_model(args, **extra) -> _gig1.GIG1Model:
+    """The queue model the options describe; a value out of range is a spec-file error."""
+    try:
+        return _gig1.GIG1Model(
+            increment=_gig1.increment_family(args.family, args.mu, args.sigma),
+            kappa=args.kappa,
+            step=args.grid_step,
+            **extra,
+        )
+    except ValueError as err:
+        raise SpecFileError(str(err)) from None
+
+
 def _simulate_gig1(args) -> dict:
     x0 = _waiting_time(args.x0)
+    model = _gig1_model(args)
     inputs = {
         "gig1": {"family": args.family, "mu": args.mu, "sigma": args.sigma,
                  "kappa": args.kappa, "grid_step": args.grid_step},
@@ -366,11 +380,6 @@ def _simulate_gig1(args) -> dict:
     }
 
     def body(report, checks):
-        model = _gig1.GIG1Model(
-            increment=_gig1.increment_family(args.family, args.mu, args.sigma),
-            kappa=args.kappa,
-            step=args.grid_step,
-        )
         cert = _gig1.build_certificate(model)
         result = _gig1.mc_validate(
             model, cert, [x0], args.cycles, args.seed,
@@ -392,14 +401,9 @@ def cmd_gig1(args) -> dict:
         "tail_sigmas": args.tail_sigmas, "x_max": args.x_max,
         "x_points": args.x_points, "seed": args.seed,
     }
+    model = _gig1_model(args, tail_sigmas=args.tail_sigmas)
 
     def body(report, checks):
-        model = _gig1.GIG1Model(
-            increment=_gig1.increment_family(args.family, args.mu, args.sigma),
-            kappa=args.kappa,
-            step=args.grid_step,
-            tail_sigmas=args.tail_sigmas,
-        )
         cert = _gig1.build_certificate(model)
         xs = np.linspace(0.0, args.x_max, args.x_points)
         curves = _gig1.bound_curves(cert, xs)
@@ -465,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential", help="block-truncated potential sum and its gap")
     p.add_argument("--spec", required=True)
-    p.add_argument("--tol", type=float, default=1e-10, help="block-sum stopping tolerance")
-    p.add_argument("--max-blocks", type=int, default=10**6)
     add_out(p)
     p.set_defaults(func=cmd_potential)
 
@@ -508,7 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except SpecFileError as err:
+    except ToolkitError as err:  # raised while reading the inputs, before any report
         sys.stdout.write(
             dumps_canonical(
                 {"command": args.command, "error": {"code": err.code, "message": str(err)},

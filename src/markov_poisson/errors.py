@@ -132,21 +132,6 @@ class MissingBridgeSampler(ToolkitError):
     code = "missing-bridge-sampler"
 
 
-class NoConvergence(ToolkitError):
-    """Block summation did not meet the tolerance within the block budget."""
-
-    code = "no-convergence"
-
-    def __init__(self, blocks: int, residual: float):
-        super().__init__(
-            f"no convergence after {blocks} blocks (last residual {residual:.3e})",
-            blocks=blocks,
-            residual=residual,
-        )
-        self.blocks = blocks
-        self.residual = residual
-
-
 class BoundViolation(ToolkitError):
     """A guaranteed bound failed; indicates a certificate or implementation bug."""
 

@@ -70,6 +70,8 @@ def increment_family(family: str, loc: float, scale: float):
     dists = {"normal": stats.norm, "logistic": stats.logistic, "laplace": stats.laplace}
     if family not in dists:
         raise ValueError(f"unknown increment family {family!r}; choose from {FAMILIES}")
+    if not (math.isfinite(loc) and math.isfinite(scale) and scale > 0):
+        raise ValueError(f"location must be finite and scale finite and > 0, got {loc}, {scale}")
     return dists[family](loc, scale)
 
 
@@ -99,6 +101,10 @@ class GIG1Model:
             raise ValueError("increment must have a finite second moment")
         if not self.kappa > 1:
             raise ValueError(f"kappa must exceed 1, got {self.kappa}")
+        for name in ("step", "tail_sigmas"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         object.__setattr__(self, "_mean", mean)
         object.__setattr__(self, "_sd", math.sqrt(var))
         zs = self.z_grid()

@@ -140,9 +140,9 @@ def test_a08_truncated_potential(suite, two_state):
     worst_poisson = 0.0
     for inst in suite.instances:
         p = inst.decomp.period
-        result = truncated_potential(inst.chain, inst.f, p=p, tol=1e-10, max_blocks=10**6)
+        result = truncated_potential(inst.chain, inst.f, p=p)
         if result.residual > 1e-10:
-            failures.append(f"{inst.name}: residual {result.residual:.2e}")
+            failures.append(f"{inst.name}: solve residual {result.residual:.2e}")
             continue
         g_t = result.g_tilde.values
         # the block sum satisfies (P g_t - g_t + f_c)(x) = lim_n P^{np} f_c(x)

@@ -92,6 +92,8 @@ def test_potential_subcommand(capsys):
     report = json.loads(out)
     assert report["tables"]["g_tilde"] == pytest.approx([8 / 9, -4 / 9], abs=1e-9)
     assert report["tables"]["gap"] == pytest.approx([2 / 9, 2 / 9], abs=1e-9)
+    assert report["solve_residual"] <= 1e-10
+    assert report["assertions"][0]["name"] == "potential_residual"
 
 
 def test_gig1_subcommand_writes_curves(tmp_path, capsys):
@@ -164,6 +166,50 @@ def test_simulate_rejects_start_state_and_cycle_count_out_of_range(capsys, argv)
     report = json.loads(out)
     assert report["passed"] is False
     assert report["error"]["code"] == "spec-file-error"
+
+
+def test_simulate_spec_honours_max_steps(capsys):
+    code, out = run_cli(capsys, "simulate", "--spec", str(BUNDLED_SPEC), "--x0", "1",
+                        "--cycles", "100", "--max-steps", "0")
+    assert code == 1
+    report = json.loads(out)
+    assert report["inputs"]["max_steps"] == 0
+    assert report["error"]["code"] == "max-steps-exceeded"
+
+
+@pytest.mark.parametrize("command", [["gig1"], ["simulate", "--gig1", "--x0", "1"]])
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--grid-step", "0"],
+        ["--grid-step", "-0.01"],
+        ["--grid-step", "nan"],
+        ["--kappa", "1"],
+        ["--mu", "0.5"],
+        ["--sigma", "-1"],
+        ["--sigma", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_queue_parameters_out_of_range_are_input_errors(capsys, command, option):
+    code, out = run_cli(capsys, *command, *option)
+    assert code == 2
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["error"]["code"] == "spec-file-error"
+
+
+def test_errors_before_any_report_exit_2(tmp_path, capsys):
+    # a kernel that fails validation and a quadrature that misses its mass
+    # check are rejected with their own codes, not with a traceback
+    doc = json.loads(BUNDLED_SPEC.read_text())
+    doc["kernel"][0] = [0.5, 0.4]
+    bad = tmp_path / "row.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "potential", "--spec", str(bad))
+    assert (code, json.loads(out)["error"]["code"]) == (2, "row-sum-violation")
+    code, out = run_cli(capsys, "gig1", "--tail-sigmas", "1.5")
+    assert (code, json.loads(out)["error"]["code"]) == (2, "quadrature-failure")
 
 
 def _count_calls(monkeypatch, name, modules):

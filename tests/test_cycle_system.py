@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import markov_poisson
 from conftest import build_instance
 from markov_poisson.certify import minorize
-from markov_poisson.chain import stationary, validate_chain
+from markov_poisson.chain import cyclic_decomposition, stationary, validate_chain
 from markov_poisson.potential import truncated_potential, verify_truncation_gap
 from markov_poisson.split import CycleSystem, marginal_curve
 
@@ -57,6 +57,21 @@ def chains_with_certificates(draw):
     return chain, small, rng
 
 
+def block_sum_limit(kernel, f_c, p):
+    """Independent oracle: add blocks sum_{kp<=i<(k+1)p} P^i f_c until they vanish."""
+    term = f_c.copy()
+    total = np.zeros_like(f_c)
+    for _ in range(10**5):
+        block = np.zeros_like(f_c)
+        for _ in range(p):
+            block += term
+            term = kernel @ term
+        total += block
+        if np.max(np.abs(block)) <= 1e-15:
+            return total
+    raise AssertionError("block sums did not vanish")
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(chains_with_certificates())
 def test_cycle_system_invariants(case):
@@ -77,6 +92,11 @@ def test_cycle_system_invariants(case):
     assert np.max(np.abs(system.solve(X) - columns)) <= 1e-12 * np.max(np.abs(columns))
     G_f = system.solve(f)
     assert np.max(np.abs(system.solve(np.eye(n)) @ f - G_f)) <= 1e-12 * np.max(np.abs(G_f))
+
+    # the truncated potential's one solve against the block sum it equals
+    p = cyclic_decomposition(chain).period
+    g_tilde = truncated_potential(chain, f, p, pi=pi).g_tilde.values
+    assert np.max(np.abs(g_tilde - block_sum_limit(chain.kernel, f_c, p))) <= 1e-9
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -44,6 +44,11 @@ def test_model_validation():
         GIG1Model(kappa=1.0, **STANDARD)
     with pytest.raises(QuadratureFailure):
         GIG1Model(kappa=2.0, tail_sigmas=1.5, **STANDARD)
+    for bad in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step"):
+            GIG1Model(kappa=2.0, step=bad, **STANDARD)
+        with pytest.raises(ValueError, match="tail_sigmas"):
+            GIG1Model(kappa=2.0, tail_sigmas=bad, **STANDARD)
 
 
 def test_tight_certificate_regression_values(cert_tight):

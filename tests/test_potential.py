@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from markov_poisson.certify import verify_bundle, verify_potential
 from markov_poisson.chain import cyclic_decomposition, stationary, validate_chain
-from markov_poisson.errors import NoConvergence
+from markov_poisson.cli import main
 from markov_poisson.potential import truncated_potential, verify_truncation_gap
 from markov_poisson.split import CycleSystem, hitting
 
@@ -42,15 +44,47 @@ def test_flip_chain_blocks_settle_immediately():
     # truncated sum is identically zero from the first block on
     flip = validate_chain([[0.0, 1.0], [1.0, 0.0]])
     result = truncated_potential(flip, [1, 0], p=2)
-    assert result.terms == 1
     assert result.g_tilde.values == pytest.approx([0.0, 0.0], abs=1e-15)
     oracle = brute_force_blocks(flip.kernel, np.array([0.5, -0.5]), 2, 100)
     assert result.g_tilde.values == pytest.approx(oracle, abs=1e-15)
 
 
-def test_no_convergence_error(chain):
-    with pytest.raises(NoConvergence):
-        truncated_potential(chain, [1, 0], p=1, tol=1e-14, max_blocks=2)
+@pytest.mark.parametrize("p", [0, -2, 1, 3])
+def test_block_length_must_be_a_multiple_of_the_period(p):
+    # only blocks of a whole number of periods have a limit
+    flip = validate_chain([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="multiple of the period 2"):
+        truncated_potential(flip, [1, 0], p=p)
+
+
+def test_slowly_mixing_ring_gap_is_constant_per_class(tmp_path, capsys):
+    # a nearest-neighbour walk on a 200-state ring (period 2) mixes in ~n^2
+    # steps, so its block sums decay slowly: a sum stopped when a block
+    # falls below 1e-10 is still ~1e-7 short of the limit, too far for the
+    # gap to be constant on each class to 1e-8
+    rng = np.random.default_rng(7)
+    n = 200
+    up = 0.5 + rng.uniform(-0.01, 0.01, size=n)
+    P = np.zeros((n, n))
+    idx = np.arange(n)
+    P[idx, (idx + 1) % n] = up
+    P[idx, (idx - 1) % n] = 1.0 - up
+    f = rng.uniform(0.0, 2.0, size=n)
+    ring = validate_chain(P)
+    _, v1 = hitting(ring, [0], f + 1.0)
+    _, v2 = hitting(ring, [0], np.full(n, 2.0))
+    doc = {"states": n, "kernel": P.tolist(),
+           "functions": {"f": f.tolist(), "v1": v1.tolist(), "v2": v2.tolist()},
+           "small_set": {"C": [0], "m": 2}}
+    spec = tmp_path / "ring.json"
+    spec.write_text(json.dumps(doc))
+    code = main(["potential", "--spec", str(spec)])
+    report = json.loads(capsys.readouterr().out)
+    assert report["period"] == 2
+    checks = {a["name"]: a for a in report["assertions"]}
+    assert checks["gap_constant_per_class"]["passed"], checks["gap_constant_per_class"]
+    assert checks["potential_residual"]["passed"]
+    assert code == 0
 
 
 def test_aperiodic_gap_is_global_constant(suite):
