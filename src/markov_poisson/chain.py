@@ -52,29 +52,17 @@ class FiniteChain:
     kernel: np.ndarray
     labels: tuple | None = None
 
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels else str(x)
-
 
 @dataclass(frozen=True)
 class StateFunction:
-    """A real-valued function on the state space, stored as a vector.
-
-    ``nonnegative=True`` asserts (and checks, up to -ATOL rounding slack)
-    that all entries are >= 0.
-    """
+    """A real-valued function on the state space, stored as a vector."""
 
     values: np.ndarray
-    nonnegative: bool = False
 
     def __post_init__(self):
         vals = _frozen(self.values)
         if not np.all(np.isfinite(vals)):
             raise NegativityViolation("state function has non-finite entries")
-        if self.nonnegative and vals.min(initial=0.0) < -ATOL:
-            raise NegativityViolation(
-                f"state function marked nonnegative has min entry {vals.min():.3e}"
-            )
         object.__setattr__(self, "values", vals)
 
 
@@ -108,12 +96,6 @@ class CyclicDecomposition:
     period: int
     classes: tuple
     transient: tuple = field(default=())
-
-    def class_of(self, x: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if x in cls:
-                return i
-        raise KeyError(f"state {x} is transient")
 
 
 def values_of(h, n: int | None = None) -> np.ndarray:

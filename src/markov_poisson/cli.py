@@ -299,6 +299,10 @@ def cmd_simulate(args) -> dict:
         raise SpecFileError("simulate needs exactly one of --spec or --gig1")
     if args.cycles < 1:
         raise SpecFileError(f"--cycles must be at least 1, got {args.cycles}")
+    if args.workers < 1:
+        raise SpecFileError(f"--workers must be at least 1, got {args.workers}")
+    if args.max_steps < 0:
+        raise SpecFileError(f"--max-steps must be at least 0, got {args.max_steps}")
     if args.gig1:
         return _simulate_gig1(args)
     spec = load_chain_spec(args.spec)
@@ -315,13 +319,10 @@ def cmd_simulate(args) -> dict:
     def body(report, checks):
         chain = spec.chain
         f = spec.function("f")
-        if spec.small is None:
+        s = spec.small
+        if s is None:
             raise SpecFileError("simulate needs a 'small_set' declaration")
-        if "v1" in spec.functions:
-            small = _bundle_from_spec(spec).small
-        else:
-            s = spec.small
-            small = _small_set(chain, s["C"], s["m"], s["lam"], s["phi"])
+        small = _small_set(chain, s["C"], s["m"], s["lam"], s["phi"])
         system = CycleSystem(chain, small)
         pi_f = float(system.pi @ f)
         g_exact = system.canonical_solution(f).values
@@ -353,14 +354,13 @@ def cmd_simulate(args) -> dict:
     return _run("simulate", inputs, "simulation_completed", body)
 
 
-def _gig1_model(args, **extra) -> _gig1.GIG1Model:
+def _gig1_model(args) -> _gig1.GIG1Model:
     """The queue model the options describe; a value out of range is a spec-file error."""
     try:
         return _gig1.GIG1Model(
             increment=_gig1.increment_family(args.family, args.mu, args.sigma),
             kappa=args.kappa,
             step=args.grid_step,
-            **extra,
         )
     except ValueError as err:
         raise SpecFileError(str(err)) from None
@@ -397,11 +397,10 @@ def _simulate_gig1(args) -> dict:
 def cmd_gig1(args) -> dict:
     inputs = {
         "family": args.family, "mu": args.mu, "sigma": args.sigma,
-        "kappa": args.kappa, "grid_step": args.grid_step,
-        "tail_sigmas": args.tail_sigmas, "x_max": args.x_max,
+        "kappa": args.kappa, "grid_step": args.grid_step, "x_max": args.x_max,
         "x_points": args.x_points, "seed": args.seed,
     }
-    model = _gig1_model(args, tail_sigmas=args.tail_sigmas)
+    model = _gig1_model(args)
 
     def body(report, checks):
         cert = _gig1.build_certificate(model)
@@ -457,6 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
+    def add_queue(p, kappa):
+        p.add_argument("--family", choices=_gig1.FAMILIES, default="normal",
+                       help="queue increment family")
+        p.add_argument("--mu", type=float, default=-0.5, help="queue increment location")
+        p.add_argument("--sigma", type=float, default=1.0, help="queue increment scale")
+        p.add_argument("--kappa", type=float, default=kappa,
+                       help="queue drift margin parameter, > 1")
+        p.add_argument("--grid-step", type=float, default=0.01, help="queue quadrature spacing")
+
     p = sub.add_parser("verify", help="check certificates declared in a chain-spec")
     p.add_argument("--spec", required=True, help="chain-spec JSON file")
     add_out(p)
@@ -480,22 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-steps", type=int, default=10**8)
-    p.add_argument("--family", choices=_gig1.FAMILIES, default="normal",
-                   help="increment family (--gig1)")
-    p.add_argument("--mu", type=float, default=-0.5, help="increment location (--gig1)")
-    p.add_argument("--sigma", type=float, default=1.0, help="increment scale (--gig1)")
-    p.add_argument("--kappa", type=float, default=2.0, help="drift margin parameter (--gig1)")
-    p.add_argument("--grid-step", type=float, default=0.01)
+    add_queue(p, kappa=2.0)
     add_out(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gig1", help="queueing-example certificate, curves, comparison")
-    p.add_argument("--family", choices=_gig1.FAMILIES, default="normal")
-    p.add_argument("--mu", type=float, default=-0.5)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=1.1)
-    p.add_argument("--grid-step", type=float, default=0.01)
-    p.add_argument("--tail-sigmas", type=float, default=15.0)
+    add_queue(p, kappa=1.1)
     p.add_argument("--x-max", type=float, default=20.0)
     p.add_argument("--x-points", type=int, default=201)
     p.add_argument("--seed", type=int, default=0)

@@ -148,12 +148,6 @@ class QuadratureFailure(ToolkitError):
     code = "quadrature-failure"
 
 
-class InfeasibleX0(ToolkitError):
-    """The drift inequality fails beyond the candidate small-set endpoint."""
-
-    code = "infeasible-x0"
-
-
 class SearchExhausted(ToolkitError):
     """No feasible small-set endpoint exists on the search grid."""
 

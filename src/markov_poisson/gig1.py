@@ -12,14 +12,15 @@ one-step (m = 1) certificate exists on an interval C = [0, x0]:
 * b1 = b2 = sup over x in [0, x0] of (Pv1)(x) - v1(x) + max(f(x), 1); the
   max(., 1) floor lets the same constant serve the unit-charge drift too.
 
-All integrals are trapezoid sums on a uniform grid; for unimodal
+All integrals are trapezoid sums on a uniform grid, over increments
+truncated at mean +- TAIL_SIGMAS standard deviations; for unimodal
 densities the grid infimum (with both interval endpoints on the grid)
 equals the true infimum, because a unimodal function attains its minimum
 over an interval at an endpoint.
 
-Choosing x0 has no closed form. ``build_certificate`` takes the smallest
-grid point such that the drift inequality holds at every larger grid point
-up to an analytic horizon; beyond the horizon the inequality is certified
+Choosing x0 has no closed form. ``build_certificate`` takes the last grid
+point where the drift inequality fails, scanning up to an analytic
+horizon plus HORIZON_PAD; beyond the horizon the inequality is certified
 by the moment bound
 
     v1(x) - max(x, 1) - (Pv1)(x) >= (kappa - 1) x - c1 E[Z^2] - 1  > 0
@@ -44,11 +45,20 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .bounds import envelope_comparison
-from .errors import InfeasibleX0, QuadratureFailure, SearchExhausted
-from .mc import estimate_pif, mean_and_se, run_cycles
+from .errors import QuadratureFailure, SearchExhausted
+from .mc import estimate_gstar, estimate_pif
 
 #: tolerance on the truncated density mass
 MASS_TOL = 1e-6
+
+#: the quadrature truncates the increment support at mean +- TAIL_SIGMAS
+#: standard deviations; the mass check against MASS_TOL bounds what the
+#: truncation (and the grid) lose
+TAIL_SIGMAS = 15.0
+
+#: length scanned past the analytic drift horizon, by the drift-margin
+#: grid of ``build_certificate`` and by ``drift_spot_check``
+HORIZON_PAD = 2.0
 
 #: largest m/lam (a lower bound on the mean split-cycle length) at which
 #: ``mc_validate`` keeps the certificate's split chain. Measured on the
@@ -80,18 +90,14 @@ class GIG1Model:
     """Increment law, drift margin parameter, and quadrature resolution.
 
     ``increment`` is a frozen scipy.stats continuous distribution (its pdf
-    is the increment density h_Z). ``x0`` may be preset; when None it is
-    determined by :func:`build_certificate`. The quadrature grid uses
-    spacing ``step`` and truncates the increment support at mean +-
-    ``tail_sigmas`` standard deviations.
+    is the increment density h_Z). The quadrature grid uses spacing
+    ``step`` and truncates the increment support at mean +- TAIL_SIGMAS
+    standard deviations.
     """
 
     increment: object
     kappa: float
-    x0: float | None = None
     step: float = 0.01
-    tail_sigmas: float = 15.0
-    horizon_pad: float = 2.0
 
     def __post_init__(self):
         mean, var = (float(v) for v in self.increment.stats(moments="mv"))
@@ -101,10 +107,8 @@ class GIG1Model:
             raise ValueError("increment must have a finite second moment")
         if not self.kappa > 1:
             raise ValueError(f"kappa must exceed 1, got {self.kappa}")
-        for name in ("step", "tail_sigmas"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         object.__setattr__(self, "_mean", mean)
         object.__setattr__(self, "_sd", math.sqrt(var))
         zs = self.z_grid()
@@ -115,34 +119,24 @@ class GIG1Model:
             )
 
     @property
-    def mean_z(self) -> float:
-        return self._mean
-
-    @property
-    def second_moment_z(self) -> float:
-        return self._sd**2 + self._mean**2
-
-    @property
     def c1(self) -> float:
         return self.kappa / (2.0 * abs(self._mean))
 
     def h_z(self, z):
         return self.increment.pdf(z)
 
-    def cdf_z(self, z: float) -> float:
-        return float(self.increment.cdf(z))
-
     def v1(self, x):
         return np.maximum(self.c1 * np.square(x), 1.0)
 
     def z_grid(self) -> np.ndarray:
-        lo = self._mean - self.tail_sigmas * self._sd
-        hi = self._mean + self.tail_sigmas * self._sd
+        lo = self._mean - TAIL_SIGMAS * self._sd
+        hi = self._mean + TAIL_SIGMAS * self._sd
         return np.arange(lo, hi + self.step, self.step)
 
     def drift_horizon(self) -> float:
         """Analytic threshold past which the moment bound certifies drift."""
-        tail_start = (self.c1 * self.second_moment_z + 1.0) / (self.kappa - 1.0)
+        second_moment = self._sd**2 + self._mean**2
+        tail_start = (self.c1 * second_moment + 1.0) / (self.kappa - 1.0)
         return max(1.0, 1.0 / math.sqrt(self.c1), tail_start)
 
     def pv1(self, xs: np.ndarray) -> np.ndarray:
@@ -203,41 +197,25 @@ class GIG1Certificate:
 def build_certificate(model: GIG1Model) -> GIG1Certificate:
     """Compute (x0, lam, phi, b1) for C = [0, x0] by quadrature.
 
-    Drift margins are evaluated once, on the grid [0, horizon + pad] (or
-    [0, x0] when a preset x0 lies beyond it). Without a preset, x0 is the
-    smallest grid endpoint with the drift inequality valid at every larger
-    grid point; past the analytic horizon the moment bound in the module
-    docstring certifies the inequality, so the grid scan is exhaustive.
-    Raises SearchExhausted when no grid point works (kappa too close to 1
-    for the truncation), and InfeasibleX0 when the inequality fails on the
-    grid beyond a preset endpoint or x0 is not positive.
+    Drift margins are evaluated once, on the grid [0, horizon +
+    HORIZON_PAD]. x0 is the last grid point with a negative margin, so
+    the drift inequality holds at every larger grid point; past the
+    analytic horizon the moment bound in the module docstring certifies
+    it, so the grid scan is exhaustive. Some point is always negative:
+    the margin at 0 is -(Pv1)(0) <= -(1 - MASS_TOL), and x0 = 0 leaves
+    the atom C = {0}, itself a small set. Raises SearchExhausted when the
+    margin is still negative at the end of the grid.
     """
-    x0 = model.x0
-    horizon = model.drift_horizon() + model.horizon_pad
-    xs = np.arange(0.0, max(horizon, x0 or 0.0) + model.step, model.step)
+    xs = np.arange(0.0, model.drift_horizon() + HORIZON_PAD + model.step, model.step)
     margin = model.drift_margin(xs)
-    if x0 is None:
-        bad = np.flatnonzero(margin < 0.0)
-        if bad.size and bad[-1] == xs.size - 1:
-            raise SearchExhausted(
-                f"drift margin still negative at the horizon {xs[-1]:.3f}"
-            )
-        # C must be a nonempty interval
-        x0 = float(xs[bad[-1]]) if bad.size else float(xs[1])
-    if x0 <= 0:
-        raise InfeasibleX0("x0 must be positive")
-    outside = xs > x0
-    if np.any(margin[outside] < 0.0):
-        x_bad = float(xs[outside][np.argmin(margin[outside])])
-        raise InfeasibleX0(
-            f"drift inequality fails at x = {x_bad:.4f} > x0 = {x0:.4f}"
-        )
-    in_c = ~outside
-    b1 = float(np.max(-margin[in_c]))  # = sup (Pv1) - v1 + max(x, 1) over C
-    if b1 <= 0.0:
-        b1 = 1e-300
+    last = np.flatnonzero(margin < 0.0)[-1]
+    if last == xs.size - 1:
+        raise SearchExhausted(f"drift margin still negative at the horizon {xs[-1]:.3f}")
+    x0 = float(xs[last])
+    # sup (Pv1) - v1 + max(x, 1) over C, at least -margin(0) > 0
+    b1 = float(np.max(-margin[: last + 1]))
 
-    atom = model.cdf_z(-x0)
+    atom = float(model.increment.cdf(-x0))
     zs = model.z_grid()
     ys = np.arange(model.step, x0 + zs[-1] + model.step, model.step)
     c_grid = np.arange(0.0, x0 + model.step / 2, model.step)
@@ -256,7 +234,7 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     ys.flags.writeable = False
     return GIG1Certificate(
         c1=model.c1,
-        x0=float(x0),
+        x0=x0,
         lam=lam,
         b1=b1,
         atom=atom,
@@ -300,7 +278,7 @@ def drift_spot_check(
     (Pv1)(x) - v1(x) + max(x, 1) - b1*I[x <= x0]; the returned maximum
     should not exceed the quadrature tolerance.
     """
-    horizon = model.drift_horizon() + model.horizon_pad
+    horizon = model.drift_horizon() + HORIZON_PAD
     xs = rng.uniform(0.0, horizon, size=n_points)
     violation = -model.drift_margin(xs) - cert.b1 * (xs <= cert.x0)
     return float(violation.max())
@@ -406,9 +384,9 @@ def mc_validate(
       {0} is a small set with m = 1, lam = 1 and phi = P(0, .): an atom
       cycle runs to the first visit of 0 (charged, with f(0) = 0) and
       regenerates with certainty there. pi(f) is the ratio estimator
-      over atom cycles, g_a(x) averages atom cycles from x and phi(g_a)
-      atom cycles started from phi. The standard error adds the three
-      sources by the delta method:
+      over atom cycles, and g_a(x) and phi(g_a) are :func:`estimate_gstar`
+      over atom cycles from x and from phi. The standard error adds the
+      three sources by the delta method:
       Var g_a(x) + Var phi(g_a) + ((E_x len - E_phi len) SE(pi_f))^2.
 
     The scheme depends on the certificate alone: the split chain when
@@ -424,25 +402,28 @@ def mc_validate(
     sc = QueueSampler(model, cert, at_atom=regeneration == "atom")
     pif = estimate_pif(sc, n_cycles, master_seed, workers=workers, max_steps=max_steps)
 
-    # (mean, SE) of sum_f - pi_f * length and the mean length, over the
-    # cycles from x on stream block ``block``
-    def centred(x, block):
-        sums, lengths = run_cycles(
-            sc, x, n_cycles, master_seed, workers, block * n_cycles, max_steps
+    # g* (g_a on the atom scheme) from x, on stream block ``block``
+    def gstar(x, block):
+        return estimate_gstar(
+            sc, x, pif.point, n_cycles, master_seed, workers=workers,
+            stream_offset=block * n_cycles, max_steps=max_steps,
         )
-        point, se = mean_and_se(sums - pif.point * lengths)
-        return point, se, math.fsum(lengths) / n_cycles
 
-    points = [centred(x, k + 1) for k, x in enumerate(x_list)]
+    estimates = [gstar(x, k + 1) for k, x in enumerate(x_list)]
+    points = [(e.point, e.std_error) for e in estimates]
     if regeneration == "atom":
         # the same cycles with starts drawn from the certificate's phi
-        phi_g, phi_se, phi_len = centred(sc.sample_certificate_phi, len(x_list) + 1)
-        for k, (g, se, length) in enumerate(points):
-            var = se**2 + phi_se**2 + ((length - phi_len) * pif.std_error) ** 2
-            points[k] = (g - phi_g, math.sqrt(var), length)
+        phi = gstar(sc.sample_certificate_phi, len(x_list) + 1)
+        points = [
+            (e.point - phi.point, math.sqrt(
+                e.std_error**2 + phi.std_error**2
+                + ((e.mean_length - phi.mean_length) * pif.std_error) ** 2
+            ))
+            for e in estimates
+        ]
     rows = []
     all_inside = True
-    for x, (point, se, _) in zip(x_list, points):
+    for x, (point, se) in zip(x_list, points):
         envelope = float(cert.v1(np.asarray(x)) + cert.b1 / cert.lam)
         lower, upper = -cert.b1 * envelope, envelope
         inside = point >= lower - 3.0 * se and point <= upper + 3.0 * se

@@ -131,12 +131,11 @@ class CycleStreams:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A point estimate with its standard error and provenance."""
+    """A point estimate, its standard error and the mean length of its cycles."""
 
     point: float
     std_error: float
-    n_cycles: int
-    seed: int
+    mean_length: float
 
 
 def _run_lanes(sc, x0, streams: CycleStreams, max_steps: int):
@@ -278,7 +277,7 @@ def estimate_gstar(
     """
     sums, lengths = run_cycles(sc, x0, n_cycles, master_seed, workers, stream_offset, max_steps)
     point, se = mean_and_se(sums - pi_f * lengths)
-    return MCEstimate(point=point, std_error=se, n_cycles=n_cycles, seed=master_seed)
+    return MCEstimate(point, se, math.fsum(lengths) / n_cycles)
 
 
 def estimate_pif(
@@ -296,14 +295,15 @@ def estimate_pif(
     length * sqrt(n)), floored at 2 eps |r| as in :func:`mean_and_se`.
     """
     sums, lengths = run_cycles(sc, None, n_cycles, master_seed, workers, stream_offset, max_steps)
-    r = math.fsum(sums) / math.fsum(lengths)
+    total_length = math.fsum(lengths)
+    r = math.fsum(sums) / total_length
     if n_cycles > 1:
         resid = sums - r * lengths
         se = float(resid.std(ddof=1) / (lengths.mean() * np.sqrt(n_cycles)))
         se = max(se, 2.0 * EPS * abs(r))
     else:
         se = 0.0
-    return MCEstimate(point=r, std_error=se, n_cycles=n_cycles, seed=master_seed)
+    return MCEstimate(r, se, total_length / n_cycles)
 
 
 def _inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -22,8 +22,6 @@ def test_state_function_validation():
     assert sf.values.tolist() == [1.0, -2.0]
     with pytest.raises(NegativityViolation):
         StateFunction(values=[1.0, np.nan])
-    with pytest.raises(NegativityViolation):
-        StateFunction(values=[1.0, -2.0], nonnegative=True)
 
 
 def test_distribution_validation():

@@ -1,13 +1,16 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from markov_poisson.cli import main
+from markov_poisson.cli import build_parser, main
 from markov_poisson.specfile import dumps_canonical, parse_chain_spec
 
-BUNDLED_SPEC = Path(__file__).resolve().parents[1] / "demos" / "specs" / "running_example.json"
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_SPEC = ROOT / "demos" / "specs" / "running_example.json"
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +120,16 @@ def test_gig1_simulate_mode(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["estimates"]["all_inside"] is True
+    # the same queue options describe the same model in both commands
+    queue = ["--family", "logistic", "--mu", "-0.4", "--sigma", "0.8", "--kappa", "2.5"]
+    code, out = run_cli(capsys, "gig1", *queue)
+    assert code == 0
+    certificate = json.loads(out)["certificate"]
+    code, out = run_cli(capsys, "simulate", "--gig1", *queue, "--x0", "1", "--cycles", "200")
+    assert code == 0
+    simulated = json.loads(out)["certificate"]
+    for key in ("x0", "lambda", "b1", "c1"):
+        assert simulated[key] == certificate[key], key
 
 
 def test_inputs_echo_round_trips(capsys):
@@ -150,22 +163,40 @@ def test_simulate_requires_exactly_one_mode(capsys):
         ["--spec", str(BUNDLED_SPEC), "--x0", "-1"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1.5"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--cycles", "0"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--workers", "0"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--workers", "-3"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--max-steps", "-1"],
         ["--gig1", "--x0", "abc"],
         ["--gig1", "--x0", "-3"],
         ["--gig1", "--x0", "nan"],
         ["--gig1", "--x0", "inf"],
         ["--gig1", "--x0", "1", "--cycles", "0"],
+        ["--gig1", "--x0", "1", "--workers", "0"],
+        ["--gig1", "--x0", "1", "--max-steps", "-1"],
     ],
     ids=lambda argv: " ".join(a for a in argv if a != str(BUNDLED_SPEC)),
 )
 def test_simulate_rejects_start_state_and_cycle_count_out_of_range(capsys, argv):
     # the state index must lie in 0..n-1 (n = 2 here), the waiting time
-    # must be finite and >= 0, and at least one cycle must run
+    # must be finite and >= 0, at least one cycle must run in at least one
+    # worker, and the step budget cannot be negative
     code, out = run_cli(capsys, "simulate", *argv)
     assert code == 2
     report = json.loads(out)
     assert report["passed"] is False
     assert report["error"]["code"] == "spec-file-error"
+
+
+def test_simulate_spec_needs_only_f_and_small_set(tmp_path, capsys):
+    # simulate never reads drift functions, so a spec with v1 and no v2 runs
+    doc = json.loads(BUNDLED_SPEC.read_text())
+    doc["functions"] = {"f": doc["functions"]["f"], "v1": doc["functions"]["v1"]}
+    spec = tmp_path / "no_v2.json"
+    spec.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "simulate", "--spec", str(spec), "--x0", "1",
+                        "--cycles", "500", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_simulate_spec_honours_max_steps(capsys):
@@ -208,7 +239,7 @@ def test_errors_before_any_report_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "potential", "--spec", str(bad))
     assert (code, json.loads(out)["error"]["code"]) == (2, "row-sum-violation")
-    code, out = run_cli(capsys, "gig1", "--tail-sigmas", "1.5")
+    code, out = run_cli(capsys, "gig1", "--family", "laplace")
     assert (code, json.loads(out)["error"]["code"]) == (2, "quadrature-failure")
 
 
@@ -261,3 +292,17 @@ def test_potential_solves_for_pi_once(capsys, monkeypatch):
     code, _ = run_cli(capsys, "potential", "--spec", str(BUNDLED_SPEC))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_readme_command_line_lists_only_existing_options():
+    # every --option the README's command-line section names is an option
+    # of some subcommand, so a removed option cannot linger in the docs
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Command line"):text.index("## Numerical conventions")]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    known = {opt for p in subcommands.choices.values() for opt in p._option_string_actions}
+    assert documented, "no options found in the README's command-line section"
+    assert documented <= known, sorted(documented - known)

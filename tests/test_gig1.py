@@ -3,12 +3,7 @@ import pytest
 from scipy import stats
 
 from markov_poisson import gig1
-from markov_poisson.errors import (
-    InfeasibleX0,
-    MaxStepsExceeded,
-    QuadratureFailure,
-    SearchExhausted,
-)
+from markov_poisson.errors import MaxStepsExceeded, QuadratureFailure, SearchExhausted
 from markov_poisson.gig1 import (
     SPLIT_MAX_CYCLE,
     GIG1Model,
@@ -16,6 +11,7 @@ from markov_poisson.gig1 import (
     bound_curves,
     build_certificate,
     drift_spot_check,
+    increment_family,
     mc_validate,
 )
 from markov_poisson.mc import CycleStreams, estimate_pif, run_cycles
@@ -42,13 +38,13 @@ def test_model_validation():
         GIG1Model(increment=stats.norm(0.5, 1.0), kappa=2.0)
     with pytest.raises(ValueError):
         GIG1Model(kappa=1.0, **STANDARD)
+    # at the default step the trapezoid rule gives the laplace density,
+    # kinked at its mode, mass 0.99999745: outside MASS_TOL
     with pytest.raises(QuadratureFailure):
-        GIG1Model(kappa=2.0, tail_sigmas=1.5, **STANDARD)
+        GIG1Model(increment=increment_family("laplace", -0.5, 1.0), kappa=2.0)
     for bad in (0.0, -0.01, np.nan, np.inf):
         with pytest.raises(ValueError, match="step"):
             GIG1Model(kappa=2.0, step=bad, **STANDARD)
-        with pytest.raises(ValueError, match="tail_sigmas"):
-            GIG1Model(kappa=2.0, tail_sigmas=bad, **STANDARD)
 
 
 def test_tight_certificate_regression_values(cert_tight):
@@ -66,15 +62,9 @@ def test_atom_is_tail_mass_below_minus_x0(cert_tight):
     assert cert.atom == pytest.approx(model.increment.cdf(-cert.x0), rel=1e-12)
 
 
-def test_infeasible_preset_endpoint():
-    # kappa barely above 1 leaves a thin margin; C = [0, 1] is far too small
-    model = GIG1Model(kappa=1.2, x0=1.0, **STANDARD)
-    with pytest.raises(InfeasibleX0):
-        build_certificate(model)
-
-
-def test_search_exhausted_when_horizon_cut_short():
-    model = GIG1Model(kappa=1.1, horizon_pad=-20.0, **STANDARD)
+def test_search_exhausted_when_horizon_cut_short(monkeypatch):
+    monkeypatch.setattr(gig1, "HORIZON_PAD", -20.0)
+    model = GIG1Model(kappa=1.1, **STANDARD)
     with pytest.raises(SearchExhausted):
         build_certificate(model)
 
@@ -238,8 +228,6 @@ def test_non_normal_family_pipeline():
     # the quadrature and the generic inverse-CDF sampler handle any
     # continuous positive density; laplace exercises the fallback path
     # (its kink needs a finer grid to clear the mass tolerance)
-    from markov_poisson.gig1 import increment_family
-
     model = GIG1Model(increment=increment_family("laplace", -0.5, 1.0), kappa=2.0, step=0.004)
     cert = build_certificate(model)
     assert 0.0 < cert.lam < 1.0
@@ -252,8 +240,6 @@ def test_non_normal_family_pipeline():
 
 
 def test_unknown_family_rejected():
-    from markov_poisson.gig1 import increment_family
-
     with pytest.raises(ValueError):
         increment_family("cauchy", -0.5, 1.0)
 
