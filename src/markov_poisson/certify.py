@@ -113,10 +113,6 @@ class CertificateBundle:
         return self.small.phi
 
     @property
-    def f(self) -> np.ndarray:
-        return self.drift1.f
-
-    @property
     def v1(self) -> np.ndarray:
         return self.drift1.v
 

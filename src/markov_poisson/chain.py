@@ -44,13 +44,10 @@ class FiniteChain:
     kernel : (n, n) ndarray
         Transition probabilities; every entry >= 0 and every row sums
         to 1 within ``ATOL``. Read-only.
-    labels : tuple of str, optional
-        State names used in reports.
     """
 
     n: int
     kernel: np.ndarray
-    labels: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ class Distribution:
         np.clip(mass, 0.0, None, out=mass)
         total = mass.sum()
         if abs(total - 1.0) > ATOL:
-            raise RowSumViolation(row=-1, deficit=total - 1.0)
+            raise RowSumViolation("distribution", total - 1.0)
         mass /= total
         mass.flags.writeable = False
         object.__setattr__(self, "mass", mass)
@@ -106,7 +103,7 @@ def values_of(h, n: int | None = None) -> np.ndarray:
     return vals
 
 
-def validate_chain(kernel, labels=None) -> FiniteChain:
+def validate_chain(kernel) -> FiniteChain:
     """Validate a square matrix as a transition kernel.
 
     Entries below -ATOL raise :class:`NegativeEntry`; tiny negative
@@ -132,11 +129,7 @@ def validate_chain(kernel, labels=None) -> FiniteChain:
         raise RowSumViolation(row=row, deficit=float(sums[row] - 1.0))
     P /= sums[:, None]
     P.flags.writeable = False
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != n:
-            raise ValueError("labels length does not match state count")
-    return FiniteChain(n=n, kernel=P, labels=labels)
+    return FiniteChain(n=n, kernel=P)
 
 
 def recurrent_structure(chain: FiniteChain):

@@ -7,14 +7,20 @@ per assertion. Reports are bit-faithful: floats carry 17 significant
 digits, and Monte Carlo results embed their master seed, so re-running
 a command with the echoed inputs reproduces the report byte for byte.
 
-Exit codes: 0 all assertions passed, 1 an assertion failed or a domain
-error was reported, 2 the inputs could not be parsed or were rejected
-before any computation.
+Every command shares one skeleton, :func:`main`. The command reads its
+inputs and returns ``(inputs, failure_name, body)``; ``body(report,
+checks)`` fills the report and records assertions. Exit codes: 0 all
+assertions passed; 1 an assertion failed, or ``body`` raised a
+ToolkitError, reported as the ``error`` entry plus a failed
+``failure_name`` assertion; 2 a ToolkitError while reading the inputs
+(a spec file that cannot be read or parsed, an option out of range),
+reported as ``command``, ``error`` and ``passed`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -34,38 +40,12 @@ TOL_ASSERT = 1e-10
 TOL_IDENTITY = 1e-8
 
 
-class _Assertions:
-    def __init__(self):
-        self.items = []
-
+class _Assertions(list):
     def check(self, name: str, passed: bool, detail=None):
         entry = {"name": name, "passed": bool(passed)}
         if detail is not None:
             entry["detail"] = detail
-        self.items.append(entry)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item["passed"] for item in self.items)
-
-
-def _run(command: str, inputs: dict, failure_name: str, body) -> dict:
-    """The report skeleton every command shares.
-
-    ``body(report, checks)`` fills the report and records assertions; a
-    ToolkitError it raises becomes the report's ``error`` entry plus a
-    failed ``failure_name`` assertion.
-    """
-    report = {"command": command, "inputs": inputs}
-    checks = _Assertions()
-    try:
-        body(report, checks)
-    except ToolkitError as err:
-        report["error"] = {"code": err.code, "message": str(err)}
-        checks.check(failure_name, False, str(err))
-    report["assertions"] = checks.items
-    report["passed"] = checks.all_passed
-    return report
+        self.append(entry)
 
 
 def _bundle_from_spec(spec):
@@ -74,10 +54,7 @@ def _bundle_from_spec(spec):
     v2 = spec.function("v2")
     if spec.small is None:
         raise SpecFileError("this command needs a 'small_set' declaration")
-    small = spec.small
-    return verify_bundle(
-        spec.chain, f, v1, v2, small["C"], small["m"], small["lam"], small["phi"]
-    )
+    return verify_bundle(spec.chain, f, v1, v2, **spec.small)
 
 
 def _potential_cert_from_spec(spec, bundle):
@@ -102,26 +79,13 @@ def _certificates(bundle, pot_cert) -> dict:
     return certs
 
 
-def cmd_verify(args) -> dict:
-    spec = load_chain_spec(args.spec)
-
-    def body(report, checks):
-        bundle = _bundle_from_spec(spec)
-        checks.check("drift_minorization_certificate", True)
-        pot_cert = _potential_cert_from_spec(spec, bundle)
-        if pot_cert is not None:
-            checks.check("second_level_certificate", True)
-        report["certificates"] = _certificates(bundle, pot_cert)
-
-    return _run("verify", {"spec": spec.document}, "drift_minorization_certificate", body)
-
-
-def cmd_solve(args) -> dict:
-    spec = load_chain_spec(args.spec)
-    return _run(
-        "solve", {"spec": spec.document}, "solve_completed",
-        lambda report, checks: _solve_body(spec, report, checks),
-    )
+def _verify_body(spec, report, checks):
+    bundle = _bundle_from_spec(spec)
+    checks.check("drift_minorization_certificate", True)
+    pot_cert = _potential_cert_from_spec(spec, bundle)
+    if pot_cert is not None:
+        checks.check("second_level_certificate", True)
+    report["certificates"] = _certificates(bundle, pot_cert)
 
 
 def _solve_body(spec, report, checks):
@@ -215,14 +179,6 @@ def _solve_body(spec, report, checks):
     }
 
 
-def cmd_potential(args) -> dict:
-    spec = load_chain_spec(args.spec)
-    return _run(
-        "potential", {"spec": spec.document}, "potential_residual",
-        lambda report, checks: _potential_body(spec, report, checks),
-    )
-
-
 def _potential_body(spec, report, checks):
     chain = spec.chain
     f = spec.function("f")
@@ -272,6 +228,22 @@ def _potential_body(spec, report, checks):
                 checks.check("truncation_gap_bounds", False, str(err))
 
 
+#: the commands that read one chain-spec: (name, help, body, failure name)
+SPEC_COMMANDS = (
+    ("verify", "check certificates declared in a chain-spec", _verify_body,
+     "drift_minorization_certificate"),
+    ("solve", "exact solution, occupation law, and all bounds", _solve_body, "solve_completed"),
+    ("potential", "block-truncated potential sum and its gap", _potential_body,
+     "potential_residual"),
+)
+
+
+def cmd_spec(args, body, failure_name):
+    """A command of SPEC_COMMANDS: load the spec, echo it, run ``body`` on it."""
+    spec = load_chain_spec(args.spec)
+    return {"spec": spec.document}, failure_name, functools.partial(body, spec)
+
+
 def _state_index(text: str, n: int) -> int:
     """--x0 with --spec: a state index in 0..n-1."""
     try:
@@ -294,7 +266,22 @@ def _waiting_time(text: str) -> float:
     return x0
 
 
-def cmd_simulate(args) -> dict:
+def _gig1_model(args) -> tuple[_gig1.GIG1Model, dict]:
+    """The queue model the options describe and their echo; a bad value is a spec-file error."""
+    try:
+        model = _gig1.GIG1Model(
+            increment=_gig1.increment_family(args.family, args.mu, args.sigma),
+            kappa=args.kappa,
+            step=args.grid_step,
+        )
+    except ValueError as err:
+        raise SpecFileError(str(err)) from None
+    return model, {"family": args.family, "mu": args.mu, "sigma": args.sigma,
+                   "kappa": args.kappa, "grid_step": args.grid_step}
+
+
+def cmd_simulate(args):
+    """Regenerative Monte Carlo on a chain-spec (--spec) or on the queue (--gig1)."""
     if (args.spec is None) == (not args.gig1):
         raise SpecFileError("simulate needs exactly one of --spec or --gig1")
     if args.cycles < 1:
@@ -304,103 +291,76 @@ def cmd_simulate(args) -> dict:
     if args.max_steps < 0:
         raise SpecFileError(f"--max-steps must be at least 0, got {args.max_steps}")
     if args.gig1:
-        return _simulate_gig1(args)
-    spec = load_chain_spec(args.spec)
-    x0 = _state_index(args.x0, spec.chain.n)
+        x0 = _waiting_time(args.x0)
+        model, queue = _gig1_model(args)
+        mode = {"gig1": queue}
+        body = functools.partial(_simulate_queue, model, x0, args)
+    else:
+        spec = load_chain_spec(args.spec)
+        x0 = _state_index(args.x0, spec.chain.n)
+        mode = {"spec": spec.document}
+        body = functools.partial(_simulate_chain, spec, x0, args)
     inputs = {
-        "spec": spec.document,
+        **mode,
         "x0": args.x0,
         "cycles": args.cycles,
         "seed": args.seed,
         "workers": args.workers,
         "max_steps": args.max_steps,
     }
-
-    def body(report, checks):
-        chain = spec.chain
-        f = spec.function("f")
-        s = spec.small
-        if s is None:
-            raise SpecFileError("simulate needs a 'small_set' declaration")
-        small = _small_set(chain, s["C"], s["m"], s["lam"], s["phi"])
-        system = CycleSystem(chain, small)
-        pi_f = float(system.pi @ f)
-        g_exact = system.canonical_solution(f).values
-        sc = FiniteChainSampler(system, f)
-        pif_est = estimate_pif(sc, args.cycles, args.seed, workers=args.workers,
-                               max_steps=args.max_steps)
-        g_est = estimate_gstar(
-            sc, x0, pi_f, args.cycles, args.seed,
-            workers=args.workers, stream_offset=args.cycles, max_steps=args.max_steps,
-        )
-        report["estimates"] = {
-            "pi_f": {"point": pif_est.point, "std_error": pif_est.std_error},
-            "g_star_x0": {"point": g_est.point, "std_error": g_est.std_error},
-            "exact": {"pi_f": pi_f, "g_star_x0": float(g_exact[x0])},
-            "n_cycles": args.cycles,
-            "seed": args.seed,
-        }
-        checks.check(
-            "mc_matches_exact_gstar",
-            abs(g_est.point - g_exact[x0]) <= 3.0 * g_est.std_error,
-            g_est.point - float(g_exact[x0]),
-        )
-        checks.check(
-            "mc_matches_exact_pif",
-            abs(pif_est.point - pi_f) <= 3.0 * pif_est.std_error,
-            pif_est.point - pi_f,
-        )
-
-    return _run("simulate", inputs, "simulation_completed", body)
+    return inputs, "simulation_completed", body
 
 
-def _gig1_model(args) -> _gig1.GIG1Model:
-    """The queue model the options describe; a value out of range is a spec-file error."""
-    try:
-        return _gig1.GIG1Model(
-            increment=_gig1.increment_family(args.family, args.mu, args.sigma),
-            kappa=args.kappa,
-            step=args.grid_step,
-        )
-    except ValueError as err:
-        raise SpecFileError(str(err)) from None
-
-
-def _simulate_gig1(args) -> dict:
-    x0 = _waiting_time(args.x0)
-    model = _gig1_model(args)
-    inputs = {
-        "gig1": {"family": args.family, "mu": args.mu, "sigma": args.sigma,
-                 "kappa": args.kappa, "grid_step": args.grid_step},
-        "x0": args.x0,
-        "cycles": args.cycles,
+def _simulate_chain(spec, x0, args, report, checks):
+    chain = spec.chain
+    f = spec.function("f")
+    if spec.small is None:
+        raise SpecFileError("simulate needs a 'small_set' declaration")
+    system = CycleSystem(chain, _small_set(chain, **spec.small))
+    pi_f = float(system.pi @ f)
+    g_exact = system.canonical_solution(f).values
+    sc = FiniteChainSampler(system, f)
+    pif_est = estimate_pif(sc, args.cycles, args.seed, workers=args.workers,
+                           max_steps=args.max_steps)
+    g_est = estimate_gstar(
+        sc, x0, pi_f, args.cycles, args.seed,
+        workers=args.workers, stream_offset=args.cycles, max_steps=args.max_steps,
+    )
+    report["estimates"] = {
+        "pi_f": {"point": pif_est.point, "std_error": pif_est.std_error},
+        "g_star_x0": {"point": g_est.point, "std_error": g_est.std_error},
+        "exact": {"pi_f": pi_f, "g_star_x0": float(g_exact[x0])},
+        "n_cycles": args.cycles,
         "seed": args.seed,
-        "workers": args.workers,
-        "max_steps": args.max_steps,
     }
-
-    def body(report, checks):
-        cert = _gig1.build_certificate(model)
-        result = _gig1.mc_validate(
-            model, cert, [x0], args.cycles, args.seed,
-            workers=args.workers, max_steps=args.max_steps,
-        )
-        report["certificate"] = {
-            "x0": cert.x0, "lambda": cert.lam, "b1": cert.b1, "c1": cert.c1,
-        }
-        report["estimates"] = result
-        checks.check("estimates_inside_envelope", result["all_inside"])
-
-    return _run("simulate", inputs, "simulation_completed", body)
+    checks.check(
+        "mc_matches_exact_gstar",
+        abs(g_est.point - g_exact[x0]) <= 3.0 * g_est.std_error,
+        g_est.point - float(g_exact[x0]),
+    )
+    checks.check(
+        "mc_matches_exact_pif",
+        abs(pif_est.point - pi_f) <= 3.0 * pif_est.std_error,
+        pif_est.point - pi_f,
+    )
 
 
-def cmd_gig1(args) -> dict:
-    inputs = {
-        "family": args.family, "mu": args.mu, "sigma": args.sigma,
-        "kappa": args.kappa, "grid_step": args.grid_step, "x_max": args.x_max,
-        "x_points": args.x_points, "seed": args.seed,
+def _simulate_queue(model, x0, args, report, checks):
+    cert = _gig1.build_certificate(model)
+    result = _gig1.mc_validate(
+        model, cert, [x0], args.cycles, args.seed,
+        workers=args.workers, max_steps=args.max_steps,
+    )
+    report["certificate"] = {
+        "x0": cert.x0, "lambda": cert.lam, "b1": cert.b1, "c1": cert.c1,
     }
-    model = _gig1_model(args)
+    report["estimates"] = result
+    checks.check("estimates_inside_envelope", result["all_inside"])
+
+
+def cmd_gig1(args):
+    model, queue = _gig1_model(args)
+    inputs = {**queue, "x_max": args.x_max, "x_points": args.x_points, "seed": args.seed}
 
     def body(report, checks):
         cert = _gig1.build_certificate(model)
@@ -442,7 +402,7 @@ def cmd_gig1(args) -> dict:
             )
             report["curve_file"] = args.curves
 
-    return _run("gig1", inputs, "certificate_built", body)
+    return inputs, "certificate_built", body
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,9 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
         "Monte Carlo for Poisson's equation on Markov chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", required=True, help="chain-spec JSON file")
 
     def add_queue(p, kappa):
         p.add_argument("--family", choices=_gig1.FAMILIES, default="normal",
@@ -465,22 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="queue drift margin parameter, > 1")
         p.add_argument("--grid-step", type=float, default=0.01, help="queue quadrature spacing")
 
-    p = sub.add_parser("verify", help="check certificates declared in a chain-spec")
-    p.add_argument("--spec", required=True, help="chain-spec JSON file")
-    add_out(p)
-    p.set_defaults(func=cmd_verify)
+    for name, help_, body, failure_name in SPEC_COMMANDS:
+        p = sub.add_parser(name, help=help_, parents=[spec, out])
+        p.set_defaults(func=functools.partial(cmd_spec, body=body, failure_name=failure_name))
 
-    p = sub.add_parser("solve", help="exact solution, occupation law, and all bounds")
-    p.add_argument("--spec", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("potential", help="block-truncated potential sum and its gap")
-    p.add_argument("--spec", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_potential)
-
-    p = sub.add_parser("simulate", help="regenerative Monte Carlo estimates")
+    p = sub.add_parser("simulate", help="regenerative Monte Carlo estimates", parents=[out])
     p.add_argument("--spec", default=None, help="finite-chain spec file")
     p.add_argument("--gig1", action="store_true", help="simulate the queueing example instead")
     p.add_argument("--x0", required=True, help="starting state (index, or waiting time with --gig1)")
@@ -489,36 +439,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-steps", type=int, default=10**8)
     add_queue(p, kappa=2.0)
-    add_out(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("gig1", help="queueing-example certificate, curves, comparison")
+    p = sub.add_parser("gig1", help="queueing-example certificate, curves, comparison",
+                       parents=[out])
     add_queue(p, kappa=1.1)
     p.add_argument("--x-max", type=float, default=20.0)
     p.add_argument("--x-points", type=int, default=201)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--curves", default=None, help="write bound curves as columnar text here")
-    add_out(p)
     p.set_defaults(func=cmd_gig1)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report = {"command": args.command}
+    checks = None
     try:
-        report = args.func(args)
-    except ToolkitError as err:  # raised while reading the inputs, before any report
-        sys.stdout.write(
-            dumps_canonical(
-                {"command": args.command, "error": {"code": err.code, "message": str(err)},
-                 "passed": False}
-            )
-            + "\n"
-        )
-        return 2
+        inputs, failure_name, body = args.func(args)
+        report["inputs"] = inputs
+        checks = _Assertions()
+        body(report, checks)
+    except ToolkitError as err:
+        report["error"] = {"code": err.code, "message": str(err)}
+        if checks is None:  # the inputs were rejected before any computation
+            report["passed"] = False
+            sys.stdout.write(dumps_canonical(report) + "\n")
+            return 2
+        checks.check(failure_name, False, str(err))
+    report["assertions"] = checks
+    report["passed"] = all(item["passed"] for item in checks)
     text = dumps_canonical(report) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -12,10 +12,6 @@ class ToolkitError(Exception):
 
     code = "toolkit-error"
 
-    def __init__(self, message: str, **context):
-        super().__init__(message)
-        self.context = context
-
 
 class NegativeEntry(ToolkitError):
     """A transition kernel entry is negative beyond tolerance."""
@@ -24,16 +20,16 @@ class NegativeEntry(ToolkitError):
 
 
 class RowSumViolation(ToolkitError):
-    """A kernel row does not sum to one within tolerance."""
+    """A kernel row or a probability vector does not sum to one within tolerance.
+
+    ``row`` is the kernel row's index, or a name for the probability vector.
+    """
 
     code = "row-sum-violation"
 
-    def __init__(self, row: int, deficit: float):
-        super().__init__(
-            f"row {row} sums to 1{deficit:+.3e}; |deficit| exceeds tolerance",
-            row=row,
-            deficit=deficit,
-        )
+    def __init__(self, row: int | str, deficit: float):
+        where = row if isinstance(row, str) else f"row {row}"
+        super().__init__(f"{where} sums to 1{deficit:+.3e}; |deficit| exceeds tolerance")
         self.row = row
         self.deficit = deficit
 
@@ -61,8 +57,7 @@ class DriftViolation(ToolkitError):
         worst = max(self.residuals)
         super().__init__(
             f"drift inequality fails outside C at states {self.states} "
-            f"(worst residual {worst:.3e})",
-            states=self.states,
+            f"(worst residual {worst:.3e})"
         )
 
 
@@ -96,7 +91,7 @@ class Unreachable(ToolkitError):
     code = "unreachable"
 
     def __init__(self, state: int):
-        super().__init__(f"state {state} cannot reach the small set", state=state)
+        super().__init__(f"state {state} cannot reach the small set")
         self.state = state
 
 
@@ -122,7 +117,7 @@ class MaxStepsExceeded(ToolkitError):
     code = "max-steps-exceeded"
 
     def __init__(self, steps: int):
-        super().__init__(f"cycle exceeded {steps} steps without regenerating", steps=steps)
+        super().__init__(f"cycle exceeded {steps} steps without regenerating")
         self.steps = steps
 
 
@@ -138,7 +133,7 @@ class BoundViolation(ToolkitError):
     code = "bound-violation"
 
     def __init__(self, state, message):
-        super().__init__(message, state=state)
+        super().__init__(message)
         self.state = state
 
 
@@ -162,5 +157,5 @@ class SpecFileError(ToolkitError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
-        super().__init__(message, line=line)
+        super().__init__(message)
         self.line = line

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Distribution, FiniteChain, validate_chain
-from .errors import SpecFileError
+from .errors import RowSumViolation, SpecFileError
 
 _TOP_KEYS = {"states", "labels", "kernel", "functions", "distributions", "small_set"}
 _SMALL_KEYS = {"C", "m", "lambda", "phi"}
@@ -32,7 +32,6 @@ class ChainSpec:
 
     chain: FiniteChain
     functions: dict
-    distributions: dict
     small: dict | None
     document: dict
 
@@ -60,6 +59,14 @@ def _vector(obj, n: int, what: str) -> np.ndarray:
     return vec
 
 
+def _distribution(obj, n: int, what: str) -> np.ndarray:
+    """A probability vector; a total away from 1 names the spec entry."""
+    try:
+        return Distribution(mass=_vector(obj, n, what)).mass
+    except RowSumViolation as err:
+        raise RowSumViolation(what, err.deficit) from None
+
+
 def parse_chain_spec(text: str) -> ChainSpec:
     """Parse and validate a chain-spec document from JSON text."""
     try:
@@ -85,14 +92,14 @@ def parse_chain_spec(text: str) -> ChainSpec:
             isinstance(labels, list) and len(labels) == n,
             f"'labels' must list {n} names",
         )
-    chain = validate_chain(np.vstack(rows), labels=labels)
+    chain = validate_chain(np.vstack(rows))
 
     functions = {}
     for name, vals in (doc.get("functions") or {}).items():
         functions[name] = _vector(vals, n, f"function {name!r}")
     distributions = {}
     for name, vals in (doc.get("distributions") or {}).items():
-        distributions[name] = Distribution(mass=_vector(vals, n, f"distribution {name!r}")).mass
+        distributions[name] = _distribution(vals, n, f"distribution {name!r}")
 
     small = None
     if "small_set" in doc:
@@ -120,7 +127,7 @@ def parse_chain_spec(text: str) -> ChainSpec:
             _require(phi in distributions, f"small_set phi references unknown distribution {phi!r}")
             phi = distributions[phi]
         elif phi is not None:
-            phi = Distribution(mass=_vector(phi, n, "small_set phi")).mass
+            phi = _distribution(phi, n, "small_set phi")
         _require(
             (lam is None) == (phi is None),
             "small_set must give both 'lambda' and 'phi', or neither",
@@ -130,15 +137,19 @@ def parse_chain_spec(text: str) -> ChainSpec:
     return ChainSpec(
         chain=chain,
         functions=functions,
-        distributions=distributions,
         small=small,
         document=doc,
     )
 
 
 def load_chain_spec(path) -> ChainSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_chain_spec(fh.read())
+    """Read and parse a chain-spec file; a file that cannot be read is a spec-file error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise SpecFileError(f"cannot read spec file: {err}") from None
+    return parse_chain_spec(text)
 
 
 def _fmt_float(x: float) -> str:

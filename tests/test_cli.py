@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -306,3 +309,203 @@ def test_readme_command_line_lists_only_existing_options():
     known = {opt for p in subcommands.choices.values() for opt in p._option_string_actions}
     assert documented, "no options found in the README's command-line section"
     assert documented <= known, sorted(documented - known)
+
+
+def spec_variant(tmp_path, **edits):
+    """The running example with ``doc[section][key] = value`` for each edit, as a file."""
+    doc = json.loads(BUNDLED_SPEC.read_text())
+    for section, entries in edits.items():
+        for key, value in entries.items():
+            doc.setdefault(section, {})[key] = value
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_verify_bundled_spec(capsys):
+    code, out = run_cli(capsys, "verify", "--spec", str(BUNDLED_SPEC))
+    assert code == 0
+    report = json.loads(out)
+    certs = report["certificates"]
+    assert (certs["b1"], certs["b2"], certs["b3"], certs["b4"]) == (2.5, 3.0, 9.0, 11.0)
+    assert report["assertions"] == [
+        {"name": "drift_minorization_certificate", "passed": True},
+        {"name": "second_level_certificate", "passed": True},
+    ]
+
+
+def test_solve_with_a_pinned_minorization(tmp_path, capsys):
+    # phi named from "distributions": P(0, .) = (1/2, 1/2) >= 1 * phi holds
+    spec = spec_variant(tmp_path, distributions={"half": [0.5, 0.5]},
+                        small_set={"lambda": 1, "phi": "half"})
+    code, out = run_cli(capsys, "solve", "--spec", spec)
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert (report["certificates"]["lambda"], report["certificates"]["phi"]) == (1.0, [0.5, 0.5])
+    # an inline phi that P(0, .) does not dominate: 1/2 < 3/4 at state 1
+    spec = spec_variant(tmp_path, small_set={"lambda": 1, "phi": [0.25, 0.75]})
+    code, out = run_cli(capsys, "solve", "--spec", spec)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["code"] == "minorization-violation"
+    assert report["assertions"] == [
+        {"name": "solve_completed", "passed": False, "detail": report["error"]["message"]}
+    ]
+
+
+def test_potential_reports_drift_violation_of_v3(tmp_path, capsys):
+    # v3 is charged by v1 = (1, 4): off C it needs v3(1) >= v3(0) + 16
+    spec = spec_variant(tmp_path, functions={"v3": [1.0, 10.0]})
+    code, out = run_cli(capsys, "potential", "--spec", spec)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["code"] == "drift-violation"
+    assert report["assertions"][-1]["name"] == "potential_residual"
+    assert report["assertions"][-1]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "content", [None, b'{"states": 1, "labels": ["\xe9"], "kernel": [[1.0]]}'],
+    ids=["missing", "not-utf-8"],
+)
+@pytest.mark.parametrize(
+    "command", [["verify"], ["solve"], ["potential"], ["simulate", "--x0", "0"]], ids=" ".join
+)
+def test_unreadable_spec_file_is_an_input_error(tmp_path, capsys, command, content):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out = run_cli(capsys, *command, "--spec", str(path))
+    assert code == 2
+    report = json.loads(out)
+    assert list(report) == ["command", "error", "passed"]
+    assert report["error"]["code"] == "spec-file-error"
+
+
+@pytest.mark.parametrize(
+    "edits, entry",
+    [
+        ({"distributions": {"d": [0.5, 0.6]}}, "distribution 'd'"),
+        ({"small_set": {"lambda": 1, "phi": [0.5, 0.6]}}, "small_set phi"),
+    ],
+    ids=["distribution", "phi"],
+)
+def test_bad_distribution_mass_names_the_spec_entry(tmp_path, capsys, edits, entry):
+    code, out = run_cli(capsys, "verify", "--spec", spec_variant(tmp_path, **edits))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "row-sum-violation"
+    assert error["message"].startswith(f"{entry} sums to 1+1.000e-01")
+
+
+#: spec files the layout cases name in place of a path
+LAYOUT_SPECS = {
+    "running_example": {},
+    "bad_v1": {"functions": {"v1": [4.0, 1.0]}},
+    "bad_v3": {"functions": {"v3": [1.0, 10.0]}},
+    "row_sum": {"kernel": {0: [0.5, 0.4]}},
+}
+SHORT = ["command", "error", "passed"]
+FAILED = ["command", "inputs", "error", "assertions", "passed"]
+RUN = ["x0", "cycles", "seed", "workers", "max_steps"]
+QUEUE = ["family", "mu", "sigma", "kappa", "grid_step", "x_max", "x_points", "seed"]
+SOLVE = ["poisson_residual", "occupation_matches_stationary", "cycle_f_bound",
+         "cycle_tau_bound", "cycle_f_phi_bound", "cycle_tau_phi_bound", "solution_envelope",
+         "comparison_inequality", "pi_f_le_b1", "phi_gstar_zero", "uniform_marginal_bound",
+         "martingale_identity", "power_drift_bound"]
+POTENTIAL = ["potential_residual", "poisson_residual_aperiodic", "gap_constant_per_class",
+             "gap_equals_minus_pi_gstar"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys, inputs, assertions",
+    [
+        pytest.param(
+            ["verify", "--spec", "running_example"],
+            ["command", "inputs", "certificates", "assertions", "passed"], ["spec"],
+            ["drift_minorization_certificate", "second_level_certificate"], id="verify"),
+        pytest.param(["verify", "--spec", "bad_v1"], FAILED, ["spec"],
+                     ["drift_minorization_certificate"], id="verify error"),
+        pytest.param(["verify", "--spec", "row_sum"], SHORT, None, None, id="verify input"),
+        pytest.param(
+            ["solve", "--spec", "running_example"],
+            ["command", "inputs", "certificates", "period", "pi", "pi_f", "tables", "bounds",
+             "diagnostics", "assertions", "passed"], ["spec"], SOLVE, id="solve"),
+        pytest.param(["solve", "--spec", "bad_v1"], FAILED, ["spec"], ["solve_completed"],
+                     id="solve error"),
+        pytest.param(["solve", "--spec", "row_sum"], SHORT, None, None, id="solve input"),
+        pytest.param(
+            ["potential", "--spec", "running_example"],
+            ["command", "inputs", "period", "solve_residual", "tables", "diagnostics", "bounds",
+             "assertions", "passed"], ["spec"], POTENTIAL + ["truncation_gap_bounds"],
+            id="potential"),
+        pytest.param(
+            ["potential", "--spec", "bad_v3"],
+            ["command", "inputs", "period", "solve_residual", "tables", "diagnostics", "error",
+             "assertions", "passed"], ["spec"], POTENTIAL + ["potential_residual"],
+            id="potential error"),
+        pytest.param(["potential", "--spec", "row_sum"], SHORT, None, None, id="potential input"),
+        pytest.param(
+            ["simulate", "--spec", "running_example", "--x0", "1", "--cycles", "200"],
+            ["command", "inputs", "estimates", "assertions", "passed"], ["spec"] + RUN,
+            ["mc_matches_exact_gstar", "mc_matches_exact_pif"], id="simulate spec"),
+        pytest.param(
+            ["simulate", "--spec", "running_example", "--x0", "1", "--max-steps", "0"],
+            FAILED, ["spec"] + RUN, ["simulation_completed"], id="simulate spec error"),
+        pytest.param(["simulate", "--spec", "running_example", "--x0", "2"], SHORT, None, None,
+                     id="simulate spec input"),
+        pytest.param(
+            ["simulate", "--gig1", "--x0", "1", "--cycles", "200"],
+            ["command", "inputs", "certificate", "estimates", "assertions", "passed"],
+            ["gig1"] + RUN, ["estimates_inside_envelope"], id="simulate gig1"),
+        pytest.param(
+            ["simulate", "--gig1", "--x0", "1", "--cycles", "200", "--max-steps", "0"],
+            FAILED, ["gig1"] + RUN, ["simulation_completed"], id="simulate gig1 error"),
+        pytest.param(["simulate", "--gig1", "--x0", "-3"], SHORT, None, None,
+                     id="simulate gig1 input"),
+        pytest.param(
+            ["gig1", "--x-points", "11"],
+            ["command", "inputs", "certificate", "comparison", "assertions", "passed"], QUEUE,
+            ["certificate_positive", "drift_spot_check", "ours_coeff_le_competing_coeff"],
+            id="gig1"),
+        # HORIZON_PAD = -20 cuts the certificate search short: SearchExhausted
+        pytest.param(["gig1", "--x-points", "11"], FAILED, QUEUE, ["certificate_built"],
+                     id="gig1 error"),
+        pytest.param(["gig1", "--grid-step", "0"], SHORT, None, None, id="gig1 input"),
+    ],
+)
+def test_report_layout(request, tmp_path, capsys, monkeypatch, argv, keys, inputs, assertions):
+    # every command shares one skeleton: a success and an error inside the
+    # computation echo the inputs and list assertions, an input error gives
+    # the short report; no float is compared
+    if request.node.callspec.id == "gig1 error":
+        from markov_poisson import gig1
+
+        monkeypatch.setattr(gig1, "HORIZON_PAD", -20.0)
+    argv = [spec_variant(tmp_path, **LAYOUT_SPECS[a]) if a in LAYOUT_SPECS else a for a in argv]
+    code, out = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert list(report) == keys
+    assert report["command"] == argv[0]
+    assert report["passed"] is (code == 0)
+    if inputs is None:
+        assert code == 2
+        return
+    assert code == (1 if "error" in report else 0)
+    assert list(report["inputs"]) == inputs
+    assert [a["name"] for a in report["assertions"]] == assertions
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m markov_poisson.cli` runs main and exits with its code
+    import markov_poisson
+
+    env = {**os.environ, "PYTHONPATH": str(Path(markov_poisson.__file__).parents[1])}
+    for spec, expected in ((BUNDLED_SPEC, 0), (tmp_path / "missing.json", 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "markov_poisson.cli", "verify", "--spec", str(spec)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == expected, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is (expected == 0)
