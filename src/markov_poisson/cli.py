@@ -13,8 +13,10 @@ checks)`` fills the report and records assertions. Exit codes: 0 all
 assertions passed; 1 an assertion failed, or ``body`` raised a
 ToolkitError, reported as the ``error`` entry plus a failed
 ``failure_name`` assertion; 2 a ToolkitError while reading the inputs
-(a spec file that cannot be read or parsed, an option out of range),
-reported as ``command``, ``error`` and ``passed`` alone.
+(an --out file that cannot be opened, a spec file that cannot be read
+or parsed, an option out of range), reported as ``command``, ``error``
+and ``passed`` alone. Every report goes to --out once that file has
+opened, and to stdout otherwise.
 """
 
 from __future__ import annotations
@@ -452,31 +454,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path):
+    """Open --out before any work; append mode leaves a spec at the same path readable."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as err:
+        raise SpecFileError(f"cannot write report file: {err}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = {"command": args.command}
+    out = None
     checks = None
     try:
+        if args.out:
+            _check_out(args.out)
+            out = args.out
         inputs, failure_name, body = args.func(args)
         report["inputs"] = inputs
         checks = _Assertions()
         body(report, checks)
     except ToolkitError as err:
         report["error"] = {"code": err.code, "message": str(err)}
-        if checks is None:  # the inputs were rejected before any computation
-            report["passed"] = False
-            sys.stdout.write(dumps_canonical(report) + "\n")
-            return 2
-        checks.check(failure_name, False, str(err))
-    report["assertions"] = checks
-    report["passed"] = all(item["passed"] for item in checks)
-    text = dumps_canonical(report) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if checks is not None:
+            checks.check(failure_name, False, str(err))
+    if checks is None:  # the inputs were rejected before any computation
+        report["passed"] = False
+        code = 2
     else:
+        report["assertions"] = checks
+        report["passed"] = all(item["passed"] for item in checks)
+        code = 0 if report["passed"] else 1
+    text = dumps_canonical(report) + "\n"
+    if out is None:
         sys.stdout.write(text)
-    return 0 if report["passed"] else 1
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Distribution, FiniteChain, validate_chain
-from .errors import RowSumViolation, SpecFileError
+from .errors import NegativityViolation, RowSumViolation, SpecFileError
 
 _TOP_KEYS = {"states", "labels", "kernel", "functions", "distributions", "small_set"}
 _SMALL_KEYS = {"C", "m", "lambda", "phi"}
@@ -55,16 +55,21 @@ def _vector(obj, n: int, what: str) -> np.ndarray:
         vec = np.array(obj, dtype=float)
     except (TypeError, ValueError):
         raise SpecFileError(f"{what} contains non-numeric entries") from None
+    except OverflowError:  # an integer literal beyond the double range
+        raise SpecFileError(f"{what} contains non-finite entries") from None
     _require(bool(np.all(np.isfinite(vec))), f"{what} contains non-finite entries")
     return vec
 
 
 def _distribution(obj, n: int, what: str) -> np.ndarray:
-    """A probability vector; a total away from 1 names the spec entry."""
+    """A probability vector; a negative entry or a total away from 1 names the spec entry."""
+    vec = _vector(obj, n, what)
     try:
-        return Distribution(mass=_vector(obj, n, what)).mass
+        return Distribution(mass=vec).mass
     except RowSumViolation as err:
         raise RowSumViolation(what, err.deficit) from None
+    except NegativityViolation:
+        raise NegativityViolation(f"{what} has negative mass {vec.min():.3e}") from None
 
 
 def parse_chain_spec(text: str) -> ChainSpec:
@@ -178,6 +183,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
             return "[]"
+        if all(type(v) is float for v in seq):
+            # a float row (an ndarray's tolist()): the bytes _fmt_float gives, in one pass
+            if not all(map(math.isfinite, seq)):
+                raise ValueError("reports must not contain NaN or infinity")
+            return "[" + ", ".join(["%.17g" % v for v in seq]) + "]"
         if all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
             return "[" + ", ".join(dumps_canonical(v) for v in seq) + "]"
         items = (f"{inner}{dumps_canonical(v, indent + 1)}" for v in seq)

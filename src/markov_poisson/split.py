@@ -92,17 +92,13 @@ def _residual_rows(Pm: np.ndarray, small: SmallSetCertificate) -> np.ndarray | N
 
 def _reach_check(chain: FiniteChain, C: tuple) -> None:
     """Every state must reach C with positive probability along some path."""
-    P = chain.kernel
+    adj = chain.kernel > 0.0
     reached = np.zeros(chain.n, dtype=bool)
-    stack = list(C)
-    reached[list(C)] = True
-    while stack:
-        y = stack.pop()
-        preds = np.flatnonzero(P[:, y] > 0.0)
-        for x in preds:
-            if not reached[x]:
-                reached[x] = True
-                stack.append(int(x))
+    frontier = np.array(C, dtype=int)
+    reached[frontier] = True
+    while frontier.size:
+        frontier = np.flatnonzero(adj[:, frontier].any(axis=1) & ~reached)
+        reached[frontier] = True
     if not reached.all():
         raise Unreachable(int(np.flatnonzero(~reached)[0]))
 

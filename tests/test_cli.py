@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_poisson.cli import build_parser, main
-from markov_poisson.specfile import dumps_canonical, parse_chain_spec
+from markov_poisson.errors import SpecFileError
+from markov_poisson.specfile import _fmt_float, dumps_canonical, parse_chain_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED_SPEC = ROOT / "demos" / "specs" / "running_example.json"
@@ -151,6 +155,59 @@ def test_canonical_float_round_trip():
     values = [1 / 3, 2 / 3, 0.1, 1e-300, 6.197740398750353e-12, 35.0]
     text = dumps_canonical({"v": values})
     assert json.loads(text)["v"] == values
+
+
+#: floats at the edges of the 17-digit format: signed zero, subnormals, the extremes
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1 / 3, 0.1, 1e16, 1e17, 35.0]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),
+)))
+def test_float_rows_print_as_scalars_do(values):
+    # the float-row path gives the bytes of the per-scalar path, lists and arrays alike
+    expected = "[" + ", ".join(_fmt_float(v) for v in values) + "]"
+    assert dumps_canonical(values) == expected
+    assert dumps_canonical(np.array(values, dtype=float)) == expected
+
+
+def test_mixed_rows_keep_their_scalar_bytes():
+    assert dumps_canonical([0, 0.5]) == "[0, 0.5]"
+    assert dumps_canonical([True, 1.0]) == "[true, 1]"
+    assert dumps_canonical([np.float64(0.1), 0.2]) == "[0.10000000000000001, 0.20000000000000001]"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.5, math.nan], [math.inf], [-math.inf, 1.0], [0, math.nan], np.array([1.0, math.inf])],
+    ids=["float-nan", "float-inf", "float-minus-inf", "mixed-nan", "array-inf"],
+)
+def test_non_finite_rows_are_rejected(row):
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        dumps_canonical({"row": row})
+
+
+@pytest.mark.parametrize(
+    "row_text, message",
+    [
+        ('["x", 0.5]', "kernel row 1 contains non-numeric entries"),
+        ("[1.0]", "kernel row 1 must be a list of 2 numbers"),
+        ("[1e999, 0.5]", "kernel row 1 contains non-finite entries"),
+        ("[1" + "0" * 400 + ", 0.5]", "kernel row 1 contains non-finite entries"),
+    ],
+    ids=["string", "short", "overflow", "integer-overflow"],
+)
+def test_bad_kernel_rows_are_named(row_text, message):
+    # a bad row is named in its own words, after the good row before it
+    doc = json.loads(BUNDLED_SPEC.read_text())
+    doc["kernel"][1] = "ROW"
+    with pytest.raises(SpecFileError) as err:
+        parse_chain_spec(json.dumps(doc).replace('"ROW"', row_text))
+    assert str(err.value) == message
 
 
 def test_simulate_requires_exactly_one_mode(capsys):
@@ -384,19 +441,56 @@ def test_unreadable_spec_file_is_an_input_error(tmp_path, capsys, command, conte
 
 
 @pytest.mark.parametrize(
-    "edits, entry",
+    "edits, code, message",
     [
-        ({"distributions": {"d": [0.5, 0.6]}}, "distribution 'd'"),
-        ({"small_set": {"lambda": 1, "phi": [0.5, 0.6]}}, "small_set phi"),
+        ({"distributions": {"d": [0.5, 0.6]}}, "row-sum-violation",
+         "distribution 'd' sums to 1+1.000e-01"),
+        ({"small_set": {"lambda": 1, "phi": [0.5, 0.6]}}, "row-sum-violation",
+         "small_set phi sums to 1+1.000e-01"),
+        ({"distributions": {"d": [1.5, -0.5]}}, "negativity-violation",
+         "distribution 'd' has negative mass -5.000e-01"),
+        ({"small_set": {"lambda": 1, "phi": [1.5, -0.5]}}, "negativity-violation",
+         "small_set phi has negative mass -5.000e-01"),
     ],
-    ids=["distribution", "phi"],
+    ids=["distribution", "phi", "negative-distribution", "negative-phi"],
 )
-def test_bad_distribution_mass_names_the_spec_entry(tmp_path, capsys, edits, entry):
-    code, out = run_cli(capsys, "verify", "--spec", spec_variant(tmp_path, **edits))
-    assert code == 2
+def test_bad_distribution_mass_names_the_spec_entry(tmp_path, capsys, edits, code, message):
+    exit_code, out = run_cli(capsys, "verify", "--spec", spec_variant(tmp_path, **edits))
+    assert exit_code == 2
     error = json.loads(out)["error"]
-    assert error["code"] == "row-sum-violation"
-    assert error["message"].startswith(f"{entry} sums to 1+1.000e-01")
+    assert error["code"] == code
+    assert error["message"].startswith(message)
+
+
+def test_rejected_input_report_goes_to_out_file(tmp_path, capsys):
+    out_path = tmp_path / "o.json"
+    spec = spec_variant(tmp_path, kernel={0: [0.5, 0.4]})
+    code, out = run_cli(capsys, "verify", "--spec", spec, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    report = json.loads(out_path.read_text())
+    assert list(report) == ["command", "error", "passed"]
+    assert report["error"]["code"] == "row-sum-violation"
+
+
+def test_unwritable_out_file_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "validate_chain", ("chain", "specfile"))
+    out_path = tmp_path / "no" / "such" / "dir" / "o.json"
+    code, out = run_cli(capsys, "verify", "--spec", str(BUNDLED_SPEC), "--out", str(out_path))
+    assert code == 2
+    report = json.loads(out)
+    assert list(report) == ["command", "error", "passed"]
+    assert report["error"]["code"] == "spec-file-error"
+    assert report["error"]["message"].startswith("cannot write report file")
+    assert not calls and not out_path.exists()
+
+
+def test_out_file_may_replace_the_spec(tmp_path, capsys):
+    # --out opens without truncating, so the spec at the same path is read first
+    path = tmp_path / "spec.json"
+    path.write_text(BUNDLED_SPEC.read_text())
+    code, out = run_cli(capsys, "verify", "--spec", str(path), "--out", str(path))
+    assert (code, out) == (0, "")
+    assert json.loads(path.read_text())["inputs"]["spec"] == json.loads(BUNDLED_SPEC.read_text())
 
 
 #: spec files the layout cases name in place of a path
