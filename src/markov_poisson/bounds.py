@@ -12,7 +12,7 @@ the formulas assume the infimum is known rather than optimized for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,25 +91,12 @@ class BoundReport:
     ours_asymptotic_coeff: float | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "envelope_upper": self.envelope_upper.tolist(),
-            "envelope_lower": self.envelope_lower.tolist(),
-            "envelope_abs": self.envelope_abs.tolist(),
-            "marginal_bound": self.marginal_bound.tolist(),
-        }
-        for name in (
-            "gap_bound_lower",
-            "gap_bound_upper",
-            "gap_bound_abs",
-            "comparison_a",
-            "competing_asymptotic_coeff",
-            "ours_asymptotic_coeff",
-        ):
-            value = getattr(self, name)
+        """The fields in declaration order, arrays as lists, absent (None) ones dropped."""
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
             if value is not None:
-                out[name] = value
+                out[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
 

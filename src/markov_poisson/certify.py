@@ -73,76 +73,31 @@ class DriftCertificate:
     """(Pv)(x) <= v(x) - f(x) + b * I_C(x) with v, f >= 0 and b > 0."""
 
     v: np.ndarray
-    f: np.ndarray
     b: float
-    C: tuple
 
 
 @dataclass(frozen=True)
-class CertificateBundle:
-    """The full certificate: drift for f, drift for e, and the minorization.
+class CertificateBundle(SmallSetCertificate):
+    """The full certificate: the minorization on C plus two drift pairs on C.
 
-    All three parts share the same small set C; drift2 always charges the
-    constant function e = 1.
+    (v1, b1) is the drift inequality charged by the reward f and (v2, b2)
+    the one charged by the constant function e = 1.
     """
 
-    drift1: DriftCertificate
-    drift2: DriftCertificate
-    small: SmallSetCertificate
-
-    def __post_init__(self):
-        if not (self.drift1.C == self.drift2.C == self.small.C):
-            raise ValueError("drift and minorization certificates must share C")
-        if not np.all(self.drift2.f == 1.0):
-            raise ValueError("drift2 must charge the constant function e = 1")
-
-    @property
-    def C(self) -> tuple:
-        return self.small.C
-
-    @property
-    def m(self) -> int:
-        return self.small.m
-
-    @property
-    def lam(self) -> float:
-        return self.small.lam
-
-    @property
-    def phi(self) -> Distribution:
-        return self.small.phi
-
-    @property
-    def v1(self) -> np.ndarray:
-        return self.drift1.v
-
-    @property
-    def v2(self) -> np.ndarray:
-        return self.drift2.v
-
-    @property
-    def b1(self) -> float:
-        return self.drift1.b
-
-    @property
-    def b2(self) -> float:
-        return self.drift2.b
+    v1: np.ndarray
+    b1: float
+    v2: np.ndarray
+    b2: float
 
 
 @dataclass(frozen=True)
 class PotentialCertificate:
-    """Second-level drift pair: v3 charged by v1 and v4 charged by v2."""
+    """Second-level drift pairs: (v3, b3) charged by v1 and (v4, b4) by v2."""
 
-    drift3: DriftCertificate
-    drift4: DriftCertificate
-
-    @property
-    def b3(self) -> float:
-        return self.drift3.b
-
-    @property
-    def b4(self) -> float:
-        return self.drift4.b
+    v3: np.ndarray
+    b3: float
+    v4: np.ndarray
+    b4: float
 
 
 def verify_drift(chain: FiniteChain, v, f, C) -> DriftCertificate:
@@ -175,7 +130,7 @@ def verify_drift(chain: FiniteChain, v, f, C) -> DriftCertificate:
     if bad.size:
         raise DriftViolation(bad.tolist(), residual[bad].tolist())
     b = float(max(residual[list(C)].max(), B_FLOOR))
-    return DriftCertificate(v=_ro(v), f=_ro(f), b=b, C=C)
+    return DriftCertificate(v=_ro(v), b=b)
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -229,7 +184,8 @@ def verify_bundle(
     """
     drift1 = verify_drift(chain, v1, f, C)
     drift2 = verify_drift(chain, v2, np.ones(chain.n), C)
-    return CertificateBundle(drift1=drift1, drift2=drift2, small=_small_set(chain, C, m, lam, phi))
+    small = _small_set(chain, C, m, lam, phi)
+    return CertificateBundle(**vars(small), v1=drift1.v, b1=drift1.b, v2=drift2.v, b2=drift2.b)
 
 
 def _small_set(chain: FiniteChain, C, m: int, lam, phi) -> SmallSetCertificate:
@@ -250,4 +206,4 @@ def verify_potential(chain: FiniteChain, bundle: CertificateBundle, v3, v4) -> P
     """Verify the second drift level: v3 charged by v1, v4 charged by v2."""
     drift3 = verify_drift(chain, v3, bundle.v1, bundle.C)
     drift4 = verify_drift(chain, v4, bundle.v2, bundle.C)
-    return PotentialCertificate(drift3=drift3, drift4=drift4)
+    return PotentialCertificate(v3=drift3.v, b3=drift3.b, v4=drift4.v, b4=drift4.b)

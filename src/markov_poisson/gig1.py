@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -181,7 +182,7 @@ class GIG1Certificate:
     density: np.ndarray
     phi_v1: float
 
-    m: int = 1
+    m: ClassVar[int] = 1
 
     @property
     def b2(self) -> float:

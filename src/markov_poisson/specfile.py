@@ -51,10 +51,10 @@ def _vector(obj, n: int, what: str) -> np.ndarray:
         isinstance(obj, list) and len(obj) == n,
         f"{what} must be a list of {n} numbers",
     )
+    # JSON numbers only: numpy would read "0.5" and true as numbers too
+    _require({*map(type, obj)} <= {int, float}, f"{what} contains non-numeric entries")
     try:
         vec = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise SpecFileError(f"{what} contains non-numeric entries") from None
     except OverflowError:  # an integer literal beyond the double range
         raise SpecFileError(f"{what} contains non-finite entries") from None
     _require(bool(np.all(np.isfinite(vec))), f"{what} contains non-finite entries")
@@ -84,7 +84,7 @@ def parse_chain_spec(text: str) -> ChainSpec:
     _require("states" in doc, "missing required key 'states'")
     _require("kernel" in doc, "missing required key 'kernel'")
     n = doc["states"]
-    _require(isinstance(n, int) and n >= 1, "'states' must be an integer >= 1")
+    _require(type(n) is int and n >= 1, "'states' must be an integer >= 1")
     kernel = doc["kernel"]
     _require(
         isinstance(kernel, list) and len(kernel) == n,
@@ -115,16 +115,16 @@ def parse_chain_spec(text: str) -> ChainSpec:
         _require("C" in raw and "m" in raw, "small_set needs 'C' and 'm'")
         C = raw["C"]
         _require(
-            isinstance(C, list) and C and all(isinstance(x, int) for x in C),
+            isinstance(C, list) and C and all(type(x) is int for x in C),
             "'C' must be a nonempty list of state indices",
         )
         _require(all(0 <= x < n for x in C), f"'C' indices must lie in 0..{n - 1}")
         m = raw["m"]
-        _require(isinstance(m, int) and m >= 1, "'m' must be an integer >= 1")
+        _require(type(m) is int and m >= 1, "'m' must be an integer >= 1")
         lam = raw.get("lambda")
         if lam is not None:
             _require(
-                isinstance(lam, (int, float)) and 0 < lam <= 1,
+                type(lam) in (int, float) and 0 < lam <= 1,
                 "'lambda' must lie in (0, 1]",
             )
         phi = raw.get("phi")

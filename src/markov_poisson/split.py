@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .certify import CertificateBundle, SmallSetCertificate
+from .certify import SmallSetCertificate
 from .chain import (
     ATOL,
     Distribution,
@@ -165,10 +165,6 @@ def hitting(chain: FiniteChain, C, h=None):
     return sys.H, u
 
 
-def _small_part(cert) -> SmallSetCertificate:
-    return cert.small if isinstance(cert, CertificateBundle) else cert
-
-
 class CycleSystem:
     """The factored regeneration system of one chain under one certificate.
 
@@ -187,8 +183,9 @@ class CycleSystem:
     Construction computes ``powers`` = [I, P, ..., P^m], Q, B and both LU
     factorizations (the absorbing boundary and the core) once; pi and
     E tau are computed on first use, unless the stationary law ``pi`` is
-    passed in. Only the minorization part of a certificate is needed; a
-    full bundle or a bare SmallSetCertificate are both accepted.
+    passed in. Only the minorization is read, so a bare
+    SmallSetCertificate and a full CertificateBundle (one of its kind)
+    both serve as ``cert``.
 
     This is the one entry point to every cycle quantity: ``solve(h)``
     (G_h), ``tau`` (E_x tau), ``canonical_solution(f)`` (g*) and
@@ -196,18 +193,17 @@ class CycleSystem:
     """
 
     def __init__(self, chain: FiniteChain, cert, pi: np.ndarray | None = None):
-        small = _small_part(cert)
         if pi is not None:
             self.pi = pi
         self.chain = chain
-        self.C = small.C
-        self.m = small.m
-        self.lam = small.lam
-        self.phi = small.phi.mass
-        self.powers = powers = kernel_powers(chain, small.m)
+        self.C = cert.C
+        self.m = cert.m
+        self.lam = cert.lam
+        self.phi = cert.phi.mass
+        self.powers = powers = kernel_powers(chain, cert.m)
         Pm = powers[-1]
-        self.Q = _residual_rows(Pm, small)
-        self.absorbing = _AbsorbingSystem(chain, small.C)
+        self.Q = _residual_rows(Pm, cert)
+        self.absorbing = _AbsorbingSystem(chain, cert.C)
         self.H = self.absorbing.H
         B = np.zeros((len(self.C), chain.n))
         for i, w in enumerate(self.C):

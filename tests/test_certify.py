@@ -53,9 +53,15 @@ def test_verify_drift_rejects_negative_inputs(chain):
 def test_drift_certificate_residual_invariant(suite):
     # residual r(x) = (Pv)(x) - v(x) + f(x) - b*I_C(x) <= tolerance everywhere
     for inst in suite.instances:
-        for cert in (inst.bundle.drift1, inst.bundle.drift2, inst.pot.drift3, inst.pot.drift4):
-            r = inst.chain.kernel @ cert.v - cert.v + cert.f
-            r[list(cert.C)] -= cert.b
+        bundle, pot = inst.bundle, inst.pot
+        for v, f, b in (
+            (bundle.v1, inst.f, bundle.b1),
+            (bundle.v2, 1.0, bundle.b2),
+            (pot.v3, bundle.v1, pot.b3),
+            (pot.v4, bundle.v2, pot.b4),
+        ):
+            r = inst.chain.kernel @ v - v + f
+            r[list(bundle.C)] -= b
             assert r.max() <= 1e-12
 
 

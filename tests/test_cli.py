@@ -369,9 +369,15 @@ def test_readme_command_line_lists_only_existing_options():
 
 
 def spec_variant(tmp_path, **edits):
-    """The running example with ``doc[section][key] = value`` for each edit, as a file."""
+    """The running example with ``doc[section][key] = value`` for each edit, as a file.
+
+    An edit that is not a dict replaces its whole section.
+    """
     doc = json.loads(BUNDLED_SPEC.read_text())
     for section, entries in edits.items():
+        if not isinstance(entries, dict):
+            doc[section] = entries
+            continue
         for key, value in entries.items():
             doc.setdefault(section, {})[key] = value
     path = tmp_path / "variant.json"
@@ -460,6 +466,34 @@ def test_bad_distribution_mass_names_the_spec_entry(tmp_path, capsys, edits, cod
     error = json.loads(out)["error"]
     assert error["code"] == code
     assert error["message"].startswith(message)
+
+
+ONE_STATE_ZEROS = {name: [0.0] for name in ("f", "v1", "v2", "v3", "v4")}
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"kernel": {0: ["0.5", "0.5"]}},
+        {"functions": {"f": [True, False]}},
+        {"distributions": {"d": [True, False]}},
+        {"distributions": {"d": ["0.5", "0.5"]}},
+        {"small_set": {"lambda": 0.5, "phi": [True, False]}},
+        {"small_set": {"lambda": 1, "phi": ["0.5", "0.5"]}},
+        {"states": True, "labels": ["a"], "kernel": [[1.0]], "functions": ONE_STATE_ZEROS},
+        {"small_set": {"m": True}},
+        {"small_set": {"C": [False]}},
+        {"small_set": {"lambda": True, "phi": [0.5, 0.5]}},
+    ],
+    ids=["string-kernel", "bool-function", "bool-distribution", "string-distribution",
+         "bool-phi", "string-phi", "bool-states", "bool-m", "bool-C", "bool-lambda"],
+)
+def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, edits):
+    # each spelling reads as a valid number to Python or numpy, and the
+    # rest of the spec is valid, so only the type check can reject it
+    code, out = run_cli(capsys, "verify", "--spec", spec_variant(tmp_path, **edits))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "spec-file-error"
 
 
 def test_rejected_input_report_goes_to_out_file(tmp_path, capsys):

@@ -16,6 +16,7 @@ import markov_poisson
 from conftest import build_instance
 from markov_poisson.certify import minorize
 from markov_poisson.chain import cyclic_decomposition, stationary, validate_chain
+from markov_poisson.errors import InvariantViolation, SingularSystem
 from markov_poisson.potential import truncated_potential, verify_truncation_gap
 from markov_poisson.split import CycleSystem, marginal_curve
 
@@ -124,6 +125,62 @@ def test_bounds_contain_exact_values_and_gap_is_constant_per_class(case):
     gap = verify_truncation_gap(chain, b, inst.pot, g, result, p)["gap"]
     for cls in inst.decomp.classes:
         assert np.ptp(gap[sorted(cls)]) <= 1e-8
+
+
+def gth_stationary(P):
+    """Independent oracle: the stationary law by Grassmann-Taksar-Heyman elimination.
+
+    It never subtracts, so it keeps full relative accuracy on nearly
+    absorbing chains, where 1 - P(x, x) would cancel.
+    """
+    A = np.array(P, dtype=float)
+    n = A.shape[0]
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+    return pi / pi.sum()
+
+
+@st.composite
+def nearly_absorbing_chains(draw):
+    """A dense chain of at most 8 states with one nearly absorbing state off C.
+
+    That state leaves with total mass 10^u, u uniform on [-16, -4], so the
+    absorbing-boundary system I - P_out comes within rounding of singular.
+    """
+    n = draw(st.integers(2, 8))
+    size_c = draw(st.integers(1, min(2, n - 1)))
+    m = draw(st.integers(1, 3))
+    escape = 10.0 ** draw(st.floats(-16.0, -4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.dirichlet(np.ones(n), size=n)
+    C = rng.choice(n, size=size_c, replace=False)
+    sticky = int(rng.choice(np.setdiff1d(np.arange(n), C)))
+    others = np.arange(n) != sticky
+    P[sticky, others] = escape * rng.dirichlet(np.ones(n - 1))
+    P[sticky, sticky] = 1.0 - escape
+    return validate_chain(P), C.tolist(), m, rng.uniform(0.0, 2.0, n)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(nearly_absorbing_chains())
+def test_near_singular_systems_raise_or_answer_right(case):
+    # a coded error is an honest answer; a returned solution must be right
+    chain, C, m, f = case
+    small = minorize(chain, C, m)
+    try:
+        system = CycleSystem(chain, small)
+        g = system.canonical_solution(f).values
+        nu = system.occupation_measure().mass
+    except (SingularSystem, InvariantViolation):
+        return
+    pi = gth_stationary(chain.kernel)
+    assert np.max(np.abs(chain.kernel @ g - g + f - pi @ f)) <= 1e-9
+    assert np.abs(nu - pi).sum() <= 1e-10
 
 
 def test_invariant_checks_raise_coded_errors_under_python_O():

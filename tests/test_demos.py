@@ -1,8 +1,9 @@
-"""The demos run clean, and the package namespace exports exactly the
-names they import from it."""
+"""The demos and the README tour run clean, and the package namespace
+exports exactly the names the demos import from it."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import markov_poisson
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -33,3 +35,11 @@ def test_package_exports_what_the_demos_import():
             if isinstance(node, ast.ImportFrom) and node.module == "markov_poisson":
                 imported.update(alias.name for alias in node.names)
     assert imported == set(markov_poisson.__all__)
+
+
+def test_readme_tour_runs_and_shows_what_it_says():
+    (tour,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    scope = {}
+    exec(compile(tour, "README.md", "exec"), scope)
+    assert scope["g"] == pytest.approx([2 / 3, -2 / 3])
+    assert scope["report"].delta1 == 5
