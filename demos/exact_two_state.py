@@ -14,7 +14,6 @@ import numpy as np
 from markov_poisson import (
     CycleSystem,
     finite_bound_report,
-    stationary,
     validate_chain,
     verify_bundle,
     verify_potential,
@@ -29,12 +28,12 @@ bundle = verify_bundle(chain, f, v1=[1, 4], v2=[1, 5], C=[0], m=1)
 print("certificate:  b1 =", bundle.b1, " b2 =", bundle.b2, " lambda =", bundle.lam)
 print("phi =", bundle.phi.mass)
 
-pi = stationary(chain).mass
+pi = chain.pi
 print("\nstationary law:", pi, "  pi(f) =", pi @ f)
 
 # one factored regeneration system serves g*, every cycle sum and nu
 system = CycleSystem(chain, bundle)
-g = system.canonical_solution(f).values
+g = system.canonical_solution(f)
 print("canonical solution g* =", g)
 print("Poisson residual     =", np.max(np.abs(chain.kernel @ g - g + (f - pi @ f))))
 

@@ -17,9 +17,7 @@ import numpy as np
 
 from markov_poisson import (
     CycleSystem,
-    cyclic_decomposition,
     hitting,
-    stationary,
     truncated_potential,
     validate_chain,
     verify_bundle,
@@ -34,12 +32,12 @@ bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0], 1)
 pot_cert = verify_potential(chain, bundle, [1, 17], [1, 21])
 
 result = truncated_potential(chain, f, p=1)
-g = CycleSystem(chain, bundle).canonical_solution(f).values
-pi = stationary(chain).mass
+g = CycleSystem(chain, bundle).canonical_solution(f)
+pi = chain.pi
 print("aperiodic two-state chain")
-print("  g_tilde =", result.g_tilde.values, f" (solve residual {result.residual:.1e})")
+print("  g_tilde =", result.g_tilde, f" (solve residual {result.residual:.1e})")
 print("  g*      =", g)
-print("  gap     =", result.g_tilde.values - g, "  -pi(g*) =", -(pi @ g))
+print("  gap     =", result.g_tilde - g, "  -pi(g*) =", -(pi @ g))
 report = verify_truncation_gap(chain, bundle, pot_cert, g, result, p=1)
 print("  gap bound:", report["bound_abs"], " slack:", report["slack_abs"])
 
@@ -52,22 +50,21 @@ P[2, :2] = rng.dirichlet([1, 1])
 P[3, :2] = rng.dirichlet([1, 1])
 chain = validate_chain(P)
 f = rng.uniform(0, 2, 4)
-decomp = cyclic_decomposition(chain)
+decomp = chain.cyclic
 print("\nperiodic chain, period", decomp.period, "classes", [sorted(c) for c in decomp.classes])
 
 _, v1 = hitting(chain, [0], f)
 _, v2 = hitting(chain, [0], np.ones(4))
 bundle = verify_bundle(chain, f, v1, v2, [0], 1)
-g = CycleSystem(chain, bundle).canonical_solution(f).values
+g = CycleSystem(chain, bundle).canonical_solution(f)
 result = truncated_potential(chain, f, p=2)
-gap = result.g_tilde.values - g
-pi = stationary(chain).mass
+gap = result.g_tilde - g
+pi = chain.pi
 print("  gap by state:", np.round(gap, 6))
 for i, cls in enumerate(decomp.classes):
     members = sorted(cls)
     cond = pi[members] / pi[members].sum()
     print(f"  class D{i}: gap {gap[members[0]]:+.6f}  -pi_i(g*) {-(cond @ g[members]):+.6f}")
-one_step = np.max(np.abs(chain.kernel @ result.g_tilde.values
-                         - result.g_tilde.values + (f - pi @ f)))
+one_step = np.max(np.abs(chain.kernel @ result.g_tilde - result.g_tilde + (f - pi @ f)))
 print("  one-step equation residual of g_tilde:", f"{one_step:.3g}",
       "(nonzero: the class constants differ)")

@@ -14,7 +14,6 @@ from markov_poisson import (
     CycleSystem,
     finite_bound_report,
     hitting,
-    stationary,
     validate_chain,
     verify_bundle,
 )
@@ -36,9 +35,9 @@ for trial in range(15):
     _, v2 = hitting(chain, C, np.ones(n))
     bundle = verify_bundle(chain, f, v1, v2, C, m)
 
-    pi = stationary(chain).mass
+    pi = chain.pi
     system = CycleSystem(chain, bundle)
-    g = system.canonical_solution(f).values
+    g = system.canonical_solution(f)
     residual = np.max(np.abs(chain.kernel @ g - g + (f - pi @ f)))
     nu_gap = np.abs(system.occupation_measure().mass - pi).sum()
     report = finite_bound_report(bundle)

@@ -17,19 +17,18 @@ from markov_poisson import (
     FiniteChainSampler,
     estimate_gstar,
     estimate_pif,
-    stationary,
     validate_chain,
     verify_bundle,
 )
 
 chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
 f = np.array([1.0, 0.0])
-pi_f = float(stationary(chain).mass @ f)
+pi_f = float(chain.pi @ f)
 
 for m, label in [(1, "one-step regeneration"), (2, "two-step blocks with bridge")]:
     bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0], m)
     system = CycleSystem(chain, bundle)
-    exact = system.canonical_solution(f).values
+    exact = system.canonical_solution(f)
     tau = system.tau
     sc = FiniteChainSampler(system, f)
 
@@ -45,7 +44,7 @@ for m, label in [(1, "one-step regeneration"), (2, "two-step blocks with bridge"
 # a residual kernel in action: C = {0, 1} gives lambda = 3/4 < 1
 bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0, 1], 1)
 system = CycleSystem(chain, bundle)
-exact = system.canonical_solution(f).values
+exact = system.canonical_solution(f)
 sc = FiniteChainSampler(system, f)
 est = estimate_gstar(sc, 1, pi_f, n_cycles=50_000, master_seed=11)
 print(f"residual-kernel scheme (lambda={bundle.lam:g})")

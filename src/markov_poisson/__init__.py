@@ -8,7 +8,7 @@ other public name is imported from its own module (``markov_poisson.bounds``,
 
 from .bounds import finite_bound_report
 from .certify import verify_bundle, verify_potential
-from .chain import cyclic_decomposition, stationary, validate_chain
+from .chain import validate_chain
 from .gig1 import GIG1Model, bound_curves, build_certificate, mc_validate
 from .mc import FiniteChainSampler, estimate_gstar, estimate_pif
 from .potential import truncated_potential, verify_truncation_gap
@@ -22,13 +22,11 @@ __all__ = [
     "GIG1Model",
     "bound_curves",
     "build_certificate",
-    "cyclic_decomposition",
     "estimate_gstar",
     "estimate_pif",
     "finite_bound_report",
     "hitting",
     "mc_validate",
-    "stationary",
     "truncated_potential",
     "validate_chain",
     "verify_bundle",

@@ -3,12 +3,15 @@
 A chain is a row-stochastic kernel over an indexed finite state space.
 All container types are immutable after construction (their numpy arrays
 are frozen), so they are safe to share across threads; every operation
-here is a pure function.
+here is a pure function. A chain computes its structure once: ``pi`` (by
+:func:`stationary`) and ``cyclic`` (by :func:`cyclic_decomposition`) are
+cached on first use and shared by every caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,13 +29,6 @@ from .errors import (
 ATOL = 1e-12
 
 
-def _frozen(a) -> np.ndarray:
-    """Copy to a float array and make it read-only."""
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class FiniteChain:
     """A validated row-stochastic transition kernel.
@@ -44,23 +40,23 @@ class FiniteChain:
     kernel : (n, n) ndarray
         Transition probabilities; every entry >= 0 and every row sums
         to 1 within ``ATOL``. Read-only.
+    pi : (n,) ndarray
+        The stationary law, computed by :func:`stationary` on first use.
+    cyclic : CyclicDecomposition
+        Period and cyclic classes, computed by :func:`cyclic_decomposition`
+        on first use.
     """
 
     n: int
     kernel: np.ndarray
 
+    @cached_property
+    def cyclic(self) -> CyclicDecomposition:
+        return cyclic_decomposition(self)
 
-@dataclass(frozen=True)
-class StateFunction:
-    """A real-valued function on the state space, stored as a vector."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen(self.values)
-        if not np.all(np.isfinite(vals)):
-            raise NegativityViolation("state function has non-finite entries")
-        object.__setattr__(self, "values", vals)
+    @cached_property
+    def pi(self) -> np.ndarray:
+        return stationary(self).mass
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,8 @@ class CyclicDecomposition:
 
 
 def values_of(h, n: int | None = None) -> np.ndarray:
-    """Coerce a charge (StateFunction or array-like) to a float vector."""
-    vals = h.values if isinstance(h, StateFunction) else np.asarray(h, dtype=float)
+    """Coerce a charge to a float vector."""
+    vals = np.asarray(h, dtype=float)
     if n is not None and vals.shape != (n,):
         raise ValueError(f"expected a length-{n} vector, got shape {vals.shape}")
     return vals
@@ -132,44 +128,6 @@ def validate_chain(kernel) -> FiniteChain:
     return FiniteChain(n=n, kernel=P)
 
 
-def recurrent_structure(chain: FiniteChain):
-    """Strongly connected components split into closed (recurrent) and open.
-
-    Returns
-    -------
-    recurrent : list of ndarray
-        State index arrays of the closed communicating classes.
-    transient : ndarray
-        States outside every closed class.
-    """
-    P = chain.kernel
-    ncomp, labels = connected_components(
-        csr_matrix(P > 0.0), directed=True, connection="strong"
-    )
-    recurrent = []
-    for c in range(ncomp):
-        members = np.flatnonzero(labels == c)
-        outside = np.setdiff1d(np.arange(chain.n), members, assume_unique=True)
-        if outside.size == 0 or P[np.ix_(members, outside)].sum() == 0.0:
-            recurrent.append(members)
-    rec_all = (
-        np.concatenate(recurrent) if recurrent else np.empty(0, dtype=int)
-    )
-    transient = np.setdiff1d(np.arange(chain.n), rec_all, assume_unique=True)
-    return recurrent, transient
-
-
-def _single_recurrent_class(chain: FiniteChain):
-    """The one closed class and the transient states, as index arrays."""
-    recurrent, transient = recurrent_structure(chain)
-    if len(recurrent) != 1:
-        raise MultipleRecurrentClasses(
-            f"chain has {len(recurrent)} closed communicating classes; "
-            "the stationary distribution is not unique"
-        )
-    return recurrent[0], transient
-
-
 def stationary(chain: FiniteChain) -> Distribution:
     """Unique stationary distribution of a chain with one recurrent class.
 
@@ -180,7 +138,7 @@ def stationary(chain: FiniteChain) -> Distribution:
     deliberately avoided: n is small by design and periodic kernels do
     not converge under it.
     """
-    rec, _ = _single_recurrent_class(chain)
+    rec = np.setdiff1d(np.arange(chain.n), chain.cyclic.transient)
     Pr = chain.kernel[np.ix_(rec, rec)]
     k = rec.size
     A = Pr.T - np.eye(k)
@@ -209,31 +167,46 @@ def kernel_powers(chain: FiniteChain, m: int) -> list:
     return powers
 
 
-def cyclic_decomposition(chain: FiniteChain) -> CyclicDecomposition:
-    """Period and cyclic classes of the single recurrent class.
-
-    The period is the gcd of cycle lengths in the transition digraph,
-    obtained exactly from integer BFS levels: p = gcd over edges (u, v)
-    of level(u) + 1 - level(v). Class D_0 contains the smallest recurrent
-    state index, and classes are ordered so one-step transitions map
-    D_i into D_{i+1 mod p}.
-    """
-    rec, transient = _single_recurrent_class(chain)
-    k = rec.size
-    adj = chain.kernel[np.ix_(rec, rec)] > 0.0
-
-    level = np.full(k, -1, dtype=int)
-    level[0] = 0
-    frontier, depth = np.array([0]), 0
+def _bfs_levels(adj: np.ndarray, sources) -> np.ndarray:
+    """Breadth-first depth of every vertex from ``sources`` along the edges
+    adj[u, v]; -1 for vertices never reached."""
+    level = np.full(adj.shape[0], -1, dtype=int)
+    frontier = np.asarray(sources, dtype=int)
+    level[frontier] = 0
+    depth = 0
     while frontier.size:
         depth += 1
         frontier = np.flatnonzero(adj[frontier].any(axis=0) & (level < 0))
         level[frontier] = depth
+    return level
 
+
+def cyclic_decomposition(chain: FiniteChain) -> CyclicDecomposition:
+    """Period and cyclic classes of the single recurrent class.
+
+    The recurrent class is the one strongly connected component that no
+    edge leaves; every other state is transient, and more than one closed
+    component raises MultipleRecurrentClasses. The period is the gcd of
+    cycle lengths in the transition digraph, obtained exactly from integer
+    BFS levels: p = gcd over edges (u, v) of level(u) + 1 - level(v).
+    Class D_0 contains the smallest recurrent state index, and classes are
+    ordered so one-step transitions map D_i into D_{i+1 mod p}.
+    """
+    adj = chain.kernel > 0.0
+    _, labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
     u, v = np.nonzero(adj)
-    p = int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
-
-    classes = tuple(
-        frozenset(int(rec[i]) for i in range(k) if level[i] % p == r) for r in range(p)
-    )
-    return CyclicDecomposition(period=p, classes=classes, transient=tuple(int(t) for t in transient))
+    # a component is closed when no edge leaves it
+    closed = np.setdiff1d(labels, labels[u[labels[u] != labels[v]]])
+    if closed.size != 1:
+        raise MultipleRecurrentClasses(
+            f"chain has {closed.size} closed communicating classes; "
+            "the stationary distribution is not unique"
+        )
+    rec = np.flatnonzero(labels == closed[0])
+    # BFS from a closed class stays inside it: level >= 0 exactly on rec
+    level = _bfs_levels(adj, rec[:1])
+    inside = level[u] >= 0
+    p = int(np.gcd.reduce(level[u[inside]] + 1 - level[v[inside]])) or 1
+    classes = tuple(frozenset(int(x) for x in rec if level[x] % p == r) for r in range(p))
+    transient = tuple(int(t) for t in np.flatnonzero(labels != closed[0]))
+    return CyclicDecomposition(period=p, classes=classes, transient=transient)

@@ -31,7 +31,6 @@ import numpy as np
 from . import bounds as _bounds
 from . import gig1 as _gig1
 from .certify import _small_set, verify_bundle, verify_potential
-from .chain import cyclic_decomposition, stationary
 from .errors import SpecFileError, ToolkitError
 from .mc import FiniteChainSampler, estimate_gstar, estimate_pif
 from .potential import truncated_potential, verify_truncation_gap
@@ -95,10 +94,10 @@ def _solve_body(spec, report, checks):
     f = spec.function("f")
     bundle = _bundle_from_spec(spec)
     system = CycleSystem(chain, bundle)
-    pi = system.pi
+    pi = chain.pi
     pi_f = float(pi @ f)
     f_c = f - pi_f
-    g = system.canonical_solution(f).values
+    g = system.canonical_solution(f)
     nu = system.occupation_measure().mass
     G_f = system.solve(f)
     s_charge = np.zeros(chain.n)
@@ -108,7 +107,7 @@ def _solve_body(spec, report, checks):
     G_f_at_phi = float(system.phi @ G_f)
     tau_at_phi = float(system.phi @ tau)
 
-    period = cyclic_decomposition(chain).period
+    period = chain.cyclic.period
     pot_cert = _potential_cert_from_spec(spec, bundle)
     breport = _bounds.finite_bound_report(bundle, pot_cert, period)
 
@@ -184,12 +183,10 @@ def _solve_body(spec, report, checks):
 def _potential_body(spec, report, checks):
     chain = spec.chain
     f = spec.function("f")
-    decomp = cyclic_decomposition(chain)
-    p = decomp.period
-    pi = stationary(chain).mass
-    result = truncated_potential(chain, f, p, pi=pi)
-    g_t = result.g_tilde.values
-    f_c = f - float(pi @ f)
+    p = chain.cyclic.period
+    result = truncated_potential(chain, f, p)
+    g_t = result.g_tilde
+    f_c = f - float(chain.pi @ f)
     one_step = float(np.max(np.abs(chain.kernel @ g_t - g_t + f_c)))
     checks.check("potential_residual", result.residual <= TOL_ASSERT, result.residual)
     report["period"] = p
@@ -201,17 +198,17 @@ def _potential_body(spec, report, checks):
 
     if spec.small is not None and {"f", "v1", "v2"} <= set(spec.functions):
         bundle = _bundle_from_spec(spec)
-        g = CycleSystem(chain, bundle, pi=pi).canonical_solution(f).values
+        g = CycleSystem(chain, bundle).canonical_solution(f)
         gap = g_t - g
         report["tables"]["g_star"] = g
         report["tables"]["gap"] = gap
         spread = max(
             float(np.ptp(gap[list(cls)])) if len(cls) > 1 else 0.0
-            for cls in decomp.classes
+            for cls in chain.cyclic.classes
         )
         checks.check("gap_constant_per_class", spread <= TOL_IDENTITY, spread)
         if p == 1:
-            expected = -float(pi @ g)
+            expected = -float(chain.pi @ g)
             dev = float(np.max(np.abs(gap - expected)))
             checks.check("gap_equals_minus_pi_gstar", dev <= TOL_IDENTITY, dev)
         pot_cert = _potential_cert_from_spec(spec, bundle)
@@ -268,6 +265,12 @@ def _waiting_time(text: str) -> float:
     return x0
 
 
+def _check_seed(seed: int) -> None:
+    """--seed: a master seed in 0..2**64 - 1, the range of the stream keys."""
+    if not 0 <= seed < 2**64:
+        raise SpecFileError(f"--seed must be in 0..2**64 - 1, got {seed}")
+
+
 def _gig1_model(args) -> tuple[_gig1.GIG1Model, dict]:
     """The queue model the options describe and their echo; a bad value is a spec-file error."""
     try:
@@ -292,6 +295,7 @@ def cmd_simulate(args):
         raise SpecFileError(f"--workers must be at least 1, got {args.workers}")
     if args.max_steps < 0:
         raise SpecFileError(f"--max-steps must be at least 0, got {args.max_steps}")
+    _check_seed(args.seed)
     if args.gig1:
         x0 = _waiting_time(args.x0)
         model, queue = _gig1_model(args)
@@ -319,8 +323,8 @@ def _simulate_chain(spec, x0, args, report, checks):
     if spec.small is None:
         raise SpecFileError("simulate needs a 'small_set' declaration")
     system = CycleSystem(chain, _small_set(chain, **spec.small))
-    pi_f = float(system.pi @ f)
-    g_exact = system.canonical_solution(f).values
+    pi_f = float(chain.pi @ f)
+    g_exact = system.canonical_solution(f)
     sc = FiniteChainSampler(system, f)
     pif_est = estimate_pif(sc, args.cycles, args.seed, workers=args.workers,
                            max_steps=args.max_steps)
@@ -361,6 +365,11 @@ def _simulate_queue(model, x0, args, report, checks):
 
 
 def cmd_gig1(args):
+    _check_seed(args.seed)
+    if not (math.isfinite(args.x_max) and args.x_max >= 0.0):
+        raise SpecFileError(f"--x-max must be finite and >= 0, got {args.x_max}")
+    if args.x_points < 1:
+        raise SpecFileError(f"--x-points must be at least 1, got {args.x_points}")
     model, queue = _gig1_model(args)
     inputs = {**queue, "x_max": args.x_max, "x_points": args.x_points, "seed": args.seed}
 

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .bounds import envelope_comparison
 from .errors import QuadratureFailure, SearchExhausted
@@ -311,7 +310,9 @@ class QueueSampler:
         self.ys = cert.ys
         self.density = cert.density
         self._dist = model.increment
-        cum = cumulative_trapezoid(cert.density, cert.ys, initial=0.0)
+        # the cumulative trapezoid sum, in the order scipy's cumulative_trapezoid adds
+        steps = np.diff(cert.ys) * (cert.density[1:] + cert.density[:-1]) / 2.0
+        cum = np.concatenate(([0.0], np.cumsum(steps)))
         self._phi_cum = (cert.atom + cum) / cert.lam
         self._atom_p = cert.atom / cert.lam
 

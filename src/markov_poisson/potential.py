@@ -16,6 +16,9 @@ p >= 2 they differ in general, so g_tilde solves the one-step equation
 only up to the between-class variation of the constants. verify_truncation_gap
 checks the guaranteed statements: the gap bounds and, per class, the
 constancy of the gap.
+
+pi and the cyclic classes are the chain's own cached ``chain.pi`` and
+``chain.cyclic``; P^p is the last of ``kernel_powers(chain, p)``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from scipy.linalg import lu_solve
 
 from .bounds import truncation_gap_bounds
 from .certify import CertificateBundle, PotentialCertificate
-from .chain import FiniteChain, StateFunction, cyclic_decomposition, stationary, values_of
-from .errors import BoundViolation
+from .chain import FiniteChain, kernel_powers, values_of
+from .errors import BoundViolation, SingularSystem
 from .split import _lu
 
 #: numerical slack when checking guaranteed inequalities
@@ -40,51 +43,46 @@ class PotentialResult:
     """g_tilde and the sup-norm residual of its solve; ``terms`` counts the
     solves, always 1 (perfbench's layer trace reads it as work per call)."""
 
-    g_tilde: StateFunction
+    g_tilde: np.ndarray
     terms: int
     residual: float
 
 
-def truncated_potential(
-    chain: FiniteChain,
-    f,
-    p: int,
-    pi: np.ndarray | None = None,
-) -> PotentialResult:
+def truncated_potential(chain: FiniteChain, f, p: int) -> PotentialResult:
     """g_tilde = lim_n sum_{i<np} (P^i f_c)(x), by one period-p solve.
 
     Parameters
     ----------
     chain : FiniteChain
-    f : charge vector (centered internally with the exact stationary law)
+    f : charge vector (centered internally with the chain's ``pi``)
     p : block length in steps, a positive multiple of the chain period
-        (use cyclic_decomposition); only those block sums converge
-    pi : the stationary law, when the caller has it already
+        (``chain.cyclic.period``); only those block sums converge
 
     Returns the truncated sum g_tilde and the sup norm of the solve's
     residual A g_tilde - S f_c. Raises ValueError when p is not a positive
     multiple of the period, and SingularSystem on a pivot below
-    ``split.PIVOT_TOL``.
+    ``split.PIVOT_TOL`` or a non-finite g_tilde.
     """
-    decomp = cyclic_decomposition(chain)
-    d = decomp.period
+    d = chain.cyclic.period
     if p < 1 or p % d:
         raise ValueError(f"block length must be a positive multiple of the period {d}, got {p}")
     f = values_of(f, chain.n)
-    if pi is None:
-        pi = stationary(chain).mass
+    pi = chain.pi
     term = f - float(pi @ f)  # P^i f_c, advanced in place
     block = np.zeros(chain.n)  # S f_c
     for _ in range(p):
         block += term
         term = chain.kernel @ term
-    A = np.eye(chain.n) - np.linalg.matrix_power(chain.kernel, p)
-    for cls in decomp.classes:
+    A = np.eye(chain.n) - kernel_powers(chain, p)[-1]
+    for cls in chain.cyclic.classes:
         idx = sorted(cls)
         A[np.ix_(idx, idx)] += d * pi[idx]
-    g_tilde = lu_solve(_lu(A), block)
+    # an overflow in S f_c or in the solve surfaces here as a coded error
+    g_tilde = lu_solve(_lu(A), block, check_finite=False)
+    if not np.all(np.isfinite(g_tilde)):
+        raise SingularSystem(f"the period-{p} solve gave non-finite values")
     residual = float(np.max(np.abs(A @ g_tilde - block)))
-    return PotentialResult(g_tilde=StateFunction(values=g_tilde), terms=1, residual=residual)
+    return PotentialResult(g_tilde=g_tilde, terms=1, residual=residual)
 
 
 def verify_truncation_gap(
@@ -106,7 +104,7 @@ def verify_truncation_gap(
     or implementation bug.
     """
     g_star = values_of(g_star, chain.n)
-    gap = result.g_tilde.values - g_star
+    gap = result.g_tilde - g_star
     lower, upper, absolute = truncation_gap_bounds(bundle, pot_cert, p)
     low_slack = gap - lower
     high_slack = upper - gap

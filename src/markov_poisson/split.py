@@ -29,15 +29,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .certify import SmallSetCertificate
-from .chain import (
-    ATOL,
-    Distribution,
-    FiniteChain,
-    StateFunction,
-    kernel_powers,
-    stationary,
-    values_of,
-)
+from .chain import ATOL, Distribution, FiniteChain, _bfs_levels, kernel_powers, values_of
 from .errors import (
     InconsistentCertificate,
     InvariantViolation,
@@ -91,16 +83,11 @@ def _residual_rows(Pm: np.ndarray, small: SmallSetCertificate) -> np.ndarray | N
 
 
 def _reach_check(chain: FiniteChain, C: tuple) -> None:
-    """Every state must reach C with positive probability along some path."""
-    adj = chain.kernel > 0.0
-    reached = np.zeros(chain.n, dtype=bool)
-    frontier = np.array(C, dtype=int)
-    reached[frontier] = True
-    while frontier.size:
-        frontier = np.flatnonzero(adj[:, frontier].any(axis=1) & ~reached)
-        reached[frontier] = True
-    if not reached.all():
-        raise Unreachable(int(np.flatnonzero(~reached)[0]))
+    """Every state must reach C with positive probability along some path:
+    a breadth-first search of the reversed graph from C."""
+    unreached = np.flatnonzero(_bfs_levels((chain.kernel > 0.0).T, C) < 0)
+    if unreached.size:
+        raise Unreachable(int(unreached[0]))
 
 
 class _AbsorbingSystem:
@@ -181,9 +168,9 @@ class CycleSystem:
     At m = 1, B holds the indicator rows of C.
 
     Construction computes ``powers`` = [I, P, ..., P^m], Q, B and both LU
-    factorizations (the absorbing boundary and the core) once; pi and
-    E tau are computed on first use, unless the stationary law ``pi`` is
-    passed in. Only the minorization is read, so a bare
+    factorizations (the absorbing boundary and the core) once; E tau is
+    computed on first use, and pi is the chain's own ``chain.pi``. Only
+    the minorization is read, so a bare
     SmallSetCertificate and a full CertificateBundle (one of its kind)
     both serve as ``cert``.
 
@@ -192,9 +179,7 @@ class CycleSystem:
     ``occupation_measure()`` (nu = pi); values from phi are ``phi @ G_h``.
     """
 
-    def __init__(self, chain: FiniteChain, cert, pi: np.ndarray | None = None):
-        if pi is not None:
-            self.pi = pi
+    def __init__(self, chain: FiniteChain, cert):
         self.chain = chain
         self.C = cert.C
         self.m = cert.m
@@ -241,11 +226,6 @@ class CycleSystem:
         return lu_solve(self._core_lu, rhs)
 
     @cached_property
-    def pi(self) -> np.ndarray:
-        """The stationary law of the chain."""
-        return stationary(self.chain).mass
-
-    @cached_property
     def tau(self) -> np.ndarray:
         """E_x tau: the charge h = 1.
 
@@ -254,7 +234,7 @@ class CycleSystem:
         """
         return self.solve(np.ones(self.chain.n))
 
-    def canonical_solution(self, f) -> StateFunction:
+    def canonical_solution(self, f) -> np.ndarray:
         """The canonical solution g* of (P - I)g = -f_c with f_c = f - pi(f).
 
         g*(x) = E_x sum_{j<tau} f_c(X_j); the Poisson residual is verified
@@ -264,12 +244,12 @@ class CycleSystem:
         reported as a diagnostic elsewhere, not asserted.
         """
         f = values_of(f, self.chain.n)
-        f_c = f - float(self.pi @ f)
+        f_c = f - float(self.chain.pi @ f)
         g = self.solve(f_c)
         residual = np.max(np.abs((self.chain.kernel @ g - g) + f_c))
         if not residual <= 1e-9:
             raise InvariantViolation(f"Poisson residual {residual:.3e} exceeds 1e-9")
-        return StateFunction(values=g)
+        return g
 
     def occupation_measure(self) -> Distribution:
         """Expected time per cycle from phi, normalized by the cycle length.
@@ -286,7 +266,7 @@ class CycleSystem:
         if outside.size:
             per_state[outside] += self.absorbing._solve(y[outside], trans=1)
         nu = per_state / per_state.sum()
-        l1 = float(np.abs(nu - self.pi).sum())
+        l1 = float(np.abs(nu - self.chain.pi).sum())
         if not l1 <= 1e-10:
             raise InvariantViolation(
                 f"occupation measure deviates from stationary by {l1:.3e} in L1"

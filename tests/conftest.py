@@ -1,10 +1,14 @@
 """Shared instance suite: randomized finite chains with valid certificates.
 
-Lyapunov functions are constructed from exact expected hitting sums, so
-the drift inequalities hold by construction with equality off C:
+Lyapunov functions are constructed from exact expected hitting sums,
 
-    v1 = E_x sum_{j<T_C} f(X_j),   v2 = E_x T_C,
-    v3 = E_x sum_{j<T_C} v1(X_j),  v4 = E_x sum_{j<T_C} v2(X_j).
+    v1 = E_x sum_{j<T_C} (f + 1)(X_j),   v2 = E_x sum_{j<T_C} 2,
+    v3 = E_x sum_{j<T_C} (v1 + 1)(X_j),  v4 = E_x sum_{j<T_C} (v2 + 1)(X_j),
+
+so off C each drift inequality (Pv)(x) <= v(x) - h(x) holds with a margin
+of exactly 1, as in perfbench's inputs. Plain hitting sums (charges f, 1,
+v1, v2) hold it with equality, and on chains with long hitting times
+rounding alone then decides whether the 1e-12 drift tolerance accepts them.
 
 The suite mixes dense aperiodic chains, block-cyclic periodic chains
 (period 2 and 3, small set inside one cyclic class), and the three
@@ -30,8 +34,6 @@ from markov_poisson.certify import (
 from markov_poisson.chain import (
     CyclicDecomposition,
     FiniteChain,
-    cyclic_decomposition,
-    stationary,
     validate_chain,
 )
 from markov_poisson.split import CycleSystem, hitting
@@ -89,21 +91,21 @@ def random_periodic_chain(rng: np.random.Generator, n: int, p: int):
 
 def build_instance(name: str, chain: FiniteChain, f: np.ndarray, C, m: int) -> Instance:
     n = chain.n
-    _, v1 = hitting(chain, C, f)
-    _, v2 = hitting(chain, C, np.ones(n))
+    _, v1 = hitting(chain, C, f + 1.0)
+    _, v2 = hitting(chain, C, np.full(n, 2.0))
     bundle = verify_bundle(chain, f, v1, v2, C, m)
-    _, v3 = hitting(chain, C, v1)
-    _, v4 = hitting(chain, C, v2)
+    _, v3 = hitting(chain, C, v1 + 1.0)
+    _, v4 = hitting(chain, C, v2 + 1.0)
     pot = verify_potential(chain, bundle, v3, v4)
-    pi = stationary(chain).mass
+    pi = chain.pi
     f_c = f - float(pi @ f)
     system = CycleSystem(chain, bundle)
-    g = system.canonical_solution(f).values
+    g = system.canonical_solution(f)
     residual = float(np.max(np.abs(chain.kernel @ g - g + f_c)))
     s = np.zeros(n)
     s[list(bundle.C)] = bundle.b1
     nu = system.occupation_measure().mass
-    decomp = cyclic_decomposition(chain)
+    decomp = chain.cyclic
     report = finite_bound_report(bundle, pot, decomp.period)
     return Instance(
         name=name,

@@ -144,7 +144,7 @@ def test_a08_truncated_potential(suite, two_state):
         if result.residual > 1e-10:
             failures.append(f"{inst.name}: solve residual {result.residual:.2e}")
             continue
-        g_t = result.g_tilde.values
+        g_t = result.g_tilde
         # the block sum satisfies (P g_t - g_t + f_c)(x) = lim_n P^{np} f_c(x)
         # = p * sum_{y in D} pi(y) f_c(y) for x in cyclic class D; the right
         # side vanishes when p = 1, leaving the one-step equation itself
@@ -176,7 +176,7 @@ def test_a08_truncated_potential(suite, two_state):
     bundle = verify_bundle(ts.chain, [1, 0], [1, 4], [1, 5], [0], 1)
     pot = verify_potential(ts.chain, bundle, [1, 17], [1, 21])
     result = truncated_potential(ts.chain, ts.f, p=1)
-    gap = result.g_tilde.values - ts.g_star
+    gap = result.g_tilde - ts.g_star
     _, _, bound_abs = truncation_gap_bounds(bundle, pot, 1)
     if not np.allclose(gap, 2 / 9, atol=1e-9) or bound_abs != pytest.approx(35.0):
         failures.append("two-state example gap/bound mismatch")

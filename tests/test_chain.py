@@ -3,7 +3,6 @@ import pytest
 
 from markov_poisson.chain import (
     Distribution,
-    StateFunction,
     cyclic_decomposition,
     kernel_powers,
     stationary,
@@ -15,13 +14,6 @@ from markov_poisson.errors import (
     NegativityViolation,
     RowSumViolation,
 )
-
-
-def test_state_function_validation():
-    sf = StateFunction(values=[1.0, -2.0])
-    assert sf.values.tolist() == [1.0, -2.0]
-    with pytest.raises(NegativityViolation):
-        StateFunction(values=[1.0, np.nan])
 
 
 def test_distribution_validation():
@@ -88,8 +80,18 @@ def test_stationary_with_transient_state():
     assert np.allclose(pi[:2], [1 / 3, 2 / 3], atol=1e-14)
 
 
+def test_chain_structure_is_computed_once_and_read_only():
+    chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
+    pi = chain.pi
+    assert chain.pi is pi
+    assert chain.cyclic is chain.cyclic
+    assert pi.tolist() == stationary(chain).mass.tolist()
+    with pytest.raises(ValueError):
+        pi[0] = 0.5
+
+
 def test_stationary_rejects_two_recurrent_classes():
-    with pytest.raises(MultipleRecurrentClasses):
+    with pytest.raises(MultipleRecurrentClasses, match="chain has 2 closed communicating"):
         stationary(validate_chain(np.eye(2)))
 
 

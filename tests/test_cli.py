@@ -226,6 +226,8 @@ def test_simulate_requires_exactly_one_mode(capsys):
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--workers", "0"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--workers", "-3"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--max-steps", "-1"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--seed", "-1"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--seed", str(2**64)],
         ["--gig1", "--x0", "abc"],
         ["--gig1", "--x0", "-3"],
         ["--gig1", "--x0", "nan"],
@@ -233,13 +235,16 @@ def test_simulate_requires_exactly_one_mode(capsys):
         ["--gig1", "--x0", "1", "--cycles", "0"],
         ["--gig1", "--x0", "1", "--workers", "0"],
         ["--gig1", "--x0", "1", "--max-steps", "-1"],
+        ["--gig1", "--x0", "1", "--seed", "-1"],
+        ["--gig1", "--x0", "1", "--seed", str(2**64)],
     ],
     ids=lambda argv: " ".join(a for a in argv if a != str(BUNDLED_SPEC)),
 )
 def test_simulate_rejects_start_state_and_cycle_count_out_of_range(capsys, argv):
     # the state index must lie in 0..n-1 (n = 2 here), the waiting time
     # must be finite and >= 0, at least one cycle must run in at least one
-    # worker, and the step budget cannot be negative
+    # worker, the step budget cannot be negative, and the seed must fit the
+    # uint64 stream key
     code, out = run_cli(capsys, "simulate", *argv)
     assert code == 2
     report = json.loads(out)
@@ -279,11 +284,28 @@ def test_simulate_spec_honours_max_steps(capsys):
         ["--mu", "0.5"],
         ["--sigma", "-1"],
         ["--sigma", "inf"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
     ],
     ids=" ".join,
 )
 def test_queue_parameters_out_of_range_are_input_errors(capsys, command, option):
     code, out = run_cli(capsys, *command, *option)
+    assert code == 2
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["error"]["code"] == "spec-file-error"
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--x-max", "nan"], ["--x-max", "inf"], ["--x-max", "-1"], ["--x-points", "-1"],
+     ["--x-points", "0"]],
+    ids=" ".join,
+)
+def test_gig1_curve_grid_out_of_range_is_an_input_error(capsys, option):
+    # the curves are drawn on linspace(0, x_max, x_points), echoed in the report
+    code, out = run_cli(capsys, "gig1", *option)
     assert code == 2
     report = json.loads(out)
     assert report["passed"] is False
@@ -348,10 +370,16 @@ def test_simulate_builds_kernel_powers_once(tmp_path, capsys, monkeypatch):
 
 
 def test_potential_solves_for_pi_once(capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, "stationary", ("chain", "split", "potential", "cli"))
-    code, _ = run_cli(capsys, "potential", "--spec", str(BUNDLED_SPEC))
-    assert code == 0
-    assert len(calls) == 1
+    # the chain caches pi and its cyclic classes: one strongly connected
+    # components pass, one stationary solve and one decomposition per op
+    names = ("connected_components", "stationary", "cyclic_decomposition")
+    for command in ("solve", "potential"):
+        calls = [_count_calls(monkeypatch, name, ("chain", "split", "potential", "cli"))
+                 for name in names]
+        code, _ = run_cli(capsys, command, "--spec", str(BUNDLED_SPEC))
+        monkeypatch.undo()
+        assert code == 0
+        assert [len(c) for c in calls] == [1, 1, 1], command
 
 
 def test_readme_command_line_lists_only_existing_options():
@@ -637,3 +665,17 @@ def test_module_entry_point(tmp_path):
         )
         assert proc.returncode == expected, proc.stderr
         assert json.loads(proc.stdout)["passed"] is (expected == 0)
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_stats():
+    # the queue commands load scipy.stats on first use; no command pays for
+    # scipy.integrate, and importing the front end loads neither
+    import markov_poisson
+
+    script = ("import sys, markov_poisson.cli; "
+              "print([m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(markov_poisson.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

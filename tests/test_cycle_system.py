@@ -82,7 +82,7 @@ def test_cycle_system_invariants(case):
     pi = stationary(chain).mass
     f = rng.uniform(0.0, 2.0, n)
 
-    g = system.canonical_solution(f).values
+    g = system.canonical_solution(f)
     f_c = f - pi @ f
     assert np.max(np.abs(chain.kernel @ g - g + f_c)) <= 1e-9
     assert np.abs(system.occupation_measure().mass - pi).sum() <= 1e-10
@@ -96,7 +96,7 @@ def test_cycle_system_invariants(case):
 
     # the truncated potential's one solve against the block sum it equals
     p = cyclic_decomposition(chain).period
-    g_tilde = truncated_potential(chain, f, p, pi=pi).g_tilde.values
+    g_tilde = truncated_potential(chain, f, p).g_tilde
     assert np.max(np.abs(g_tilde - block_sum_limit(chain.kernel, f_c, p))) <= 1e-9
 
 
@@ -121,7 +121,7 @@ def test_bounds_contain_exact_values_and_gap_is_constant_per_class(case):
     assert np.all(curve <= report.marginal_bound[None, :] + tol)
 
     p = inst.decomp.period
-    result = truncated_potential(chain, inst.f, p, pi=inst.pi)
+    result = truncated_potential(chain, inst.f, p)
     gap = verify_truncation_gap(chain, b, inst.pot, g, result, p)["gap"]
     for cls in inst.decomp.classes:
         assert np.ptp(gap[sorted(cls)]) <= 1e-8
@@ -174,7 +174,7 @@ def test_near_singular_systems_raise_or_answer_right(case):
     small = minorize(chain, C, m)
     try:
         system = CycleSystem(chain, small)
-        g = system.canonical_solution(f).values
+        g = system.canonical_solution(f)
         nu = system.occupation_measure().mass
     except (SingularSystem, InvariantViolation):
         return
@@ -209,10 +209,11 @@ def test_invariant_checks_raise_coded_errors_under_python_O():
         skewed = FiniteChain(n=2, kernel=np.array([[0.5, 0.6], [0.25, 0.75]]))
         seen["stationary"] = code_of(lambda: chain_mod.stationary(skewed))
 
+        # every chain caches the law chain.stationary returns as its pi
+        wrong = Distribution(mass=[0.5, 0.5])  # the true law is (1/3, 2/3)
+        chain_mod.stationary = lambda c: wrong
         chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
         small = minorize(chain, [0], 1)
-        wrong = Distribution(mass=[0.5, 0.5])  # the true law is (1/3, 2/3)
-        split.stationary = lambda c: wrong
         seen["poisson"] = code_of(
             lambda: split.CycleSystem(chain, small).canonical_solution([1.0, 0.0])
         )

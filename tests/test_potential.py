@@ -6,6 +6,7 @@ import pytest
 from markov_poisson.certify import verify_bundle, verify_potential
 from markov_poisson.chain import cyclic_decomposition, stationary, validate_chain
 from markov_poisson.cli import main
+from markov_poisson.errors import SingularSystem
 from markov_poisson.potential import truncated_potential, verify_truncation_gap
 from markov_poisson.split import CycleSystem, hitting
 
@@ -27,16 +28,16 @@ def chain():
 
 def test_running_example_value(chain):
     result = truncated_potential(chain, [1, 0], p=1)
-    assert result.g_tilde.values == pytest.approx([8 / 9, -4 / 9], abs=1e-9)
+    assert result.g_tilde == pytest.approx([8 / 9, -4 / 9], abs=1e-9)
     assert result.residual <= 1e-10
     pi = stationary(chain).mass
     oracle = brute_force_blocks(chain.kernel, np.array([1, 0]) - pi @ [1, 0], 1, 200)
-    assert result.g_tilde.values == pytest.approx(oracle, abs=1e-9)
+    assert result.g_tilde == pytest.approx(oracle, abs=1e-9)
 
 
 def test_constant_reward_gives_zero(chain):
     result = truncated_potential(chain, [2.0, 2.0], p=1)
-    assert np.max(np.abs(result.g_tilde.values)) <= 1e-12
+    assert np.max(np.abs(result.g_tilde)) <= 1e-12
 
 
 def test_flip_chain_blocks_settle_immediately():
@@ -44,9 +45,9 @@ def test_flip_chain_blocks_settle_immediately():
     # truncated sum is identically zero from the first block on
     flip = validate_chain([[0.0, 1.0], [1.0, 0.0]])
     result = truncated_potential(flip, [1, 0], p=2)
-    assert result.g_tilde.values == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert result.g_tilde == pytest.approx([0.0, 0.0], abs=1e-15)
     oracle = brute_force_blocks(flip.kernel, np.array([0.5, -0.5]), 2, 100)
-    assert result.g_tilde.values == pytest.approx(oracle, abs=1e-15)
+    assert result.g_tilde == pytest.approx(oracle, abs=1e-15)
 
 
 @pytest.mark.parametrize("p", [0, -2, 1, 3])
@@ -92,7 +93,7 @@ def test_aperiodic_gap_is_global_constant(suite):
         if inst.decomp.period != 1:
             continue
         result = truncated_potential(inst.chain, inst.f, p=1)
-        gap = result.g_tilde.values - inst.g_star
+        gap = result.g_tilde - inst.g_star
         expected = -float(inst.pi @ inst.g_star)
         assert np.max(np.abs(gap - expected)) <= 1e-8
 
@@ -101,7 +102,7 @@ def test_aperiodic_potential_solves_equation(suite):
     for inst in suite.instances:
         if inst.decomp.period != 1:
             continue
-        g_t = truncated_potential(inst.chain, inst.f, p=1).g_tilde.values
+        g_t = truncated_potential(inst.chain, inst.f, p=1).g_tilde
         residual = np.max(np.abs(inst.chain.kernel @ g_t - g_t + inst.f_c))
         assert residual <= 1e-8
 
@@ -114,7 +115,7 @@ def test_periodic_gap_constant_per_class(suite):
             continue
         saw_periodic = True
         result = truncated_potential(inst.chain, inst.f, p=p)
-        gap = result.g_tilde.values - inst.g_star
+        gap = result.g_tilde - inst.g_star
         for cls in inst.decomp.classes:
             members = list(cls)
             assert np.ptp(gap[members]) <= 1e-8
@@ -135,12 +136,12 @@ def test_periodic_gap_matches_class_conditioned_shift():
     _, v1 = hitting(chain, [0], f)
     _, v2 = hitting(chain, [0], np.ones(4))
     bundle = verify_bundle(chain, f, v1, v2, [0], 1)
-    g = CycleSystem(chain, bundle).canonical_solution(f).values
+    g = CycleSystem(chain, bundle).canonical_solution(f)
     decomp = cyclic_decomposition(chain)
     assert decomp.period == 2
     result = truncated_potential(chain, f, p=2)
     pi = stationary(chain).mass
-    gap = result.g_tilde.values - g
+    gap = result.g_tilde - g
     for cls in decomp.classes:
         members = list(cls)
         cond = pi[members] / pi[members].sum()
@@ -148,10 +149,19 @@ def test_periodic_gap_matches_class_conditioned_shift():
         assert gap[members] == pytest.approx([expected] * len(members), abs=1e-8)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("f", [[1.2e308, -1.2e308], [1.7e308, -1.7e308]], ids=["solve", "charge"])
+def test_overflow_is_a_coded_error(chain, f):
+    # g_tilde overflows in the solve, or f_c already overflows; either ends
+    # as a coded error rather than a non-finite table in the report
+    with pytest.raises(SingularSystem):
+        truncated_potential(chain, f, p=1)
+
+
 def test_truncation_gap_running_example(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
     pot = verify_potential(chain, bundle, [1, 17], [1, 21])
-    g = CycleSystem(chain, bundle).canonical_solution([1, 0]).values
+    g = CycleSystem(chain, bundle).canonical_solution([1, 0])
     result = truncated_potential(chain, [1, 0], p=1)
     report = verify_truncation_gap(chain, bundle, pot, g, result, p=1)
     assert report["gap"] == pytest.approx([2 / 9, 2 / 9], abs=1e-9)
@@ -162,7 +172,7 @@ def test_truncation_gap_running_example(chain):
 def test_truncation_gap_constant_reward_gap_zero(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
     pot = verify_potential(chain, bundle, [1, 17], [1, 21])
-    g = CycleSystem(chain, bundle).canonical_solution([1.0, 1.0]).values
+    g = CycleSystem(chain, bundle).canonical_solution([1.0, 1.0])
     result = truncated_potential(chain, [1.0, 1.0], p=1)
     report = verify_truncation_gap(chain, bundle, pot, g, result, p=1)
     assert report["gap"] == pytest.approx([0.0, 0.0], abs=1e-12)

@@ -86,26 +86,26 @@ def test_tau_dominates_first_hit_plus_m(suite):
 
 
 def test_canonical_solution_running_example(chain, bundle):
-    g = CycleSystem(chain, bundle).canonical_solution([1, 0]).values
+    g = CycleSystem(chain, bundle).canonical_solution([1, 0])
     assert g == pytest.approx([2 / 3, -2 / 3])
     # matches the pinned linear-solve solution (4/3, 0) up to the constant -2/3
     assert g - np.array([4 / 3, 0.0]) == pytest.approx([-2 / 3, -2 / 3])
 
 
 def test_canonical_solution_constant_reward(chain, bundle):
-    g = CycleSystem(chain, bundle).canonical_solution([3.5, 3.5]).values
+    g = CycleSystem(chain, bundle).canonical_solution([3.5, 3.5])
     assert np.max(np.abs(g)) <= 1e-12
 
 
 def test_phi_gstar_vanishes_at_m_equal_one(chain, bundle):
-    g = CycleSystem(chain, bundle).canonical_solution([1, 0]).values
+    g = CycleSystem(chain, bundle).canonical_solution([1, 0])
     assert abs(bundle.phi.mass @ g) <= 1e-10
 
 
 def test_two_step_certificate_hand_values(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 2)
     system = CycleSystem(chain, bundle)
-    g = system.canonical_solution([1, 0]).values
+    g = system.canonical_solution([1, 0])
     assert g == pytest.approx([5 / 6, -1 / 2])
     assert system.tau == pytest.approx([2.0, 6.0])
 
@@ -116,7 +116,7 @@ def test_three_cycle_hand_values():
     _, v2 = hitting(chain, [0], np.ones(3))
     bundle = verify_bundle(chain, [1, 0, 0], v1, v2, [0], 3)
     system = CycleSystem(chain, bundle)
-    g = system.canonical_solution([1, 0, 0]).values
+    g = system.canonical_solution([1, 0, 0])
     assert g == pytest.approx([0.0, -2 / 3, -1 / 3], abs=1e-12)
     assert system.tau == pytest.approx([3.0, 5.0, 4.0])
 
@@ -208,7 +208,7 @@ def test_poisson_residual_small_random_sweep():
         _, v1 = hitting(chain, C, f)
         _, v2 = hitting(chain, C, np.ones(n))
         bundle = verify_bundle(chain, f, v1, v2, C, int(rng.integers(1, 4)))
-        g = CycleSystem(chain, bundle).canonical_solution(f).values
+        g = CycleSystem(chain, bundle).canonical_solution(f)
         from markov_poisson.chain import stationary
 
         f_c = f - stationary(chain).mass @ f
@@ -253,7 +253,7 @@ def test_atom_solution_shifted_by_phi_average_is_gstar(suite):
             atom = SmallSetCertificate(
                 C=(a,), m=1, lam=1.0, phi=Distribution(mass=inst.chain.kernel[a])
             )
-            g_a = CycleSystem(inst.chain, atom).canonical_solution(inst.f).values
+            g_a = CycleSystem(inst.chain, atom).canonical_solution(inst.f)
             shifted = g_a - float(inst.bundle.phi.mass @ g_a)
             assert np.max(np.abs(shifted - inst.g_star)) <= 1e-12, (inst.name, a)
             pairs += 1
