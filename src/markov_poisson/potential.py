@@ -18,7 +18,9 @@ checks the guaranteed statements: the gap bounds and, per class, the
 constancy of the gap.
 
 pi and the cyclic classes are the chain's own cached ``chain.pi`` and
-``chain.cyclic``; P^p is the last of ``kernel_powers(chain, p)``.
+``chain.cyclic``; P^p is ``np.linalg.matrix_power``, about log2 p
+products (for p <= 3 the same products, in the same order, as repeated
+multiplication).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from scipy.linalg import lu_solve
 
 from .bounds import truncation_gap_bounds
 from .certify import CertificateBundle, PotentialCertificate
-from .chain import FiniteChain, kernel_powers, values_of
+from .chain import FiniteChain, values_of
 from .errors import BoundViolation, SingularSystem
 from .split import _lu
 
@@ -73,7 +75,7 @@ def truncated_potential(chain: FiniteChain, f, p: int) -> PotentialResult:
     for _ in range(p):
         block += term
         term = chain.kernel @ term
-    A = np.eye(chain.n) - kernel_powers(chain, p)[-1]
+    A = np.eye(chain.n) - np.linalg.matrix_power(chain.kernel, p)
     for cls in chain.cyclic.classes:
         idx = sorted(cls)
         A[np.ix_(idx, idx)] += d * pi[idx]

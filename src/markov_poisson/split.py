@@ -8,17 +8,19 @@ cycle expectation
 
     G_h(x) = E_x sum_{j=0}^{tau-1} h(X_j)
 
-is computed from a one-layer decomposition: the pre-hit segment up to
-T_1 (an absorbing-boundary linear solve), the m-step block at the coin
-toss (endpoint mixture lambda*phi + (1-lambda)*Q plus the conditioned
-bridge over the m-1 intermediate indices), and a continuation from the
-residual endpoint. Visits to C strictly inside a bridge segment do not
-schedule coin tosses; the decomposition encodes that by construction.
+solves the first-step equations of one split-chain cycle: off C one step
+of P; on C the m-step block at the coin toss (endpoint mixture
+lambda*phi + (1-lambda)*Q plus the conditioned bridge over the m-1
+intermediate indices), then, when the coin fails, a fresh cycle from an
+endpoint drawn from Q. Visits to C strictly inside a bridge segment do not
+schedule coin tosses; the block encodes that by construction.
 
-The unknowns G_h form a dense linear system solved by LU with partial
-pivoting; a pivot below 1e-13 raises SingularSystem (impossible under a
-valid certificate, surfaced defensively). :class:`CycleSystem` factors it
-once per chain and certificate and then solves any block of charges.
+The equations for every charge share one dense matrix, solved by LU with
+partial pivoting; a pivot below 1e-13 raises SingularSystem (impossible
+under a valid certificate, surfaced defensively). :class:`CycleSystem`
+factors it once per chain and certificate and then solves any block of
+charges. :func:`hitting` solves the absorbing-boundary equations for the
+first hit of C, which build hitting-sum Lyapunov functions.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
 
 #: LU pivots below this raise SingularSystem
 PIVOT_TOL = 1e-13
-#: phi or Q mass allowed on endpoints with P^m(x, y) = 0
+#: phi mass allowed on endpoints with P^m(x, y) = 0
 ENDPOINT_MASS_TOL = 1e-10
 
 
@@ -90,50 +92,6 @@ def _reach_check(chain: FiniteChain, C: tuple) -> None:
         raise Unreachable(int(unreached[0]))
 
 
-class _AbsorbingSystem:
-    """Linear solves with the small set C as absorbing boundary."""
-
-    def __init__(self, chain: FiniteChain, C: tuple):
-        _reach_check(chain, C)
-        self.n = chain.n
-        self.C = C
-        self.outside = np.setdiff1d(np.arange(chain.n), C, assume_unique=True)
-        P = chain.kernel
-        if self.outside.size:
-            self._A = np.eye(self.outside.size) - P[np.ix_(self.outside, self.outside)]
-            self._lu = _lu(self._A)
-            H_out = self._solve(P[np.ix_(self.outside, list(C))])
-        else:
-            self._lu = None
-            H_out = None
-        # H(x, w) = P_x(X_{T_1} = w); rows for x in C are point masses
-        H = np.zeros((chain.n, len(C)))
-        for i, w in enumerate(C):
-            H[w, i] = 1.0
-        if H_out is not None:
-            H[self.outside, :] = H_out
-        self.H = H
-
-    def _solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        # one step of iterative refinement keeps drift residuals of
-        # hitting-sum Lyapunov functions below the 1e-12 tolerance;
-        # trans=1 solves with the transpose
-        A = self._A.T if trans else self._A
-        x = lu_solve(self._lu, rhs, trans=trans)
-        x += lu_solve(self._lu, rhs - A @ x, trans=trans)
-        return x
-
-    def pre_hit(self, charges: np.ndarray) -> np.ndarray:
-        """u_h(x) = E_x sum_{j<T_1} h(X_j), columns of ``charges`` as charges.
-
-        ``charges`` has shape (n,) or (n, k); the result matches.
-        """
-        u = np.zeros_like(charges, dtype=float)
-        if self.outside.size:
-            u[self.outside] = self._solve(np.asarray(charges, dtype=float)[self.outside])
-        return u
-
-
 def hitting(chain: FiniteChain, C, h=None):
     """First-hit distribution on C and optional pre-hit charge sums.
 
@@ -144,35 +102,59 @@ def hitting(chain: FiniteChain, C, h=None):
     u : (n,) ndarray or None
         E_x sum_{j<T_1} h(X_j) when a charge h is given (zero on C).
 
-    Raises Unreachable if some state cannot reach C.
+    Both solve I - P on the states outside C, with C as absorbing
+    boundary. Raises Unreachable if some state cannot reach C.
     """
     C = tuple(sorted({int(x) for x in C}))
-    sys = _AbsorbingSystem(chain, C)
-    u = sys.pre_hit(values_of(h, chain.n)) if h is not None else None
-    return sys.H, u
+    _reach_check(chain, C)
+    outside = np.setdiff1d(np.arange(chain.n), C, assume_unique=True)
+    # rows for x in C are point masses
+    H = np.zeros((chain.n, len(C)))
+    H[list(C), np.arange(len(C))] = 1.0
+    h = None if h is None else values_of(h, chain.n)
+    u = None if h is None else np.zeros(chain.n)
+    if outside.size:
+        P = chain.kernel
+        A = np.eye(outside.size) - P[np.ix_(outside, outside)]
+        lu = _lu(A)
+
+        def solve(rhs):
+            # one step of iterative refinement keeps drift residuals of
+            # hitting-sum Lyapunov functions below the 1e-12 tolerance
+            x = lu_solve(lu, rhs)
+            x += lu_solve(lu, rhs - A @ x)
+            return x
+
+        H[outside, :] = solve(P[np.ix_(outside, list(C))])
+        if u is not None:
+            u[outside] = solve(h[outside])
+    return H, u
 
 
 class CycleSystem:
     """The factored regeneration system of one chain under one certificate.
 
-    Every cycle expectation G_h = E_. sum_{j<tau} h(X_j) solves the same
-    linear system with a charge-dependent right-hand side
+    Every cycle expectation G_h = E_. sum_{j<tau} h(X_j) solves the
+    first-step equations of one split-chain cycle, the same matrix for
+    every charge:
 
-        (I - (1-lam) H Q) G_h = u_h + H B h,
+        (I - K) G_h = R h.
 
-    where u_h is the pre-hit sum, H the first-hit law on C and B the
-    (|C|, n) block matrix: (B h)(w) is the expected charge of the m-step
-    block started at w, h(w) plus the bridge over indices 1..m-1
-    conditioned on the endpoint drawn from lam*phi + (1-lam)*Q(w, .).
-    Endpoints with P^m(w, y) = 0 carry no mixture mass and are excluded.
-    At m = 1, B holds the indicator rows of C.
+    Off C a cycle takes one step of P: K(x, .) = P(x, .) and (R h)(x) =
+    h(x). On C it runs the m-step block and, when the lam-coin fails,
+    starts afresh from the residual endpoint: K(w, .) = (1-lam) Q(w, .)
+    (zero when lam = 1) and (R h)(w) = (B h)(w). B is the (|C|, n) block
+    matrix: (B h)(w) is the expected charge of the m-step block started at
+    w, h(w) plus the bridge over indices 1..m-1 conditioned on the
+    endpoint drawn from lam*phi + (1-lam)*Q(w, .). Endpoints with
+    P^m(w, y) = 0 carry no mixture mass and are excluded. At m = 1, B
+    holds the indicator rows of C.
 
-    Construction computes ``powers`` = [I, P, ..., P^m], Q, B and both LU
-    factorizations (the absorbing boundary and the core) once; E tau is
-    computed on first use, and pi is the chain's own ``chain.pi``. Only
-    the minorization is read, so a bare
-    SmallSetCertificate and a full CertificateBundle (one of its kind)
-    both serve as ``cert``.
+    Construction computes ``powers`` = [I, P, ..., P^m], Q, B and the LU
+    factorization of I - K once; E tau is computed on first use, and pi
+    is the chain's own ``chain.pi``. Only the minorization is read, so a
+    bare SmallSetCertificate and a full CertificateBundle (one of its
+    kind) both serve as ``cert``.
 
     This is the one entry point to every cycle quantity: ``solve(h)``
     (G_h), ``tau`` (E_x tau), ``canonical_solution(f)`` (g*) and
@@ -188,18 +170,13 @@ class CycleSystem:
         self.powers = powers = kernel_powers(chain, cert.m)
         Pm = powers[-1]
         self.Q = _residual_rows(Pm, cert)
-        self.absorbing = _AbsorbingSystem(chain, cert.C)
-        self.H = self.absorbing.H
+        _reach_check(chain, cert.C)
         B = np.zeros((len(self.C), chain.n))
         for i, w in enumerate(self.C):
             live = Pm[w, :] > 0.0
             if self.phi[~live].sum() > ENDPOINT_MASS_TOL:
                 raise InconsistentCertificate(
                     f"phi places mass on endpoints with P^m({w}, .) = 0"
-                )
-            if self.Q is not None and self.Q[i, ~live].sum() > ENDPOINT_MASS_TOL:
-                raise InconsistentCertificate(
-                    f"Q({w}, .) places mass on endpoints with P^m({w}, .) = 0"
                 )
             B[i, w] = 1.0
             weights = self.lam * self.phi
@@ -210,20 +187,18 @@ class CycleSystem:
             for j in range(1, self.m):
                 B[i, :] += powers[j][w, :] * (powers[self.m - j] @ scaled)
         self.B = B
-        if self.lam < 1.0:
-            self._core_lu = _lu(np.eye(chain.n) - (1.0 - self.lam) * (self.H @ self.Q))
-        else:
-            self._core_lu = None
+        K = chain.kernel.copy()
+        K[list(self.C)] = 0.0 if self.Q is None else (1.0 - self.lam) * self.Q
+        self._lu = _lu(np.eye(chain.n) - K)
 
     def solve(self, charges) -> np.ndarray:
         """G_h for one charge of shape (n,) or a block of charges (n, k)."""
         X = values_of(charges)
         if X.ndim not in (1, 2) or X.shape[0] != self.chain.n:
             raise ValueError(f"expected {self.chain.n} rows of charges, got shape {X.shape}")
-        rhs = self.absorbing.pre_hit(X) + self.H @ (self.B @ X)
-        if self._core_lu is None:
-            return rhs
-        return lu_solve(self._core_lu, rhs)
+        rhs = X.copy()
+        rhs[list(self.C)] = self.B @ X
+        return lu_solve(self._lu, rhs)
 
     @cached_property
     def tau(self) -> np.ndarray:
@@ -258,13 +233,13 @@ class CycleSystem:
         stationary distribution; the identity is verified to 1e-10 in L1
         (InvariantViolation otherwise).
         """
-        # phi G_h = y (u_h + H B h) with y = phi (I - (1-lam) H Q)^{-1}: two
-        # transposed single-vector solves (core, then pre-hit) give every h
-        y = self.phi if self._core_lu is None else lu_solve(self._core_lu, self.phi, trans=1)
-        per_state = (y @ self.H) @ self.B
-        outside = self.absorbing.outside
-        if outside.size:
-            per_state[outside] += self.absorbing._solve(y[outside], trans=1)
+        # phi G_h = y R h with y = phi (I - K)^{-1}: one transposed solve
+        # gives every h, y(x) per unit of h(x) off C and y_C B on C's blocks
+        C = list(self.C)
+        y = lu_solve(self._lu, self.phi, trans=1)
+        per_state = y[C] @ self.B
+        y[C] = 0.0
+        per_state += y
         nu = per_state / per_state.sum()
         l1 = float(np.abs(nu - self.chain.pi).sum())
         if not l1 <= 1e-10:

@@ -264,6 +264,35 @@ def test_simulate_spec_needs_only_f_and_small_set(tmp_path, capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, code, assertion",
+    [
+        (["verify"], 1, "drift_minorization_certificate"),
+        (["solve"], 1, "solve_completed"),
+        (["simulate", "--x0", "1", "--cycles", "200"], 1, "simulation_completed"),
+        (["potential"], 0, None),
+    ],
+    ids=["verify", "solve", "simulate", "potential"],
+)
+def test_spec_without_small_set(tmp_path, capsys, argv, code, assertion):
+    # only potential runs without a minorization; the others fail their
+    # first assertion with an input error raised inside the computation
+    doc = json.loads(BUNDLED_SPEC.read_text())
+    del doc["small_set"]
+    spec = tmp_path / "no_small_set.json"
+    spec.write_text(json.dumps(doc))
+    got, out = run_cli(capsys, argv[0], "--spec", str(spec), *argv[1:])
+    report = json.loads(out)
+    assert (got, report["passed"]) == (code, code == 0)
+    if assertion is None:
+        assert "error" not in report
+        return
+    assert report["error"]["code"] == "spec-file-error"
+    assert report["assertions"] == [
+        {"name": assertion, "passed": False, "detail": report["error"]["message"]}
+    ]
+
+
 def test_simulate_spec_honours_max_steps(capsys):
     code, out = run_cli(capsys, "simulate", "--spec", str(BUNDLED_SPEC), "--x0", "1",
                         "--cycles", "100", "--max-steps", "0")

@@ -18,7 +18,7 @@ from markov_poisson.certify import minorize
 from markov_poisson.chain import cyclic_decomposition, stationary, validate_chain
 from markov_poisson.errors import InvariantViolation, SingularSystem
 from markov_poisson.potential import truncated_potential, verify_truncation_gap
-from markov_poisson.split import CycleSystem, marginal_curve
+from markov_poisson.split import CycleSystem, hitting, marginal_curve
 
 BUNDLED_SPEC = Path(__file__).resolve().parents[1] / "demos" / "specs" / "running_example.json"
 
@@ -125,6 +125,25 @@ def test_bounds_contain_exact_values_and_gap_is_constant_per_class(case):
     gap = verify_truncation_gap(chain, b, inst.pot, g, result, p)["gap"]
     for cls in inst.decomp.classes:
         assert np.ptp(gap[sorted(cls)]) <= 1e-8
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(chains_with_certificates())
+def test_one_system_matches_the_first_hit_decomposition(case):
+    # oracle: the two-stage derivation, G_h = u_h + H (B h + (1-lam) Q G_h)
+    # with the first-hit law H and the pre-hit sums u_h on C's boundary
+    chain, small, rng = case
+    n = chain.n
+    system = CycleSystem(chain, small)
+    X = rng.uniform(0.0, 1.0, (n, 3))
+    G = system.solve(X)
+    for j in range(3):
+        H, u = hitting(chain, small.C, X[:, j])
+        core = np.eye(n)
+        if system.Q is not None:
+            core -= (1.0 - small.lam) * H @ system.Q
+        oracle = np.linalg.solve(core, u + H @ (system.B @ X[:, j]))
+        assert np.max(np.abs(G[:, j] - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(G)))
 
 
 def gth_stationary(P):

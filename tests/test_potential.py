@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,24 @@ def brute_force_blocks(kernel, f_c, p, n_blocks):
 @pytest.fixture
 def chain():
     return validate_chain([[0.5, 0.5], [0.25, 0.75]])
+
+
+def test_long_period_power_stays_small():
+    # a 300-state pure cycle has period 300: P^300 by repeated squaring
+    # holds a few n x n matrices, not all 301 powers (217 MB at n = 300)
+    n = 300
+    cycle = validate_chain(np.roll(np.eye(n), 1, axis=1))
+    f = np.random.default_rng(3).uniform(0.0, 2.0, n)
+    assert (cycle.cyclic.period, cycle.pi.size) == (n, n)
+    tracemalloc.start()
+    try:
+        result = truncated_potential(cycle, f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+    # each block sums f_c over the whole cycle, so g_tilde vanishes
+    assert np.max(np.abs(result.g_tilde)) <= 1e-10
 
 
 def test_running_example_value(chain):

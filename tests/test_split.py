@@ -182,6 +182,27 @@ def test_inconsistent_certificate_rejected():
         CycleSystem(flip, tiny)
 
 
+def test_cycle_system_factors_one_matrix(monkeypatch):
+    # one LU of I - K serves every charge, with states both on and off C
+    # and a residual kernel on C (lam < 1)
+    from markov_poisson import split
+
+    rng = np.random.default_rng(6)
+    chain = validate_chain(rng.dirichlet(np.ones(6), size=6))
+    small = minorize(chain, [0, 1], 1)
+    assert small.lam < 1.0
+    shapes = []
+    original = split.lu_factor
+
+    def counted(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(split, "lu_factor", counted)
+    CycleSystem(chain, small)
+    assert shapes == [(6, 6)]
+
+
 def test_singular_system_guard():
     import warnings
 
