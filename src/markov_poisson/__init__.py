@@ -9,7 +9,7 @@ other public name is imported from its own module (``markov_poisson.bounds``,
 from .bounds import finite_bound_report
 from .certify import verify_bundle, verify_potential
 from .chain import validate_chain
-from .gig1 import GIG1Model, bound_curves, build_certificate, mc_validate
+from .gig1 import GIG1Model, bound_curves, build_certificate, increment_family, mc_validate
 from .mc import FiniteChainSampler, estimate_gstar, estimate_pif
 from .potential import truncated_potential, verify_truncation_gap
 from .split import CycleSystem, hitting
@@ -26,6 +26,7 @@ __all__ = [
     "estimate_pif",
     "finite_bound_report",
     "hitting",
+    "increment_family",
     "mc_validate",
     "truncated_potential",
     "validate_chain",

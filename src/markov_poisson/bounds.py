@@ -12,11 +12,13 @@ the formulas assume the infimum is known rather than optimized for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .certify import CertificateBundle, PotentialCertificate
+from .errors import NonFiniteResult
 
 
 def delta_bound(inf_v: float, phi_v: float, b: float, m: int, lam: float) -> float:
@@ -67,10 +69,16 @@ def envelope_comparison(b1: float, lam: float, phi_v1: float):
 
     Both coefficients multiply the same quadratic growth curve. Ours is
     max{1, b1}; the alternative envelope carries a(1 + b1) with
-    a = 1 + max{0, b1/lambda - phi.v1}, so it is never smaller.
+    a = 1 + max{0, b1/lambda - phi.v1}, so it is never smaller. Raises
+    NonFiniteResult when a(1 + b1) overflows.
     """
     a = 1.0 + max(0.0, b1 / lam - phi_v1)
-    return a, a * (1.0 + b1), max(1.0, b1)
+    competing = a * (1.0 + b1)
+    if not math.isfinite(competing):
+        raise NonFiniteResult(
+            f"the competing coefficient a(1 + b1) = {a:.6g} * (1 + {b1:.6g}) overflows"
+        )
+    return a, competing, max(1.0, b1)
 
 
 @dataclass(frozen=True)

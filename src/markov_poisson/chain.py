@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InvariantViolation,
@@ -181,32 +179,58 @@ def _bfs_levels(adj: np.ndarray, sources) -> np.ndarray:
     return level
 
 
+def _closed_class(adj: np.ndarray, adj_t: np.ndarray, s: int):
+    """A closed communicating class reachable from state ``s``.
+
+    Returns BFS levels from a state r of that class (>= 0 exactly on the
+    class, which is all r reaches) and the mask of the states that reach r.
+    While s reaches a state t that cannot reach s back, s is transient and
+    the search moves to t, whose reachable set is strictly smaller; the
+    deepest such t is taken, so a path of transient states is crossed in
+    one move.
+    """
+    while True:
+        level = _bfs_levels(adj, [s])
+        back = _bfs_levels(adj_t, [s]) >= 0
+        escape = np.where(back, -1, level)
+        if escape.max() < 0:
+            return level, back
+        s = int(np.argmax(escape))
+
+
 def cyclic_decomposition(chain: FiniteChain) -> CyclicDecomposition:
     """Period and cyclic classes of the single recurrent class.
 
-    The recurrent class is the one strongly connected component that no
-    edge leaves; every other state is transient, and more than one closed
-    component raises MultipleRecurrentClasses. The period is the gcd of
-    cycle lengths in the transition digraph, obtained exactly from integer
-    BFS levels: p = gcd over edges (u, v) of level(u) + 1 - level(v).
-    Class D_0 contains the smallest recurrent state index, and classes are
-    ordered so one-step transitions map D_i into D_{i+1 mod p}.
+    A state is recurrent when every state it reaches also reaches it back;
+    its communicating class is then closed. The search starts from state 0
+    (:func:`_closed_class`); the states that cannot reach that class hold
+    every other closed class, and more than one raises
+    MultipleRecurrentClasses. The period is the gcd of cycle lengths in the
+    transition digraph, obtained exactly from integer BFS levels: p = gcd
+    over edges (u, v) of level(u) + 1 - level(v). Class D_0 contains the
+    smallest recurrent state index, and classes are ordered so one-step
+    transitions map D_i into D_{i+1 mod p}.
     """
     adj = chain.kernel > 0.0
-    _, labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    u, v = np.nonzero(adj)
-    # a component is closed when no edge leaves it
-    closed = np.setdiff1d(labels, labels[u[labels[u] != labels[v]]])
-    if closed.size != 1:
+    adj_t = np.ascontiguousarray(adj.T)
+    level, reaches = _closed_class(adj, adj_t, 0)
+    closed = 1
+    rest = ~reaches  # states that cannot reach the first closed class
+    while rest.any():
+        _, back = _closed_class(adj, adj_t, int(np.argmax(rest)))
+        rest &= ~back
+        closed += 1
+    if closed != 1:
         raise MultipleRecurrentClasses(
-            f"chain has {closed.size} closed communicating classes; "
+            f"chain has {closed} closed communicating classes; "
             "the stationary distribution is not unique"
         )
-    rec = np.flatnonzero(labels == closed[0])
-    # BFS from a closed class stays inside it: level >= 0 exactly on rec
-    level = _bfs_levels(adj, rec[:1])
+    rec = np.flatnonzero(level >= 0)
+    u, v = np.nonzero(adj)
     inside = level[u] >= 0
     p = int(np.gcd.reduce(level[u[inside]] + 1 - level[v[inside]])) or 1
-    classes = tuple(frozenset(int(x) for x in rec if level[x] % p == r) for r in range(p))
-    transient = tuple(int(t) for t in np.flatnonzero(labels != closed[0]))
+    # levels from the search's root, shifted so that rec[0] sits in D_0
+    phase = (level - level[rec[0]]) % p
+    classes = tuple(frozenset(int(x) for x in rec if phase[x] == r) for r in range(p))
+    transient = tuple(int(t) for t in np.flatnonzero(level < 0))
     return CyclicDecomposition(period=p, classes=classes, transient=transient)

@@ -149,6 +149,12 @@ class SearchExhausted(ToolkitError):
     code = "search-exhausted"
 
 
+class NonFiniteResult(ToolkitError):
+    """A computed quantity overflowed to infinity or is NaN; no report can carry it."""
+
+    code = "non-finite-result"
+
+
 class SpecFileError(ToolkitError):
     """A chain-spec document failed to parse or validate."""
 

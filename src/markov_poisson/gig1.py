@@ -45,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .bounds import envelope_comparison
-from .errors import QuadratureFailure, SearchExhausted
+from .errors import NonFiniteResult, QuadratureFailure, SearchExhausted
 from .mc import estimate_gstar, estimate_pif
 
 #: tolerance on the truncated density mass
@@ -69,44 +69,119 @@ HORIZON_PAD = 2.0
 #: m/lam = 6.5 (kappa = 1.8) on the atom is cheaper at both points.
 SPLIT_MAX_CYCLE = 6.0
 
+#: most points the drift-margin grid of ``build_certificate`` may hold, so
+#: that a grid past it is refused before it is allocated. The (Pv1)
+#: quadrature costs that many times the increment grid and the minorizing
+#: density up to its square: on one core of a 2-core Intel Xeon, 19550
+#: points (normal mean -0.03, kappa 1.1) took 6 s and 56205 points 43 s.
+#: The default settings need 2575 (kappa 1.1, step 0.01).
+MAX_GRID_POINTS = 10**5
+
 #: increment families with continuous positive densities on the real line
 FAMILIES = ("normal", "logistic", "laplace")
 
 
-def increment_family(family: str, loc: float, scale: float):
-    """A frozen scipy.stats increment law from a family name."""
-    from scipy import stats
+#: mean and variance of each family's standard member (loc 0, scale 1)
+_STANDARD_MOMENTS = {
+    "normal": (0.0, 1.0),
+    "logistic": (0, np.pi * np.pi / 3.0),
+    "laplace": (0, 2),
+}
 
-    dists = {"normal": stats.norm, "logistic": stats.logistic, "laplace": stats.laplace}
-    if family not in dists:
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+@dataclass(frozen=True)
+class Increment:
+    """An increment law of one of FAMILIES, at location ``loc`` and scale ``scale``.
+
+    Each method takes the standard law's formula on z = (x - loc)/scale,
+    divides the pdf by scale, returns quantiles as z*scale + loc and the
+    moments as mu*scale + loc and mu2*scale*scale: the arithmetic of
+    scipy.stats 1.17, so every value, ppf(0) = -inf and ppf(1) = inf
+    included, is the float its frozen law gives. scipy.special is imported
+    on first use, so the package import that every command pays leaves it
+    out. :func:`increment_family` checks the arguments.
+    """
+
+    family: str
+    loc: float
+    scale: float
+
+    def pdf(self, x):
+        z = (np.asarray(x, dtype=float) - self.loc) / self.scale
+        if self.family == "normal":
+            p = np.exp(-z**2 / 2.0) / _SQRT_2PI
+        elif self.family == "logistic":
+            from scipy.special import log1p
+
+            y = -np.abs(z)
+            p = np.exp(y - 2.0 * log1p(np.exp(y)))
+        else:
+            p = 0.5 * np.exp(-np.abs(z))
+        return p / self.scale
+
+    def cdf(self, x):
+        z = (np.asarray(x, dtype=float) - self.loc) / self.scale
+        if self.family == "laplace":
+            with np.errstate(over="ignore"):
+                return np.where(z > 0, 1.0 - 0.5 * np.exp(-z), 0.5 * np.exp(z))
+        from scipy import special
+
+        return (special.ndtr if self.family == "normal" else special.expit)(z)
+
+    def ppf(self, q):
+        q = np.asarray(q, dtype=float)
+        if self.family == "laplace":
+            # log(0) at q = 0 and q = 1 is the boundary value, not an error
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q))
+        else:
+            from scipy import special
+
+            z = (special.ndtri if self.family == "normal" else special.logit)(q)
+        return z * self.scale + self.loc
+
+    def mean(self) -> float:
+        mu, _ = _STANDARD_MOMENTS[self.family]
+        return mu * self.scale + self.loc
+
+    def var(self) -> float:
+        _, mu2 = _STANDARD_MOMENTS[self.family]
+        return mu2 * self.scale * self.scale
+
+
+def increment_family(family: str, loc: float, scale: float) -> Increment:
+    """The increment law of a family name, with its arguments checked."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown increment family {family!r}; choose from {FAMILIES}")
     if not (math.isfinite(loc) and math.isfinite(scale) and scale > 0):
         raise ValueError(f"location must be finite and scale finite and > 0, got {loc}, {scale}")
-    return dists[family](loc, scale)
+    return Increment(family, loc, scale)
 
 
 @dataclass(frozen=True)
 class GIG1Model:
     """Increment law, drift margin parameter, and quadrature resolution.
 
-    ``increment`` is a frozen scipy.stats continuous distribution (its pdf
-    is the increment density h_Z). The quadrature grid uses spacing
-    ``step`` and truncates the increment support at mean +- TAIL_SIGMAS
-    standard deviations.
+    ``increment`` is an :class:`Increment`, from :func:`increment_family`
+    (its pdf is the increment density h_Z). The quadrature grid uses
+    spacing ``step`` and truncates the increment support at mean +-
+    TAIL_SIGMAS standard deviations.
     """
 
-    increment: object
+    increment: Increment
     kappa: float
     step: float = 0.01
 
     def __post_init__(self):
-        mean, var = (float(v) for v in self.increment.stats(moments="mv"))
+        mean, var = float(self.increment.mean()), float(self.increment.var())
         if not mean < 0:
             raise ValueError(f"increment mean must be negative, got {mean}")
         if not np.isfinite(var):
             raise ValueError("increment must have a finite second moment")
-        if not self.kappa > 1:
-            raise ValueError(f"kappa must exceed 1, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 1):
+            raise ValueError(f"kappa must be finite and exceed 1, got {self.kappa}")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and > 0, got {self.step}")
         object.__setattr__(self, "_mean", mean)
@@ -204,9 +279,17 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     it, so the grid scan is exhaustive. Some point is always negative:
     the margin at 0 is -(Pv1)(0) <= -(1 - MASS_TOL), and x0 = 0 leaves
     the atom C = {0}, itself a small set. Raises SearchExhausted when the
-    margin is still negative at the end of the grid.
+    margin is still negative at the end of the grid, or when the grid
+    would hold more than MAX_GRID_POINTS points, and NonFiniteResult when
+    x0, b1, lam or phi(v1) is not finite.
     """
-    xs = np.arange(0.0, model.drift_horizon() + HORIZON_PAD + model.step, model.step)
+    end = model.drift_horizon() + HORIZON_PAD + model.step
+    if not end / model.step <= MAX_GRID_POINTS:
+        raise SearchExhausted(
+            f"the drift-margin grid up to {end:.6g} at step {model.step} would hold "
+            f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points"
+        )
+    xs = np.arange(0.0, end, model.step)
     margin = model.drift_margin(xs)
     last = np.flatnonzero(margin < 0.0)[-1]
     if last == xs.size - 1:
@@ -228,6 +311,10 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     if lam <= 0.0:
         raise QuadratureFailure("minorizing measure has zero mass")
     phi_v1 = (atom * 1.0 + float(np.trapezoid(density * model.v1(ys), ys))) / lam
+    if not all(map(math.isfinite, (x0, b1, lam, phi_v1))):
+        raise NonFiniteResult(
+            f"certificate is not finite: x0 {x0}, b1 {b1}, lambda {lam}, phi(v1) {phi_v1}"
+        )
     density = density.copy()
     density.flags.writeable = False
     ys = ys.copy()
@@ -287,8 +374,8 @@ def drift_spot_check(
 class QueueSampler:
     """Batched Lindley-recursion sampler wired to a regeneration scheme.
 
-    Increments are drawn as ``ppf(u)`` of the increment law. With the
-    certificate's scheme (the default), C = [0, x0], lam is the
+    Increments are drawn as ``ppf(u)`` of the model's :class:`Increment`.
+    With the certificate's scheme (the default), C = [0, x0], lam is the
     certificate's and phi is sampled by inverse CDF on its quadrature
     representation (atom at 0 plus a piecewise-linear density CDF). The
     residual kernel Q is sampled by rejection: propose a one-step
@@ -309,8 +396,8 @@ class QueueSampler:
         self.atom = cert.atom
         self.ys = cert.ys
         self.density = cert.density
-        self._dist = model.increment
-        # the cumulative trapezoid sum, in the order scipy's cumulative_trapezoid adds
+        self._increment = model.increment
+        # the cumulative trapezoid sum of the density, cell by cell
         steps = np.diff(cert.ys) * (cert.density[1:] + cert.density[:-1]) / 2.0
         cum = np.concatenate(([0.0], np.cumsum(steps)))
         self._phi_cum = (cert.atom + cum) / cert.lam
@@ -323,7 +410,7 @@ class QueueSampler:
         return x <= self.x0
 
     def step(self, x, streams, lanes):
-        w = x + self._dist.ppf(streams.uniform(lanes))
+        w = x + self._increment.ppf(streams.uniform(lanes))
         return np.where(w > 0.0, w, 0.0)
 
     def sample_phi(self, streams, lanes):
@@ -349,7 +436,7 @@ class QueueSampler:
             xp = x[pending]
             yp = self.step(xp, streams, lanes[pending])
             at_zero = yp == 0.0
-            p = np.where(at_zero, self._dist.cdf(-xp), self._dist.pdf(yp - xp))
+            p = np.where(at_zero, self._increment.cdf(-xp), self._increment.pdf(yp - xp))
             mass = np.where(at_zero, self.atom, self._psi(yp))
             ratio = np.divide(mass, p, out=np.ones_like(p), where=p > 0.0)
             accept = streams.uniform(lanes[pending]) < 1.0 - ratio
@@ -397,7 +484,8 @@ def mc_validate(
     either scheme: a budget its cycles outrun raises MaxStepsExceeded.
     Each estimate uses its own disjoint block of cycle streams, so one
     master seed reproduces the whole report. Containment is asserted
-    within 3 standard errors of each estimate.
+    within 3 standard errors of each estimate; an envelope that overflows
+    raises NonFiniteResult.
     """
     x_list = [float(x) for x in x_list]
     regeneration = "split" if cert.m / cert.lam <= SPLIT_MAX_CYCLE else "atom"
@@ -428,6 +516,8 @@ def mc_validate(
     for x, (point, se) in zip(x_list, points):
         envelope = float(cert.v1(np.asarray(x)) + cert.b1 / cert.lam)
         lower, upper = -cert.b1 * envelope, envelope
+        if not math.isfinite(lower):
+            raise NonFiniteResult(f"the lower envelope -b1 (v1(x) + b1/lam) at x = {x} overflows")
         inside = point >= lower - 3.0 * se and point <= upper + 3.0 * se
         all_inside &= inside
         rows.append(

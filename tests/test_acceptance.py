@@ -22,11 +22,16 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from markov_poisson.bounds import envelope_comparison
 from markov_poisson.errors import MaxStepsExceeded
-from markov_poisson.gig1 import GIG1Model, build_certificate, drift_spot_check, mc_validate
+from markov_poisson.gig1 import (
+    GIG1Model,
+    build_certificate,
+    drift_spot_check,
+    increment_family,
+    mc_validate,
+)
 from markov_poisson.mc import FiniteChainSampler, run_cycles
 from markov_poisson.potential import truncated_potential
 from markov_poisson.split import CycleSystem, marginal_curve
@@ -221,7 +226,7 @@ def test_a09_two_state_monte_carlo(two_state):
 def test_a10_queueing_example():
     t0 = time.perf_counter()
     failures = []
-    model = GIG1Model(increment=stats.norm(-0.5, 1.0), kappa=1.1)
+    model = GIG1Model(increment=increment_family("normal", -0.5, 1.0), kappa=1.1)
     cert = build_certificate(model)
     spot = drift_spot_check(model, cert, 100, np.random.default_rng(2))
     if spot > 1e-6:

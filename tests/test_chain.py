@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from markov_poisson.chain import (
     Distribution,
@@ -167,3 +171,70 @@ def test_cyclic_classes_capture_all_one_step_mass(suite):
                 outside = np.setdiff1d(np.arange(inst.chain.n), nxt)
                 assert np.all(P[x, outside] == 0.0)
                 assert P[x, nxt].sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def _structured_chain(rng, periods, n_transient):
+    """A kernel with one closed class per entry of ``periods``, each of that
+    period, and ``n_transient`` transient states, under a random relabelling.
+
+    Returns the kernel and, per closed class, its cyclic classes in the new
+    labels. Inside a class, state 0 of each cyclic class steps to every state
+    of the next and every state steps to its state 0, so the class is strongly
+    connected and its cycle through the states 0 has length p. Transient state
+    j steps to a closed-class state or to a transient state below j, and may
+    also step to any transient state, so transient cycles occur.
+    """
+    blocks, start = [], 0
+    for p in periods:
+        sizes = rng.integers(1, 4, size=p)
+        blocks.append([list(range(start + sizes[:i].sum(), start + sizes[: i + 1].sum()))
+                       for i in range(p)])
+        start += int(sizes.sum())
+    n = start + n_transient
+    adj = np.zeros((n, n), dtype=bool)
+    for block in blocks:
+        for i, cls in enumerate(block):
+            nxt = block[(i + 1) % len(block)]
+            adj[cls[0], nxt] = True
+            adj[cls, nxt[0]] = True
+            adj[np.ix_(cls, nxt)] |= rng.random((len(cls), len(nxt))) < 0.3
+    for j in range(start, n):
+        adj[j, rng.integers(0, j)] = True
+        adj[j, start:] |= rng.random(n_transient) < 0.3
+    kernel = np.where(adj, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
+    perm = rng.permutation(n)  # old label -> new label
+    relabelled = np.empty_like(kernel)
+    relabelled[np.ix_(perm, perm)] = kernel
+    relabelled /= relabelled.sum(axis=1, keepdims=True)
+    return relabelled, [[{int(perm[x]) for x in cls} for cls in block] for block in blocks]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    periods=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    n_transient=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cyclic_decomposition_matches_strong_components(periods, n_transient, seed):
+    kernel, blocks = _structured_chain(np.random.default_rng(seed), periods, n_transient)
+    chain = validate_chain(kernel)
+    # oracle: strongly connected components, closed when no edge leaves them
+    adj = kernel > 0.0
+    _, labels = connected_components(csr_matrix(adj), directed=True, connection="strong")
+    u, v = np.nonzero(adj)
+    closed = np.setdiff1d(labels, labels[u[labels[u] != labels[v]]])
+    assert closed.size == len(periods)
+    if closed.size != 1:
+        message = (f"chain has {closed.size} closed communicating classes; "
+                   "the stationary distribution is not unique")
+        with pytest.raises(MultipleRecurrentClasses) as err:
+            cyclic_decomposition(chain)
+        assert str(err.value) == message
+        return
+    decomp = cyclic_decomposition(chain)
+    assert decomp.transient == tuple(int(t) for t in np.flatnonzero(labels != closed[0]))
+    assert decomp.period == periods[0]
+    (block,) = blocks
+    first = min(min(cls) for cls in block)
+    shift = next(i for i, cls in enumerate(block) if first in cls)
+    assert [set(cls) for cls in decomp.classes] == block[shift:] + block[:shift]

@@ -310,6 +310,7 @@ def test_simulate_spec_honours_max_steps(capsys):
         ["--grid-step", "-0.01"],
         ["--grid-step", "nan"],
         ["--kappa", "1"],
+        ["--kappa", "inf"],
         ["--mu", "0.5"],
         ["--sigma", "-1"],
         ["--sigma", "inf"],
@@ -324,6 +325,47 @@ def test_queue_parameters_out_of_range_are_input_errors(capsys, command, option)
     report = json.loads(out)
     assert report["passed"] is False
     assert report["error"]["code"] == "spec-file-error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gig1", "--kappa", "1e300"],  # the comparison a(1 + b1) overflows
+        ["gig1", "--kappa", "1e308"],  # b1 and phi(v1) overflow
+        ["simulate", "--gig1", "--kappa", "1e300", "--x0", "0", "--cycles", "10"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_queue_overflow_is_a_coded_error(capsys, argv):
+    # a certificate or bound that overflows cannot be written as a report;
+    # numpy warns of the overflow on the way
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["code"] == "non-finite-result"
+    assert report["assertions"][-1]["passed"] is False
+
+
+@pytest.mark.parametrize("command", [["gig1"], ["simulate", "--gig1", "--x0", "1"]])
+def test_drift_grid_past_its_cap_is_refused_before_allocation(capsys, command):
+    # mean -1e-8 puts the drift horizon near 5.5e8, a grid of 5.5e10 points
+    import tracemalloc
+
+    from markov_poisson.gig1 import MAX_GRID_POINTS
+
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, *command, "--mu=-1e-8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["code"] == "search-exhausted"
+    assert f"MAX_GRID_POINTS = {MAX_GRID_POINTS}" in report["error"]["message"]
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -399,16 +441,16 @@ def test_simulate_builds_kernel_powers_once(tmp_path, capsys, monkeypatch):
 
 
 def test_potential_solves_for_pi_once(capsys, monkeypatch):
-    # the chain caches pi and its cyclic classes: one strongly connected
-    # components pass, one stationary solve and one decomposition per op
-    names = ("connected_components", "stationary", "cyclic_decomposition")
+    # the chain caches pi and its cyclic classes: one stationary solve and
+    # one decomposition per op
+    names = ("stationary", "cyclic_decomposition")
     for command in ("solve", "potential"):
         calls = [_count_calls(monkeypatch, name, ("chain", "split", "potential", "cli"))
                  for name in names]
         code, _ = run_cli(capsys, command, "--spec", str(BUNDLED_SPEC))
         monkeypatch.undo()
         assert code == 0
-        assert [len(c) for c in calls] == [1, 1, 1], command
+        assert [len(c) for c in calls] == [1, 1], command
 
 
 def test_readme_command_line_lists_only_existing_options():
@@ -697,14 +739,29 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_stats():
-    # the queue commands load scipy.stats on first use; no command pays for
-    # scipy.integrate, and importing the front end loads neither
+    # importing the front end loads none of the four scipy subpackages
+    # below; the queue commands load scipy.special on first use, and no
+    # command loads the other three
     import markov_poisson
 
-    script = ("import sys, markov_poisson.cli; "
-              "print([m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(markov_poisson.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from markov_poisson.cli import main",
+        "if sys.argv[1:]:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        main(sys.argv[1:])",
+        "names = ('scipy.stats', 'scipy.sparse', 'scipy.integrate', 'scipy.special')",
+        "print([m for m in names if m in sys.modules])",
+    ])
+    cases = [
+        ([], "[]"),
+        (["gig1", "--kappa", "2"], "['scipy.special']"),
+        (["simulate", "--gig1", "--kappa", "2", "--x0", "1", "--cycles", "20"],
+         "['scipy.special']"),
+    ]
+    for argv, loaded in cases:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == loaded, argv

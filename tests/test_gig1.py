@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,7 +18,7 @@ from markov_poisson.gig1 import (
 )
 from markov_poisson.mc import CycleStreams, estimate_pif, run_cycles
 
-STANDARD = dict(increment=stats.norm(-0.5, 1.0))
+STANDARD = dict(increment=increment_family("normal", -0.5, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +37,10 @@ def cert_roomy():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        GIG1Model(increment=stats.norm(0.5, 1.0), kappa=2.0)
-    with pytest.raises(ValueError):
-        GIG1Model(kappa=1.0, **STANDARD)
+        GIG1Model(increment=increment_family("normal", 0.5, 1.0), kappa=2.0)
+    for bad in (1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="kappa"):
+            GIG1Model(kappa=bad, **STANDARD)
     # at the default step the trapezoid rule gives the laplace density,
     # kinked at its mode, mass 0.99999745: outside MASS_TOL
     with pytest.raises(QuadratureFailure):
@@ -73,7 +76,7 @@ def test_stronger_drift_shrinks_small_set():
     # monotone on this family: the margin threshold behaves like
     # (|mu| + 1/|mu|)/2 here, decreasing while |mu| stays below 1
     x0s = [
-        build_certificate(GIG1Model(increment=stats.norm(mu, 1.0), kappa=2.0)).x0
+        build_certificate(GIG1Model(increment=increment_family("normal", mu, 1.0), kappa=2.0)).x0
         for mu in (-0.5, -0.6, -0.75)
     ]
     assert x0s[0] >= x0s[1] >= x0s[2]
@@ -148,7 +151,7 @@ def test_residual_sampler_reconstructs_one_step_law(cert_roomy):
         np.full(n, x)[~toss], streams, lanes[~toss], np.full(n, 10**6)[~toss]
     )
     rng = np.random.Generator(np.random.Philox(key=np.array([103, n], dtype=np.uint64)))
-    direct = np.maximum(x + model.increment.rvs(size=n, random_state=rng), 0.0)
+    direct = np.maximum(x + stats.norm(-0.5, 1.0).rvs(size=n, random_state=rng), 0.0)
     result = stats.ks_2samp(mixture, direct)
     assert result.pvalue > 1e-3
 
@@ -211,7 +214,7 @@ def test_mc_pif_matches_long_run_average(cert_roomy):
     # independent oracle: time average of a long Lindley trajectory
     rng = np.random.default_rng(12345)
     steps = 400000
-    z = model.increment.rvs(size=steps, random_state=rng)
+    z = stats.norm(-0.5, 1.0).rvs(size=steps, random_state=rng)
     w = 0.0
     total = 0.0
     for i in range(steps):
@@ -237,6 +240,35 @@ def test_non_normal_family_pipeline():
     sc = QueueSampler(model, cert)
     est = estimate_pif(sc, 500, master_seed=6)
     assert np.isfinite(est.point) and est.point > 0.0
+
+
+SCIPY_LAWS = {"normal": stats.norm, "logistic": stats.logistic, "laplace": stats.laplace}
+
+
+@pytest.mark.parametrize("family", gig1.FAMILIES)
+def test_increment_gives_the_frozen_scipy_law_floats(family):
+    # the record repeats scipy.stats' arithmetic, so every value is the same
+    # float: compared with ==, tails at +-40 sigma and the quantile
+    # boundaries included (Philox's uniform can return exactly 0.0)
+    rng = np.random.default_rng(20261019)
+    q_fixed = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 1e-300, 0.25, 0.75])
+    for loc, scale in [(-0.5, 1.0), (0.0, 1.0)] + [
+        (rng.uniform(-50.0, 50.0), float(np.exp(rng.uniform(-7.0, 7.0)))) for _ in range(20)
+    ]:
+        ours, frozen = increment_family(family, loc, scale), SCIPY_LAWS[family](loc, scale)
+        z = np.concatenate([np.linspace(-40.0, 40.0, 801), rng.normal(0.0, 10.0, 200)])
+        xs = np.concatenate([loc + frozen.std() * z, [-np.inf, np.inf, np.nan]])
+        qs = np.concatenate([q_fixed, rng.uniform(size=200), np.linspace(0.0, 1.0, 257)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method, points in (("pdf", xs), ("cdf", xs), ("ppf", qs)):
+                got, want = getattr(ours, method)(points), getattr(frozen, method)(points)
+                np.testing.assert_array_equal(got, want, err_msg=f"{method} at {loc}, {scale}")
+                for point in points[:4]:
+                    assert getattr(ours, method)(point) == getattr(frozen, method)(point)
+        assert ours.mean() == frozen.mean()
+        assert ours.var() == frozen.var()
+        assert ours.ppf(0.0) == -np.inf and ours.ppf(1.0) == np.inf
 
 
 def test_unknown_family_rejected():
