@@ -167,7 +167,10 @@ class GIG1Model:
     ``increment`` is an :class:`Increment`, from :func:`increment_family`
     (its pdf is the increment density h_Z). The quadrature grid uses
     spacing ``step`` and truncates the increment support at mean +-
-    TAIL_SIGMAS standard deviations.
+    TAIL_SIGMAS standard deviations. The truncated density's mass is
+    checked on construction, except when the drift-margin grid would hold
+    more than MAX_GRID_POINTS points: ``build_certificate`` refuses that
+    model, and the increment grid at that step may not fit in memory.
     """
 
     increment: Increment
@@ -186,6 +189,8 @@ class GIG1Model:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
         object.__setattr__(self, "_mean", mean)
         object.__setattr__(self, "_sd", math.sqrt(var))
+        if not self.drift_grid_end() / self.step <= MAX_GRID_POINTS:
+            return  # build_certificate refuses the model before any grid is made
         zs = self.z_grid()
         mass = np.trapezoid(self.h_z(zs), zs)
         if abs(mass - 1.0) > MASS_TOL:
@@ -207,6 +212,10 @@ class GIG1Model:
         lo = self._mean - TAIL_SIGMAS * self._sd
         hi = self._mean + TAIL_SIGMAS * self._sd
         return np.arange(lo, hi + self.step, self.step)
+
+    def drift_grid_end(self) -> float:
+        """End of the drift-margin grid: the horizon, HORIZON_PAD and one step."""
+        return self.drift_horizon() + HORIZON_PAD + self.step
 
     def drift_horizon(self) -> float:
         """Analytic threshold past which the moment bound certifies drift."""
@@ -283,7 +292,7 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     would hold more than MAX_GRID_POINTS points, and NonFiniteResult when
     x0, b1, lam or phi(v1) is not finite.
     """
-    end = model.drift_horizon() + HORIZON_PAD + model.step
+    end = model.drift_grid_end()
     if not end / model.step <= MAX_GRID_POINTS:
         raise SearchExhausted(
             f"the drift-margin grid up to {end:.6g} at step {model.step} would hold "

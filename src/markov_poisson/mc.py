@@ -8,16 +8,20 @@ and stops at the first success. Visits to the small set strictly inside
 a bridge segment never toss coins; the next eligible visit is the first
 one at least m steps after the previous toss.
 
-Cycles run in numpy lanes, one cycle per lane and ``LANES`` at a time;
-per iteration a lane outside the small set takes a free step, and a lane
-in it tosses the coin, draws the endpoint and runs the bridge draws.
+Cycles run in numpy lanes, one cycle per lane and up to ``LANES`` in
+flight; per iteration a lane outside the small set takes a free step,
+and a lane in it tosses the coin, draws the endpoint and runs the bridge
+draws. When a cycle ends, its lane starts the block's next cycle not yet
+started, so one pass runs a whole block and every lane stays busy until
+the block's last cycles are in flight.
 
 The k-th uniform of cycle i is word k % 4 of the Philox-4x64-10 block
 with key (master_seed, i) and counter k // 4 + 1, as (w >> 11) 2^-53:
 the k-th ``random()`` of ``np.random.Generator(np.random.Philox(key=[seed,
-i]))``. Each lane draws in the order of a one-cycle-at-a-time simulation
-(the phi start first when no start state is given), so estimates are
-bitwise reproducible whatever the worker count or chunk.
+i]))``. Each cycle draws in the order of a one-cycle-at-a-time simulation
+(the phi start first when no start state is given), whatever lane it
+runs in, so estimates are bitwise reproducible whatever the worker count
+or lane count.
 
 Samplers implement one batched protocol on arrays of states, with draws
 taken from the lane source :class:`CycleStreams` for the lanes given:
@@ -48,7 +52,7 @@ from .split import CycleSystem
 DEFAULT_MAX_STEPS = 10**8
 EPS = float(np.finfo(float).eps)
 
-#: cycles simulated together, one per lane; a finite chain's draws compare
+#: cycles in flight together, one per lane; a finite chain's draws compare
 #: (lanes, n) CDF rows, so this bounds their memory
 LANES = 4096
 
@@ -88,23 +92,31 @@ def _philox(counter: np.ndarray, key0: int, key1: np.ndarray) -> np.ndarray:
 
 
 class CycleStreams:
-    """The uniform streams of ``n`` consecutive cycles, one per lane.
+    """The uniform streams of the cycles in flight, one per lane.
 
-    Lane j is cycle ``first_cycle + j``. ``uniform(lanes)`` returns the
-    next uniform of each lane in the index array ``lanes`` and advances
-    their draw counters; ``count`` holds the draws made per lane.
+    Lane j starts as cycle ``first_cycle + j`` of ``n`` lanes, and
+    ``restart`` re-keys lanes to later cycles. ``uniform(lanes)`` returns
+    the next uniform of each lane in the index array ``lanes`` and
+    advances their draw counters; ``count`` holds the draws made per lane.
     """
 
     def __init__(self, master_seed: int, first_cycle: int, n: int):
         key = np.array([master_seed, first_cycle], dtype=np.uint64)
         self.n = n
         self._key0 = int(key[0])
+        self._first = key[1]
         self._key1 = key[1] + np.arange(n, dtype=np.uint64)
         self.count = np.zeros(n, dtype=np.int64)
         # the window of lane j holds its draws _base[j] .. _end[j] - 1
         self._base = np.zeros(n, dtype=np.int64)
         self._end = np.zeros(n, dtype=np.int64)
         self._window = np.empty((n, WINDOW))
+
+    def restart(self, lanes: np.ndarray, cycles: np.ndarray) -> None:
+        """Key ``lanes`` to the cycles ``first_cycle + cycles``, no draws made."""
+        self._key1[lanes] = self._first + cycles.astype(np.uint64)
+        self.count[lanes] = 0
+        self._end[lanes] = 0  # a stale window: the first draw refills it
 
     def uniform(self, lanes: np.ndarray) -> np.ndarray:
         k = self.count[lanes]
@@ -138,15 +150,30 @@ class MCEstimate:
     mean_length: float
 
 
-def _run_lanes(sc, x0, streams: CycleStreams, max_steps: int):
-    """Per-lane (sum_f, length) of the cycles of ``streams``."""
-    lanes = np.arange(streams.n)
+def _start(sc, x0, streams: CycleStreams, lanes: np.ndarray) -> np.ndarray:
+    """Start states of the cycles just keyed to ``lanes``."""
     if x0 is None:
-        x = sc.sample_phi(streams, lanes)
-    elif callable(x0):
-        x = x0(streams, lanes)
-    else:
-        x = np.full(streams.n, x0, dtype=sc.dtype)
+        return sc.sample_phi(streams, lanes)
+    if callable(x0):
+        return x0(streams, lanes)
+    return np.full(lanes.size, x0, dtype=sc.dtype)
+
+
+def _run_lanes(sc, x0, streams: CycleStreams, n: int, max_steps: int):
+    """Per-cycle (sum_f, length) of ``n`` cycles from the streams' first.
+
+    The lanes start with the first ``streams.n`` cycles. A lane whose
+    cycle ends takes the next cycle not yet started, on its re-keyed
+    stream, until all ``n`` have started, so the streams hold a window
+    only for the cycles in flight. Sums, lengths and the steps spent
+    accumulate per lane; the sum and length go to the cycle's slot of the
+    result when the cycle ends.
+    """
+    lanes = np.arange(streams.n)
+    cycle = lanes.copy()  # the cycle of each lane, counted from the first
+    started = streams.n
+    x = _start(sc, x0, streams, lanes)
+    cycle_sums, cycle_lengths = np.empty(n), np.empty(n)
     sums = np.zeros(streams.n)
     length = np.zeros(streams.n, dtype=np.int64)
     # steps plus rejected residual proposals: what max_steps guards
@@ -160,7 +187,7 @@ def _run_lanes(sc, x0, streams: CycleStreams, max_steps: int):
             x[walk] = sc.step(xw, streams, lw)
             length[lw] += 1
             spent[lw] += 1
-        done = np.zeros(lanes.size, dtype=bool)
+        done = np.zeros(0, dtype=np.intp)  # positions in ``lanes`` of ended cycles
         if inside.any():
             lc, xc = lanes[inside], x[inside]
             success = streams.uniform(lc) < sc.lam
@@ -181,20 +208,35 @@ def _run_lanes(sc, x0, streams: CycleStreams, max_steps: int):
             length[lc] += sc.m
             spent[lc] += sc.m
             x[inside] = y
-            done[inside] = success
+            done = np.flatnonzero(inside)[success]
         if spent[lanes].max() > max_steps:
             raise MaxStepsExceeded(max_steps)
-        lanes, x = lanes[~done], x[~done]
-    return sums, length.astype(float)
+        if not done.size:
+            continue
+        ld = lanes[done]
+        cycle_sums[cycle[ld]] = sums[ld]
+        cycle_lengths[cycle[ld]] = length[ld]
+        k = min(done.size, n - started)
+        if k:
+            refill, lr = done[:k], ld[:k]
+            cycle[lr] = np.arange(started, started + k)
+            started += k
+            streams.restart(lr, cycle[lr])
+            sums[lr] = 0.0
+            length[lr] = 0
+            spent[lr] = 0
+            x[refill] = _start(sc, x0, streams, lr)
+        if k < done.size:
+            keep = np.ones(lanes.size, dtype=bool)
+            keep[done[k:]] = False
+            lanes, x = lanes[keep], x[keep]
+    return cycle_sums, cycle_lengths
 
 
 def _cycle_block(args):
-    """Per-cycle (sum_f, length) of ``n`` cycles from ``first``, LANES at a time."""
+    """Per-cycle (sum_f, length) of ``n`` cycles from ``first``, LANES in flight."""
     sc, x0, master_seed, first, n, max_steps = args
-    return [
-        _run_lanes(sc, x0, CycleStreams(master_seed, a, min(LANES, first + n - a)), max_steps)
-        for a in range(first, first + n, LANES)
-    ]
+    return _run_lanes(sc, x0, CycleStreams(master_seed, first, min(LANES, n)), n, max_steps)
 
 
 def run_cycles(
@@ -238,7 +280,7 @@ def run_cycles(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_cycle_block, jobs))
-    sums, lengths = zip(*(part for block in blocks for part in block))
+    sums, lengths = zip(*blocks)
     return np.concatenate(sums), np.concatenate(lengths)
 
 

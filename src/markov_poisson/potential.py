@@ -28,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .bounds import truncation_gap_bounds
 from .certify import CertificateBundle, PotentialCertificate
 from .chain import FiniteChain, values_of
 from .errors import BoundViolation, SingularSystem
-from .split import _lu
+from .split import _lu, lu_solve
 
 #: numerical slack when checking guaranteed inequalities
 CHECK_TOL = 1e-9

@@ -21,6 +21,8 @@ under a valid certificate, surfaced defensively). :class:`CycleSystem`
 factors it once per chain and certificate and then solves any block of
 charges. :func:`hitting` solves the absorbing-boundary equations for the
 first hit of C, which build hitting-sum Lyapunov functions.
+``scipy.linalg`` is imported at the first factorization or solve, so
+commands that factor nothing never load it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .certify import SmallSetCertificate
 from .chain import ATOL, Distribution, FiniteChain, _bfs_levels, kernel_powers, values_of
@@ -44,6 +45,20 @@ from .errors import (
 PIVOT_TOL = 1e-13
 #: phi mass allowed on endpoints with P^m(x, y) = 0
 ENDPOINT_MASS_TOL = 1e-10
+
+
+def lu_factor(A: np.ndarray):
+    """``scipy.linalg.lu_factor``, imported on first use."""
+    from scipy.linalg import lu_factor
+
+    return lu_factor(A)
+
+
+def lu_solve(lu_and_piv, b, trans: int = 0, check_finite: bool = True):
+    """``scipy.linalg.lu_solve``, imported on first use."""
+    from scipy.linalg import lu_solve
+
+    return lu_solve(lu_and_piv, b, trans=trans, check_finite=check_finite)
 
 
 def _lu(A: np.ndarray):

@@ -302,6 +302,24 @@ def test_simulate_spec_honours_max_steps(capsys):
     assert report["error"]["code"] == "max-steps-exceeded"
 
 
+def test_grid_step_past_the_cap_is_refused_before_allocation(capsys):
+    # the increment grid at step 1e-12 would hold 3e13 points; the run is
+    # refused with search-exhausted, as a drift grid past its cap is
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "gig1", "--grid-step", "1e-12")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["code"] == "search-exhausted"
+    assert [a["name"] for a in report["assertions"]] == ["certificate_built"]
+    assert peak < 10 * 2**20
+
+
 @pytest.mark.parametrize("command", [["gig1"], ["simulate", "--gig1", "--x0", "1"]])
 @pytest.mark.parametrize(
     "option",
@@ -739,9 +757,10 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_stats():
-    # importing the front end loads none of the four scipy subpackages
-    # below; the queue commands load scipy.special on first use, and no
-    # command loads the other three
+    # importing the front end loads none of the five scipy subpackages
+    # below; the queue commands load scipy.special on first use, the
+    # commands that factor a matrix load scipy.linalg, and no command
+    # loads the other three
     import markov_poisson
 
     env = {**os.environ, "PYTHONPATH": str(Path(markov_poisson.__file__).parents[1])}
@@ -751,14 +770,17 @@ def test_cli_import_leaves_out_scipy_integrate_and_stats():
         "if sys.argv[1:]:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        main(sys.argv[1:])",
-        "names = ('scipy.stats', 'scipy.sparse', 'scipy.integrate', 'scipy.special')",
+        "names = ('scipy.stats', 'scipy.sparse', 'scipy.integrate', 'scipy.special',",
+        "         'scipy.linalg')",
         "print([m for m in names if m in sys.modules])",
     ])
     cases = [
         ([], "[]"),
+        (["verify", "--spec", str(BUNDLED_SPEC)], "[]"),
         (["gig1", "--kappa", "2"], "['scipy.special']"),
         (["simulate", "--gig1", "--kappa", "2", "--x0", "1", "--cycles", "20"],
          "['scipy.special']"),
+        (["solve", "--spec", str(BUNDLED_SPEC)], "['scipy.linalg']"),
     ]
     for argv, loaded in cases:
         proc = subprocess.run([sys.executable, "-c", probe, *argv],

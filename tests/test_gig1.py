@@ -72,6 +72,23 @@ def test_search_exhausted_when_horizon_cut_short(monkeypatch):
         build_certificate(model)
 
 
+def test_grid_past_its_cap_is_refused_before_allocation():
+    # at step 1e-12 the increment grid alone would hold 3e13 points: the
+    # model is built without it, and build_certificate refuses the model
+    # before its drift-margin grid is made
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        model = GIG1Model(kappa=2.0, step=1e-12, **STANDARD)
+        with pytest.raises(SearchExhausted, match="MAX_GRID_POINTS"):
+            build_certificate(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_stronger_drift_shrinks_small_set():
     # monotone on this family: the margin threshold behaves like
     # (|mu| + 1/|mu|)/2 here, decreasing while |mu| stays below 1

@@ -110,7 +110,7 @@ def test_regeneration_endpoint_distribution(chain):
     sc = sampler(chain, bundle, [1, 0])
     n = 10000
     streams = CycleStreams(21, 0, n)
-    mc._run_lanes(sc, 1, streams, mc.DEFAULT_MAX_STEPS)
+    mc._run_lanes(sc, 1, streams, n, mc.DEFAULT_MAX_STEPS)
     ends = sc.sample_phi(streams, np.arange(n))
     counts = np.bincount(ends, minlength=2)
     expected = bundle.phi.mass * n
@@ -234,11 +234,11 @@ def _reference_cycle(P, f, C, m, lam, phi, Q, x0, rng):
         x = y
 
 
-@pytest.mark.parametrize("m, x0", [(3, None), (3, 4), (1, None), (2, 0)])
-def test_lanes_reproduce_per_cycle_reference(m, x0):
-    # phi starts, free steps, tosses, phi and residual endpoints and, at
-    # m >= 2, bridge draws, all against a per-cycle reference on
-    # numpy's own Philox streams
+REFERENCE_CASES = [(3, None), (3, 4), (1, None), (2, 0)]
+
+
+def _check_against_reference(m, x0):
+    """Run 300 cycles in lanes and compare each with the per-cycle reference."""
     rng = np.random.default_rng(5)
     n = 9
     chain = validate_chain(rng.dirichlet(np.full(n, 0.7), size=n))
@@ -254,6 +254,50 @@ def test_lanes_reproduce_per_cycle_reference(m, x0):
         ref = _reference_cycle(chain.kernel, f, C, m, system.lam, system.phi, system.Q, x0,
                                np.random.Generator(np.random.Philox(key=key)))
         assert (sums[i], lengths[i]) == ref, f"cycle {i}"
+
+
+@pytest.mark.parametrize("m, x0", REFERENCE_CASES)
+def test_lanes_reproduce_per_cycle_reference(m, x0):
+    # phi starts, free steps, tosses, phi and residual endpoints and, at
+    # m >= 2, bridge draws, all against a per-cycle reference on
+    # numpy's own Philox streams
+    _check_against_reference(m, x0)
+
+
+@pytest.mark.parametrize("m, x0", REFERENCE_CASES)
+def test_refilled_lanes_reproduce_per_cycle_reference(monkeypatch, m, x0):
+    # with 7 lanes for 300 cycles, all but the first 7 cycles start in the
+    # lane of a cycle that ended, on a re-keyed stream
+    monkeypatch.setattr(mc, "LANES", 7)
+    _check_against_reference(m, x0)
+
+
+def test_max_steps_guard_covers_refilled_cycles(monkeypatch, chain, bundle):
+    # under this seed the one cycle longer than 16 steps is cycle 50 (31
+    # steps), which starts in a refilled lane when 7 lanes run 60 cycles
+    sc = sampler(chain, bundle, [1, 0])
+    monkeypatch.setattr(mc, "LANES", 7)
+    _, lengths = run_cycles(sc, 1, 60, master_seed=45)
+    assert np.flatnonzero(lengths > 16).tolist() == [50] and lengths[50] == 31
+    with pytest.raises(MaxStepsExceeded):
+        run_cycles(sc, 1, 60, master_seed=45, max_steps=30)
+    assert np.array_equal(run_cycles(sc, 1, 60, master_seed=45, max_steps=31)[1], lengths)
+
+
+def test_window_holds_only_the_cycles_in_flight(monkeypatch, chain, bundle):
+    # a block of more cycles than lanes keeps one window row per lane
+    made = []
+
+    class Recorded(CycleStreams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(mc, "CycleStreams", Recorded)
+    monkeypatch.setattr(mc, "LANES", 7)
+    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), 1, 60, master_seed=45)
+    assert lengths.size == 60
+    assert [s._window.shape[0] for s in made] == [7]
 
 
 def test_lanes_independent_of_workers_and_chunks(monkeypatch):
