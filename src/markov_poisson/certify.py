@@ -9,7 +9,9 @@ tolerance ``ATOL`` and compute the tightest constants:
   bounds are as tight as the supplied Lyapunov functions allow;
 * ``minorize`` returns the maximal ``lambda`` for the given (C, m) by
   taking the componentwise row minimum of P^m over C as the minorizing
-  sub-measure.
+  sub-measure, or verifies a supplied (lambda, phi) pair. The gap
+  P^m - lambda*phi on C is tested only by :meth:`SmallSetCertificate.verify`,
+  and P^m is read from the chain's cached ``chain.powers``.
 
 Degenerate b <= 0 is clamped to a tiny positive value (the inequalities
 require strictly positive constants).
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ATOL, Distribution, FiniteChain, kernel_powers, values_of
+from .chain import ATOL, Distribution, FiniteChain, values_of
 from .errors import (
     DriftViolation,
     EmptyMinorization,
@@ -59,21 +61,13 @@ class SmallSetCertificate:
 
     def verify(self, chain: FiniteChain) -> None:
         """Raise MinorizationViolation unless the inequality holds on chain."""
-        Pm = kernel_powers(chain, self.m)[-1]
+        Pm = chain.powers(self.m)[-1]
         gap = Pm[list(self.C), :] - self.lam * self.phi.mass[None, :]
         if gap.min() < -ATOL:
             x = self.C[int(np.argmin(gap.min(axis=1)))]
             raise MinorizationViolation(
                 f"P^m(x, .) >= lambda*phi fails at x={x} by {-gap.min():.3e}"
             )
-
-
-@dataclass(frozen=True)
-class DriftCertificate:
-    """(Pv)(x) <= v(x) - f(x) + b * I_C(x) with v, f >= 0 and b > 0."""
-
-    v: np.ndarray
-    b: float
 
 
 @dataclass(frozen=True)
@@ -100,11 +94,11 @@ class PotentialCertificate:
     b4: float
 
 
-def verify_drift(chain: FiniteChain, v, f, C) -> DriftCertificate:
-    """Verify a drift inequality and return it with the minimal b.
+def verify_drift(chain: FiniteChain, v, f, C) -> tuple[np.ndarray, float]:
+    """Verify (Pv)(x) <= v(x) - f(x) + b I_C(x); return (v, b) with the minimal b.
 
     Requires (Pv)(x) <= v(x) - f(x) for every x outside C (tolerance
-    ``ATOL``); the returned constant is
+    ``ATOL``); v comes back as a read-only copy and the constant is
 
         b = max over x in C of (Pv)(x) - v(x) + f(x),
 
@@ -130,7 +124,7 @@ def verify_drift(chain: FiniteChain, v, f, C) -> DriftCertificate:
     if bad.size:
         raise DriftViolation(bad.tolist(), residual[bad].tolist())
     b = float(max(residual[list(C)].max(), B_FLOOR))
-    return DriftCertificate(v=_ro(v), b=b)
+    return _ro(v), b
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -139,19 +133,26 @@ def _ro(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def minorize(chain: FiniteChain, C, m: int) -> SmallSetCertificate:
-    """Maximal minorization of P^m over C.
+def minorize(chain: FiniteChain, C, m: int, lam=None, phi=None) -> SmallSetCertificate:
+    """Maximal minorization of P^m over C, or the supplied (lam, phi) verified.
 
     The componentwise row minimum min_{x in C} P^m(x, y) is the largest
     sub-measure dominated by every row, so lam = its total mass is maximal
     for the given (C, m) and phi is the normalized minimum.
 
-    Raises EmptyMinorization when the rows have disjoint support (lam = 0).
+    Raises EmptyMinorization when the rows have disjoint support (lam = 0),
+    and MinorizationViolation when a supplied pair fails the inequality.
     """
+    if (lam is None) != (phi is None):
+        raise ValueError("supply both lambda and phi, or neither")
     C = _check_subset(C, chain.n)
+    if lam is not None:
+        small = SmallSetCertificate(C=C, m=m, lam=float(lam), phi=Distribution(mass=phi))
+        small.verify(chain)
+        return small
     if m < 1:
         raise ValueError("m must be >= 1")
-    Pm = kernel_powers(chain, m)[-1]
+    Pm = chain.powers(m)[-1]
     floor = Pm[list(C), :].min(axis=0)
     lam = float(floor.sum())
     if lam <= 0.0:
@@ -178,32 +179,18 @@ def verify_bundle(
 ) -> CertificateBundle:
     """Assemble and verify the full certificate on a finite chain.
 
-    When ``lam``/``phi`` are omitted the maximal minorization is computed
-    by :func:`minorize`; otherwise the supplied pair is verified as-is.
+    The minorization comes from :func:`minorize`: the maximal one when
+    ``lam``/``phi`` are omitted, otherwise the supplied pair verified as-is.
     Drift constants b1, b2 are the minimal feasible values.
     """
-    drift1 = verify_drift(chain, v1, f, C)
-    drift2 = verify_drift(chain, v2, np.ones(chain.n), C)
-    small = _small_set(chain, C, m, lam, phi)
-    return CertificateBundle(**vars(small), v1=drift1.v, b1=drift1.b, v2=drift2.v, b2=drift2.b)
-
-
-def _small_set(chain: FiniteChain, C, m: int, lam, phi) -> SmallSetCertificate:
-    """The maximal minorization, or the supplied (lam, phi) pair verified."""
-    if lam is None and phi is None:
-        return minorize(chain, C, m)
-    if lam is None or phi is None:
-        raise ValueError("supply both lambda and phi, or neither")
-    mass = phi.mass if isinstance(phi, Distribution) else np.asarray(phi, dtype=float)
-    small = SmallSetCertificate(
-        C=_check_subset(C, chain.n), m=m, lam=float(lam), phi=Distribution(mass=mass)
-    )
-    small.verify(chain)
-    return small
+    v1, b1 = verify_drift(chain, v1, f, C)
+    v2, b2 = verify_drift(chain, v2, np.ones(chain.n), C)
+    small = minorize(chain, C, m, lam, phi)
+    return CertificateBundle(**vars(small), v1=v1, b1=b1, v2=v2, b2=b2)
 
 
 def verify_potential(chain: FiniteChain, bundle: CertificateBundle, v3, v4) -> PotentialCertificate:
     """Verify the second drift level: v3 charged by v1, v4 charged by v2."""
-    drift3 = verify_drift(chain, v3, bundle.v1, bundle.C)
-    drift4 = verify_drift(chain, v4, bundle.v2, bundle.C)
-    return PotentialCertificate(v3=drift3.v, b3=drift3.b, v4=drift4.v, b4=drift4.b)
+    v3, b3 = verify_drift(chain, v3, bundle.v1, bundle.C)
+    v4, b4 = verify_drift(chain, v4, bundle.v2, bundle.C)
+    return PotentialCertificate(v3=v3, b3=b3, v4=v4, b4=b4)

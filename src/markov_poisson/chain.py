@@ -4,8 +4,10 @@ A chain is a row-stochastic kernel over an indexed finite state space.
 All container types are immutable after construction (their numpy arrays
 are frozen), so they are safe to share across threads; every operation
 here is a pure function. A chain computes its structure once: ``pi`` (by
-:func:`stationary`) and ``cyclic`` (by :func:`cyclic_decomposition`) are
-cached on first use and shared by every caller.
+:func:`stationary`), ``cyclic`` (by :func:`cyclic_decomposition`) and the
+kernel powers ``powers(m)`` (by :func:`kernel_powers`, kept for the
+largest m asked so far) are cached on first use and shared by every
+caller.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ class FiniteChain:
     @cached_property
     def pi(self) -> np.ndarray:
         return stationary(self).mass
+
+    def powers(self, m: int) -> list:
+        """[I, P, ..., P^m], read-only, by :func:`kernel_powers` for the largest m yet."""
+        cached = self.__dict__.get("_powers", [])
+        if not 0 <= m < len(cached):
+            cached = kernel_powers(self, m)
+            for power in cached:
+                power.flags.writeable = False
+            self.__dict__["_powers"] = cached
+        return cached[: m + 1]
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ checks)`` fills the report and records assertions. Exit codes: 0 all
 assertions passed; 1 an assertion failed, or ``body`` raised a
 ToolkitError, reported as the ``error`` entry plus a failed
 ``failure_name`` assertion; 2 a ToolkitError while reading the inputs
-(an --out file that cannot be opened, a spec file that cannot be read
-or parsed, an option out of range), reported as ``command``, ``error``
-and ``passed`` alone. Every report goes to --out once that file has
-opened, and to stdout otherwise.
+(an --out or --curves file that cannot be opened, a spec file that
+cannot be read or parsed, an option out of range), reported as
+``command``, ``error`` and ``passed`` alone. Every report goes to --out
+once that file has opened, and to stdout otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import gig1 as _gig1
-from .certify import _small_set, verify_bundle, verify_potential
+from .certify import minorize, verify_bundle, verify_potential
 from .errors import SpecFileError, ToolkitError
 from .mc import FiniteChainSampler, estimate_gstar, estimate_pif
 from .potential import truncated_potential, verify_truncation_gap
@@ -229,11 +229,10 @@ def _potential_body(spec, report, checks):
 
 #: the commands that read one chain-spec: (name, help, body, failure name)
 SPEC_COMMANDS = (
-    ("verify", "check certificates declared in a chain-spec", _verify_body,
-     "drift_minorization_certificate"),
+    ("verify", "check certificates declared in a chain-spec", _verify_body, "verify_completed"),
     ("solve", "exact solution, occupation law, and all bounds", _solve_body, "solve_completed"),
     ("potential", "block-truncated potential sum and its gap", _potential_body,
-     "potential_residual"),
+     "potential_completed"),
 )
 
 
@@ -322,7 +321,7 @@ def _simulate_chain(spec, x0, args, report, checks):
     f = spec.function("f")
     if spec.small is None:
         raise SpecFileError("simulate needs a 'small_set' declaration")
-    system = CycleSystem(chain, _small_set(chain, **spec.small))
+    system = CycleSystem(chain, minorize(chain, **spec.small))
     pi_f = float(chain.pi @ f)
     g_exact = system.canonical_solution(f)
     sc = FiniteChainSampler(system, f)
@@ -370,13 +369,14 @@ def cmd_gig1(args):
         raise SpecFileError(f"--x-max must be finite and >= 0, got {args.x_max}")
     if args.x_points < 1:
         raise SpecFileError(f"--x-points must be at least 1, got {args.x_points}")
+    if args.curves:
+        _check_writable(args.curves, "curve")
     model, queue = _gig1_model(args)
     inputs = {**queue, "x_max": args.x_max, "x_points": args.x_points, "seed": args.seed}
 
     def body(report, checks):
         cert = _gig1.build_certificate(model)
-        xs = np.linspace(0.0, args.x_max, args.x_points)
-        curves = _gig1.bound_curves(cert, xs)
+        a, competing, ours = _bounds.envelope_comparison(cert.b1, cert.lam, cert.phi_v1)
         worst = _gig1.drift_spot_check(model, cert, 100, np.random.default_rng(args.seed))
         report["certificate"] = {
             "x0": cert.x0,
@@ -387,21 +387,15 @@ def cmd_gig1(args):
             "phi_atom": cert.phi_atom(),
             "phi_v1": cert.phi_v1,
         }
-        report["comparison"] = {
-            "a": curves["comparison_a"],
-            "competing_asymptotic_coeff": curves["competing_asymptotic_coeff"],
-            "ours_asymptotic_coeff": curves["ours_asymptotic_coeff"],
-        }
+        report["comparison"] = {"a": a, "competing_asymptotic_coeff": competing,
+                                "ours_asymptotic_coeff": ours}
         checks.check("certificate_positive", 0.0 < cert.lam < 1.0 and cert.b1 > 0.0)
         checks.check("drift_spot_check", worst <= 1e-6, worst)
-        checks.check(
-            "ours_coeff_le_competing_coeff",
-            curves["ours_asymptotic_coeff"] <= curves["competing_asymptotic_coeff"] + 1e-12,
-        )
-        report["comparison"]["strictly_tighter"] = bool(
-            curves["ours_asymptotic_coeff"] < curves["competing_asymptotic_coeff"]
-        )
+        checks.check("ours_coeff_le_competing_coeff", ours <= competing + 1e-12)
+        report["comparison"]["strictly_tighter"] = bool(ours < competing)
         if args.curves:
+            xs = np.linspace(0.0, args.x_max, args.x_points)
+            curves = _gig1.bound_curves(cert, xs)
             table = np.column_stack(
                 [xs, curves["ours_upper"], curves["ours_lower"], curves["ours_abs"], curves["competing"]]
             )
@@ -463,12 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(path):
-    """Open --out before any work; append mode leaves a spec at the same path readable."""
+def _check_writable(path, what: str):
+    """Open --out or --curves before any work; append mode leaves a spec at that path readable."""
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as err:
-        raise SpecFileError(f"cannot write report file: {err}") from None
+        raise SpecFileError(f"cannot write {what} file: {err}") from None
 
 
 def main(argv=None) -> int:
@@ -478,12 +472,13 @@ def main(argv=None) -> int:
     checks = None
     try:
         if args.out:
-            _check_out(args.out)
+            _check_writable(args.out, "report")
             out = args.out
         inputs, failure_name, body = args.func(args)
         report["inputs"] = inputs
         checks = _Assertions()
         body(report, checks)
+        body = None  # frees the op's chain and its cached powers before the report is written
     except ToolkitError as err:
         report["error"] = {"code": err.code, "message": str(err)}
         if checks is not None:

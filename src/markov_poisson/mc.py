@@ -41,6 +41,7 @@ Samplers must be picklable when workers > 1.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,7 +256,8 @@ def run_cycles(
     the first of the cycle's stream. The charge is summed over indices
     0..tau-1. Results are in cycle-index order, so the arrays (and
     anything reduced from them) do not depend on ``workers``, which run
-    contiguous blocks of cycles in a process pool.
+    contiguous blocks of cycles in a process pool of at most one process
+    per block and per CPU.
 
     Raises MaxStepsExceeded when a cycle's steps plus its rejected
     residual proposals exceed ``max_steps``, and MissingBridgeSampler for
@@ -278,7 +280,8 @@ def run_cycles(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             blocks = list(pool.map(_cycle_block, jobs))
     sums, lengths = zip(*blocks)
     return np.concatenate(sums), np.concatenate(lengths)

@@ -19,8 +19,10 @@ The equations for every charge share one dense matrix, solved by LU with
 partial pivoting; a pivot below 1e-13 raises SingularSystem (impossible
 under a valid certificate, surfaced defensively). :class:`CycleSystem`
 factors it once per chain and certificate and then solves any block of
-charges. :func:`hitting` solves the absorbing-boundary equations for the
-first hit of C, which build hitting-sum Lyapunov functions.
+charges; it checks the minorization through the certificate's own
+``verify`` and reads P, ..., P^m from the chain's cached ``powers``.
+:func:`hitting` solves the absorbing-boundary equations for the first
+hit of C, which build hitting-sum Lyapunov functions.
 ``scipy.linalg`` is imported at the first factorization or solve, so
 commands that factor nothing never load it.
 """
@@ -32,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .certify import SmallSetCertificate
-from .chain import ATOL, Distribution, FiniteChain, _bfs_levels, kernel_powers, values_of
+from .chain import Distribution, FiniteChain, _bfs_levels, values_of
 from .errors import (
     InconsistentCertificate,
     InvariantViolation,
@@ -73,20 +75,12 @@ def _residual_rows(Pm: np.ndarray, small: SmallSetCertificate) -> np.ndarray | N
     """Rows of Q(x, .) = (P^m(x, .) - lam*phi)/(1 - lam) for x in C.
 
     The non-regenerative mixture component on C; None when lam = 1 (it
-    is never drawn).
+    is never drawn). The certificate has passed ``small.verify``, so the
+    rows are nonnegative up to rounding noise, which is clipped.
     """
     if small.lam >= 1.0:
         return None
-    gap = Pm[list(small.C), :] - small.lam * small.phi.mass[None, :]
-    # the tolerance applies to P^m - lam*phi, as in SmallSetCertificate.verify:
-    # after the division by 1 - lam, rounding noise of a certificate that
-    # verify accepts can exceed it when lam is close to 1
-    rows = gap / (1.0 - small.lam)
-    if gap.min() < -ATOL:
-        i, y = np.unravel_index(np.argmin(rows), rows.shape)
-        raise NegativeResidual(
-            f"Q({small.C[i]},{y}) = {rows.min():.3e} < 0: certificate invalid at tolerance"
-        )
+    rows = (Pm[list(small.C), :] - small.lam * small.phi.mass[None, :]) / (1.0 - small.lam)
     np.clip(rows, 0.0, None, out=rows)
     sums = rows.sum(axis=1)
     if sums.min() < 0.5:
@@ -165,11 +159,12 @@ class CycleSystem:
     P^m(w, y) = 0 carry no mixture mass and are excluded. At m = 1, B
     holds the indicator rows of C.
 
-    Construction computes ``powers`` = [I, P, ..., P^m], Q, B and the LU
-    factorization of I - K once; E tau is computed on first use, and pi
-    is the chain's own ``chain.pi``. Only the minorization is read, so a
-    bare SmallSetCertificate and a full CertificateBundle (one of its
-    kind) both serve as ``cert``.
+    Construction checks the minorization by ``cert.verify(chain)``, reads
+    ``powers`` = [I, P, ..., P^m] from the chain's cache and computes Q, B
+    and the LU factorization of I - K once; E tau is computed on first
+    use, and pi is the chain's own ``chain.pi``. Only the minorization is
+    read, so a bare SmallSetCertificate and a full CertificateBundle (one
+    of its kind) both serve as ``cert``.
 
     This is the one entry point to every cycle quantity: ``solve(h)``
     (G_h), ``tau`` (E_x tau), ``canonical_solution(f)`` (g*) and
@@ -182,7 +177,8 @@ class CycleSystem:
         self.m = cert.m
         self.lam = cert.lam
         self.phi = cert.phi.mass
-        self.powers = powers = kernel_powers(chain, cert.m)
+        cert.verify(chain)
+        self.powers = powers = chain.powers(cert.m)
         Pm = powers[-1]
         self.Q = _residual_rows(Pm, cert)
         _reach_check(chain, cert.C)

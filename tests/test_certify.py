@@ -22,18 +22,19 @@ def chain():
 
 
 def test_verify_drift_minimal_constant(chain):
-    cert = verify_drift(chain, [1, 4], [1, 0], [0])
-    assert cert.b == pytest.approx(2.5)
+    v, b = verify_drift(chain, [1, 4], [1, 0], [0])
+    assert b == pytest.approx(2.5)
+    assert v.tolist() == [1.0, 4.0] and not v.flags.writeable
 
 
 def test_verify_drift_second_example(chain):
-    cert = verify_drift(chain, [1, 5], [1, 1], [0])
-    assert cert.b == pytest.approx(3.0)
+    _, b = verify_drift(chain, [1, 5], [1, 1], [0])
+    assert b == pytest.approx(3.0)
 
 
 def test_verify_drift_zero_case_clamps_b(chain):
-    cert = verify_drift(chain, [0, 0], [0, 0], [0])
-    assert 0.0 < cert.b <= 1e-12
+    _, b = verify_drift(chain, [0, 0], [0, 0], [0])
+    assert 0.0 < b <= 1e-12
 
 
 def test_verify_drift_reports_violating_state(chain):

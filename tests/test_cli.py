@@ -118,6 +118,45 @@ def test_gig1_subcommand_writes_curves(tmp_path, capsys):
     assert table.shape == (11, 5)
 
 
+def test_unwritable_curve_file_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    from markov_poisson import gig1
+
+    built = []
+    monkeypatch.setattr(gig1, "build_certificate", lambda *a: built.append(a))
+    curves = tmp_path / "no" / "such" / "dir" / "curves.txt"
+    code, out = run_cli(capsys, "gig1", "--kappa", "2", "--curves", str(curves))
+    assert code == 2
+    report = json.loads(out)
+    assert list(report) == ["command", "error", "passed"]
+    assert report["error"]["code"] == "spec-file-error"
+    assert report["error"]["message"].startswith("cannot write curve file")
+    assert not built and not curves.exists()
+
+
+def test_gig1_draws_curves_only_for_a_curve_file(tmp_path, capsys, monkeypatch):
+    # the report's comparison needs no grid: the curves are drawn on
+    # linspace(0, x_max, x_points) only when --curves asks for them
+    from markov_poisson import gig1
+
+    drawn = []
+    original = gig1.bound_curves
+
+    def counted(cert, xs):
+        drawn.append(len(xs))
+        return original(cert, xs)
+
+    monkeypatch.setattr(gig1, "bound_curves", counted)
+    code, plain = run_cli(capsys, "gig1", "--kappa", "2", "--x-points", "7")
+    assert (code, drawn) == (0, [])
+    curves = tmp_path / "curves.txt"
+    code, out = run_cli(capsys, "gig1", "--kappa", "2", "--x-points", "7",
+                        "--curves", str(curves))
+    assert (code, drawn) == (0, [7])
+    report = json.loads(out)
+    assert report.pop("curve_file") == str(curves)
+    assert report == json.loads(plain)
+
+
 def test_gig1_simulate_mode(capsys):
     code, out = run_cli(
         capsys,
@@ -267,7 +306,7 @@ def test_simulate_spec_needs_only_f_and_small_set(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, code, assertion",
     [
-        (["verify"], 1, "drift_minorization_certificate"),
+        (["verify"], 1, "verify_completed"),
         (["solve"], 1, "solve_completed"),
         (["simulate", "--x0", "1", "--cycles", "200"], 1, "simulation_completed"),
         (["potential"], 0, None),
@@ -414,9 +453,12 @@ def test_errors_before_any_report_exit_2(tmp_path, capsys):
     assert (code, json.loads(out)["error"]["code"]) == (2, "quadrature-failure")
 
 
-def _count_calls(monkeypatch, name, modules):
+def _count_calls(monkeypatch, name):
     """Count calls of a chain-layer function through every module binding it."""
     import importlib
+    import pkgutil
+
+    import markov_poisson
 
     calls = []
     original = getattr(importlib.import_module("markov_poisson.chain"), name)
@@ -425,16 +467,18 @@ def _count_calls(monkeypatch, name, modules):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for mod in modules:
-        module = importlib.import_module(f"markov_poisson.{mod}")
-        if hasattr(module, name):
+    for info in pkgutil.iter_modules(markov_poisson.__path__):
+        module = importlib.import_module(f"markov_poisson.{info.name}")
+        if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_simulate_builds_kernel_powers_once(tmp_path, capsys, monkeypatch):
-    # the sampler takes P^1..P^m and the residual rows from the op's
-    # CycleSystem: one kernel_powers call per op, with and without a bridge
+    # the chain caches P^1..P^m: the minorization, its check and the
+    # op's CycleSystem (and through it the sampler) share one kernel_powers
+    # call per op of simulate --spec, solve and potential, with and
+    # without a bridge
     from markov_poisson.chain import validate_chain
     from markov_poisson.split import hitting
 
@@ -451,11 +495,13 @@ def test_simulate_builds_kernel_powers_once(tmp_path, capsys, monkeypatch):
     bridge = tmp_path / "bridge.json"
     bridge.write_text(json.dumps(doc))
     for spec in (BUNDLED_SPEC, bridge):
-        calls = _count_calls(monkeypatch, "kernel_powers", ("chain", "split", "mc", "cli"))
-        code, out = run_cli(capsys, "simulate", "--spec", str(spec), "--x0", "1",
-                            "--cycles", "200", "--seed", "1")
-        assert code == 0
-        assert len(calls) == 1, spec
+        for argv in (["simulate", "--x0", "1", "--cycles", "200", "--seed", "1"],
+                     ["solve"], ["potential"]):
+            calls = _count_calls(monkeypatch, "kernel_powers")
+            code, out = run_cli(capsys, argv[0], "--spec", str(spec), *argv[1:])
+            monkeypatch.undo()
+            assert code == 0
+            assert len(calls) == 1, (spec, argv[0])
 
 
 def test_potential_solves_for_pi_once(capsys, monkeypatch):
@@ -463,8 +509,7 @@ def test_potential_solves_for_pi_once(capsys, monkeypatch):
     # one decomposition per op
     names = ("stationary", "cyclic_decomposition")
     for command in ("solve", "potential"):
-        calls = [_count_calls(monkeypatch, name, ("chain", "split", "potential", "cli"))
-                 for name in names]
+        calls = [_count_calls(monkeypatch, name) for name in names]
         code, _ = run_cli(capsys, command, "--spec", str(BUNDLED_SPEC))
         monkeypatch.undo()
         assert code == 0
@@ -541,8 +586,24 @@ def test_potential_reports_drift_violation_of_v3(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["error"]["code"] == "drift-violation"
-    assert report["assertions"][-1]["name"] == "potential_residual"
+    assert report["assertions"][-1]["name"] == "potential_completed"
     assert report["assertions"][-1]["passed"] is False
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "potential"])
+@pytest.mark.parametrize(
+    "functions",
+    [{}, {"v1": [4.0, 1.0]}, {"v1": [1.0, 0.5]}, {"v3": [1.0, 10.0]}],
+    ids=["valid", "v1 violated", "v1 small", "v3 violated"],
+)
+def test_no_report_repeats_an_assertion_name(tmp_path, capsys, command, functions):
+    # a failure is recorded under a name no body uses, never under the
+    # name of an assertion the body has already passed
+    spec = spec_variant(tmp_path, functions=functions)
+    code, out = run_cli(capsys, command, "--spec", spec)
+    names = [a["name"] for a in json.loads(out)["assertions"]]
+    assert len(names) == len(set(names)), names
+    assert code == (1 if functions else 0)
 
 
 @pytest.mark.parametrize(
@@ -624,7 +685,7 @@ def test_rejected_input_report_goes_to_out_file(tmp_path, capsys):
 
 
 def test_unwritable_out_file_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, "validate_chain", ("chain", "specfile"))
+    calls = _count_calls(monkeypatch, "validate_chain")
     out_path = tmp_path / "no" / "such" / "dir" / "o.json"
     code, out = run_cli(capsys, "verify", "--spec", str(BUNDLED_SPEC), "--out", str(out_path))
     assert code == 2
@@ -671,7 +732,7 @@ POTENTIAL = ["potential_residual", "poisson_residual_aperiodic", "gap_constant_p
             ["command", "inputs", "certificates", "assertions", "passed"], ["spec"],
             ["drift_minorization_certificate", "second_level_certificate"], id="verify"),
         pytest.param(["verify", "--spec", "bad_v1"], FAILED, ["spec"],
-                     ["drift_minorization_certificate"], id="verify error"),
+                     ["verify_completed"], id="verify error"),
         pytest.param(["verify", "--spec", "row_sum"], SHORT, None, None, id="verify input"),
         pytest.param(
             ["solve", "--spec", "running_example"],
@@ -688,7 +749,7 @@ POTENTIAL = ["potential_residual", "poisson_residual_aperiodic", "gap_constant_p
         pytest.param(
             ["potential", "--spec", "bad_v3"],
             ["command", "inputs", "period", "solve_residual", "tables", "diagnostics", "error",
-             "assertions", "passed"], ["spec"], POTENTIAL + ["potential_residual"],
+             "assertions", "passed"], ["spec"], POTENTIAL + ["potential_completed"],
             id="potential error"),
         pytest.param(["potential", "--spec", "row_sum"], SHORT, None, None, id="potential input"),
         pytest.param(

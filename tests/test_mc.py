@@ -313,3 +313,40 @@ def test_lanes_independent_of_workers_and_chunks(monkeypatch):
     for other in (parallel, chunked):
         assert np.array_equal(serial[0], other[0])
         assert np.array_equal(serial[1], other[1])
+
+
+class _RecordingPool:
+    """A stand-in ProcessPoolExecutor that runs its map in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+@pytest.mark.parametrize(
+    "workers, n_cycles, cpus, size",
+    [(64, 10, 2, 2), (64, 10, 16, 10), (2, 10, 2, 2), (3, 10, 8, 3), (4, 10, None, 1)],
+)
+def test_pool_is_sized_by_its_work(monkeypatch, chain, bundle, workers, n_cycles, cpus, size):
+    # one process per nonempty block of cycles, and no more than the CPUs
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    sc = sampler(chain, bundle, [1, 0])
+    pooled = run_cycles(sc, 1, n_cycles, master_seed=4, workers=workers)
+    serial = run_cycles(sc, 1, n_cycles, master_seed=4)
+    assert _RecordingPool.sizes == [size]
+    assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])

@@ -10,7 +10,7 @@ from markov_poisson.certify import (
 from markov_poisson.chain import validate_chain
 from markov_poisson.errors import (
     InconsistentCertificate,
-    NegativeResidual,
+    MinorizationViolation,
     Unreachable,
 )
 from markov_poisson.split import CycleSystem, hitting, marginal_curve
@@ -36,10 +36,11 @@ def test_residual_kernel_rows(chain):
 
 
 def test_residual_kernel_rejects_overstated_certificate(chain):
+    # the certificate's own verify finds the fault before Q is formed
     bad = SmallSetCertificate(
         C=(0, 1), m=1, lam=0.9, phi=Distribution(mass=[1 / 3, 2 / 3])
     )
-    with pytest.raises(NegativeResidual):
+    with pytest.raises(MinorizationViolation):
         CycleSystem(chain, bad)
 
 
