@@ -367,8 +367,10 @@ def cmd_gig1(args):
     _check_seed(args.seed)
     if not (math.isfinite(args.x_max) and args.x_max >= 0.0):
         raise SpecFileError(f"--x-max must be finite and >= 0, got {args.x_max}")
-    if args.x_points < 1:
-        raise SpecFileError(f"--x-points must be at least 1, got {args.x_points}")
+    if not 1 <= args.x_points <= _gig1.MAX_GRID_POINTS:
+        raise SpecFileError(
+            f"--x-points must lie in 1..{_gig1.MAX_GRID_POINTS}, got {args.x_points}"
+        )
     if args.curves:
         _check_writable(args.curves, "curve")
     model, queue = _gig1_model(args)

@@ -13,10 +13,16 @@ one-step (m = 1) certificate exists on an interval C = [0, x0]:
   max(., 1) floor lets the same constant serve the unit-charge drift too.
 
 All integrals are trapezoid sums on a uniform grid, over increments
-truncated at mean +- TAIL_SIGMAS standard deviations; for unimodal
-densities the grid infimum (with both interval endpoints on the grid)
-equals the true infimum, because a unimodal function attains its minimum
-over an interval at an endpoint.
+truncated at mean +- TAIL_SIGMAS standard deviations. ``build_certificate``
+makes two passes, and neither holds an array larger than its grids:
+
+* the drift grid x_i = i s and the increment grid z_k = z_0 + k s share
+  the step s, so x_i + z_k = z_0 + (i + k) s and (Pv1)(x_i) is
+  sum_k t_k v1(max(z_0 + (i + k) s, 0)), with t_k the density at z_k
+  times its trapezoid weight: the whole drift grid is one correlation;
+* every family is unimodal, and a unimodal function attains its minimum
+  over an interval at an endpoint, so the minorizing density is the
+  smaller of h_Z(y) and h_Z(y - x0).
 
 Choosing x0 has no closed form. ``build_certificate`` takes the last grid
 point where the drift inequality fails, scanning up to an analytic
@@ -69,12 +75,12 @@ HORIZON_PAD = 2.0
 #: m/lam = 6.5 (kappa = 1.8) on the atom is cheaper at both points.
 SPLIT_MAX_CYCLE = 6.0
 
-#: most points the drift-margin grid of ``build_certificate`` may hold, so
-#: that a grid past it is refused before it is allocated. The (Pv1)
-#: quadrature costs that many times the increment grid and the minorizing
-#: density up to its square: on one core of a 2-core Intel Xeon, 19550
-#: points (normal mean -0.03, kappa 1.1) took 6 s and 56205 points 43 s.
-#: The default settings need 2575 (kappa 1.1, step 0.01).
+#: most points the drift-margin grid of ``build_certificate`` may hold, and
+#: the curve grid of ``gig1 --x-points``, so that a grid past it is refused
+#: before it is allocated. It guards allocation, not time: both certificate
+#: passes hold arrays linear in the grid, and on one core of a 2-core Intel
+#: Xeon 19551 points (normal mean -0.03, kappa 1.1) take 10 ms for the margins
+#: and the density. The default settings need 2576 (kappa 1.1, step 0.01).
 MAX_GRID_POINTS = 10**5
 
 #: increment families with continuous positive densities on the real line
@@ -171,6 +177,9 @@ class GIG1Model:
     checked on construction, except when the drift-margin grid would hold
     more than MAX_GRID_POINTS points: ``build_certificate`` refuses that
     model, and the increment grid at that step may not fit in memory.
+    ``pv1`` and ``drift_margin`` take any points, at a cost of the points
+    times the increment grid; ``build_certificate`` gets the same sums on
+    its drift grid, which shares the step, by one correlation.
     """
 
     increment: Increment
@@ -282,15 +291,16 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     """Compute (x0, lam, phi, b1) for C = [0, x0] by quadrature.
 
     Drift margins are evaluated once, on the grid [0, horizon +
-    HORIZON_PAD]. x0 is the last grid point with a negative margin, so
-    the drift inequality holds at every larger grid point; past the
-    analytic horizon the moment bound in the module docstring certifies
-    it, so the grid scan is exhaustive. Some point is always negative:
-    the margin at 0 is -(Pv1)(0) <= -(1 - MASS_TOL), and x0 = 0 leaves
-    the atom C = {0}, itself a small set. Raises SearchExhausted when the
-    margin is still negative at the end of the grid, or when the grid
-    would hold more than MAX_GRID_POINTS points, and NonFiniteResult when
-    x0, b1, lam or phi(v1) is not finite.
+    HORIZON_PAD], by the correlation in the module docstring. x0 is the
+    last grid point with a negative margin, so the drift inequality
+    holds at every larger grid point; past the analytic horizon the
+    moment bound in the module docstring certifies it, so the grid scan
+    is exhaustive. Some point is always negative: the margin at 0 is
+    -(Pv1)(0) <= -(1 - MASS_TOL), and x0 = 0 leaves the atom C = {0},
+    itself a small set. Raises SearchExhausted when the margin is still
+    negative at the end of the grid, or when the grid would hold more
+    than MAX_GRID_POINTS points, and NonFiniteResult when x0, b1, lam or
+    phi(v1) is not finite.
     """
     end = model.drift_grid_end()
     if not end / model.step <= MAX_GRID_POINTS:
@@ -298,8 +308,15 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
             f"the drift-margin grid up to {end:.6g} at step {model.step} would hold "
             f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points"
         )
-    xs = np.arange(0.0, end, model.step)
-    margin = model.drift_margin(xs)
+    s = model.step
+    xs = np.arange(0.0, end, s)
+    zs = model.z_grid()
+    # x_i + z_k = z_0 + (i + k) s, so (Pv1)(x_i) = sum_k t_k w_{i+k}: one
+    # correlation of the lattice values w with the trapezoid-weighted density t
+    dz = np.diff(zs)
+    t = model.h_z(zs) * (np.pad(dz, (0, 1)) + np.pad(dz, (1, 0))) / 2.0
+    w = model.v1(np.maximum(zs[0] + np.arange(xs.size + zs.size - 1) * s, 0.0))
+    margin = model.v1(xs) - np.maximum(xs, 1.0) - np.correlate(w, t, "valid")
     last = np.flatnonzero(margin < 0.0)[-1]
     if last == xs.size - 1:
         raise SearchExhausted(f"drift margin still negative at the horizon {xs[-1]:.3f}")
@@ -308,14 +325,9 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     b1 = float(np.max(-margin[: last + 1]))
 
     atom = float(model.increment.cdf(-x0))
-    zs = model.z_grid()
-    ys = np.arange(model.step, x0 + zs[-1] + model.step, model.step)
-    c_grid = np.arange(0.0, x0 + model.step / 2, model.step)
-    density = np.full(ys.size, np.inf)
-    block = max(1, int(2_000_000 / ys.size))
-    for lo in range(0, c_grid.size, block):
-        vals = model.h_z(ys[None, :] - c_grid[lo : lo + block, None])
-        np.minimum(density, vals.min(axis=0), out=density)
+    ys = np.arange(s, x0 + zs[-1] + s, s)
+    # a unimodal h_Z(y - x) is least over x in [0, x0] at an end of C
+    density = np.minimum(model.h_z(ys), model.h_z(ys - x0))
     lam = atom + float(np.trapezoid(density, ys))
     if lam <= 0.0:
         raise QuadratureFailure("minorizing measure has zero mass")
@@ -324,9 +336,7 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
         raise NonFiniteResult(
             f"certificate is not finite: x0 {x0}, b1 {b1}, lambda {lam}, phi(v1) {phi_v1}"
         )
-    density = density.copy()
     density.flags.writeable = False
-    ys = ys.copy()
     ys.flags.writeable = False
     return GIG1Certificate(
         c1=model.c1,

@@ -428,7 +428,7 @@ def test_drift_grid_past_its_cap_is_refused_before_allocation(capsys, command):
 @pytest.mark.parametrize(
     "option",
     [["--x-max", "nan"], ["--x-max", "inf"], ["--x-max", "-1"], ["--x-points", "-1"],
-     ["--x-points", "0"]],
+     ["--x-points", "0"], ["--x-points", "10000000000"]],
     ids=" ".join,
 )
 def test_gig1_curve_grid_out_of_range_is_an_input_error(capsys, option):

@@ -121,6 +121,68 @@ def test_drift_spot_check_random_points(kappa):
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "family, kappa, step",
+    [("normal", 2.0, 0.01), ("normal", 1.1, 0.01), ("logistic", 2.0, 0.01),
+     ("logistic", 1.1, 0.01), ("laplace", 2.0, 0.004)],
+)
+def test_certificate_matches_the_grid_reference(family, kappa, step):
+    # the certificate's one correlation and its density read at the two
+    # ends of C against the general pv1 and the infimum over every grid
+    # point of C
+    model = GIG1Model(increment=increment_family(family, -0.5, 1.0), kappa=kappa, step=step)
+    cert = build_certificate(model)
+    xs = np.arange(0.0, model.drift_grid_end(), step)
+    margin = model.drift_margin(xs)
+    last = np.flatnonzero(margin < 0.0)[-1]
+    assert cert.x0 == xs[last]
+    assert cert.b1 == pytest.approx(np.max(-margin[: last + 1]), rel=1e-10, abs=0.0)
+    density = np.full(cert.ys.size, np.inf)
+    for c in np.arange(0.0, cert.x0 + step / 2, step):
+        np.minimum(density, model.h_z(cert.ys - c), out=density)
+    np.testing.assert_array_equal(cert.density, density)
+
+
+def test_certificate_builds_in_linear_memory(cert_tight):
+    # a (drift grid x increment grid) array at kappa = 1.1 would be 59 MiB
+    import tracemalloc
+
+    model, _ = cert_tight
+    tracemalloc.start()
+    try:
+        build_certificate(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _normal_pv1(model, xs):
+    """Exact E v1(max(x + Z, 0)) for normal Z: W = x + Z ~ N(m, sd^2)."""
+    mu, sd = model.increment.loc, model.increment.scale
+    m, a = xs + mu, 1.0 / np.sqrt(model.c1)
+    alpha = (a - m) / sd
+    upper = (m * m + sd * sd) * stats.norm.sf(alpha) + sd * (m + a) * stats.norm.pdf(alpha)
+    return stats.norm.cdf(alpha) + model.c1 * upper
+
+
+@pytest.mark.parametrize("kappa", [2.0, 1.1])
+def test_pv1_matches_the_normal_closed_form(kappa):
+    # the trapezoid error reaches 9e-6 off the grid, beyond drift_spot_check's
+    # 1e-6: the certificate is not yet checked between grid points (ROADMAP,
+    # "Make the queue certificate hold between grid points")
+    coarse = GIG1Model(kappa=kappa, step=0.01, **STANDARD)
+    fine = GIG1Model(kappa=kappa, step=0.005, **STANDARD)
+    grid = np.arange(0.0, coarse.drift_grid_end(), coarse.step)
+    off = np.random.default_rng(20261019).uniform(0.0, coarse.drift_grid_end(), 2000)
+    exact = _normal_pv1(coarse, off)
+    assert np.max(np.abs(coarse.pv1(grid) - _normal_pv1(coarse, grid))) <= 2e-5
+    worst_coarse = np.max(np.abs(coarse.pv1(off) - exact))
+    worst_fine = np.max(np.abs(fine.pv1(off) - exact))
+    assert worst_coarse <= 2e-5
+    assert worst_fine * 3.0 <= worst_coarse
+
+
 def test_bound_curves_limits(cert_roomy):
     _, cert = cert_roomy
     xs = np.linspace(0.0, 200.0, 400)
