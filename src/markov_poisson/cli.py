@@ -32,7 +32,7 @@ from . import bounds as _bounds
 from . import gig1 as _gig1
 from .certify import minorize, verify_bundle, verify_potential
 from .errors import SpecFileError, ToolkitError
-from .mc import FiniteChainSampler, estimate_gstar, estimate_pif
+from .mc import MAX_CYCLES, FiniteChainSampler, gstar_from_cycles, pif_from_cycles, run_cycles
 from .potential import truncated_potential, verify_truncation_gap
 from .specfile import dumps_canonical, load_chain_spec
 from .split import CycleSystem, marginal_curve
@@ -290,6 +290,8 @@ def cmd_simulate(args):
         raise SpecFileError("simulate needs exactly one of --spec or --gig1")
     if args.cycles < 1:
         raise SpecFileError(f"--cycles must be at least 1, got {args.cycles}")
+    if args.cycles > MAX_CYCLES:
+        raise SpecFileError(f"--cycles must be at most {MAX_CYCLES}, got {args.cycles}")
     if args.workers < 1:
         raise SpecFileError(f"--workers must be at least 1, got {args.workers}")
     if args.max_steps < 0:
@@ -325,12 +327,10 @@ def _simulate_chain(spec, x0, args, report, checks):
     pi_f = float(chain.pi @ f)
     g_exact = system.canonical_solution(f)
     sc = FiniteChainSampler(system, f)
-    pif_est = estimate_pif(sc, args.cycles, args.seed, workers=args.workers,
-                           max_steps=args.max_steps)
-    g_est = estimate_gstar(
-        sc, x0, pi_f, args.cycles, args.seed,
-        workers=args.workers, stream_offset=args.cycles, max_steps=args.max_steps,
-    )
+    n = args.cycles
+    sums, lengths = run_cycles(sc, [None, x0], n, args.seed, args.workers, args.max_steps)
+    pif_est = pif_from_cycles(sums[:n], lengths[:n])
+    g_est = gstar_from_cycles(sums[n:], lengths[n:], pi_f)
     report["estimates"] = {
         "pi_f": {"point": pif_est.point, "std_error": pif_est.std_error},
         "g_star_x0": {"point": g_est.point, "std_error": g_est.std_error},

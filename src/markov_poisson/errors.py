@@ -6,11 +6,19 @@ reports can classify failures without parsing messages.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ToolkitError(Exception):
     """Base class for all domain errors raised by this package."""
 
     code = "toolkit-error"
+
+    def __reduce__(self):
+        # rebuild from the formatted message and the attributes, without
+        # running a subclass __init__ on its own message: an error raised in
+        # a worker process then reads as it would in the calling one
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class NegativeEntry(ToolkitError):

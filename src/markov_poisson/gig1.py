@@ -52,7 +52,7 @@ import numpy as np
 
 from .bounds import envelope_comparison
 from .errors import NonFiniteResult, QuadratureFailure, SearchExhausted
-from .mc import estimate_gstar, estimate_pif
+from .mc import gstar_from_cycles, pif_from_cycles, run_cycles
 
 #: tolerance on the truncated density mass
 MASS_TOL = 1e-6
@@ -492,7 +492,7 @@ def mc_validate(
       {0} is a small set with m = 1, lam = 1 and phi = P(0, .): an atom
       cycle runs to the first visit of 0 (charged, with f(0) = 0) and
       regenerates with certainty there. pi(f) is the ratio estimator
-      over atom cycles, and g_a(x) and phi(g_a) are :func:`estimate_gstar`
+      over atom cycles, and g_a(x) and phi(g_a) are ``gstar_from_cycles``
       over atom cycles from x and from phi. The standard error adds the
       three sources by the delta method:
       Var g_a(x) + Var phi(g_a) + ((E_x len - E_phi len) SE(pi_f))^2.
@@ -501,28 +501,28 @@ def mc_validate(
     m/lam <= SPLIT_MAX_CYCLE, the atom otherwise, and the report names it
     under ``"regeneration"``. ``max_steps`` only guards each cycle on
     either scheme: a budget its cycles outrun raises MaxStepsExceeded.
-    Each estimate uses its own disjoint block of cycle streams, so one
-    master seed reproduces the whole report. Containment is asserted
-    within 3 standard errors of each estimate; an envelope that overflows
-    raises NonFiniteResult.
+    Every estimate is one block of a single ``run_cycles`` pass, on its
+    own disjoint cycle streams, so one master seed reproduces the whole
+    report. Containment is asserted within 3 standard errors of each
+    estimate; an envelope that overflows raises NonFiniteResult.
     """
     x_list = [float(x) for x in x_list]
     regeneration = "split" if cert.m / cert.lam <= SPLIT_MAX_CYCLE else "atom"
     sc = QueueSampler(model, cert, at_atom=regeneration == "atom")
-    pif = estimate_pif(sc, n_cycles, master_seed, workers=workers, max_steps=max_steps)
-
-    # g* (g_a on the atom scheme) from x, on stream block ``block``
-    def gstar(x, block):
-        return estimate_gstar(
-            sc, x, pif.point, n_cycles, master_seed, workers=workers,
-            stream_offset=block * n_cycles, max_steps=max_steps,
-        )
-
-    estimates = [gstar(x, k + 1) for k, x in enumerate(x_list)]
+    # pi(f) from phi, g* (g_a on the atom scheme) from each x and, on the
+    # atom scheme, the same cycles with starts drawn from the certificate's phi
+    starts = [None, *x_list]
+    if regeneration == "atom":
+        starts.append(sc.sample_certificate_phi)
+    sums, lengths = (
+        a.reshape(len(starts), n_cycles)
+        for a in run_cycles(sc, starts, n_cycles, master_seed, workers, max_steps)
+    )
+    pif = pif_from_cycles(sums[0], lengths[0])
+    estimates = [gstar_from_cycles(s, t, pif.point) for s, t in zip(sums[1:], lengths[1:])]
     points = [(e.point, e.std_error) for e in estimates]
     if regeneration == "atom":
-        # the same cycles with starts drawn from the certificate's phi
-        phi = gstar(sc.sample_certificate_phi, len(x_list) + 1)
+        phi = estimates.pop()
         points = [
             (e.point - phi.point, math.sqrt(
                 e.std_error**2 + phi.std_error**2

@@ -8,18 +8,23 @@ and stops at the first success. Visits to the small set strictly inside
 a bridge segment never toss coins; the next eligible visit is the first
 one at least m steps after the previous toss.
 
-Cycles run in numpy lanes, one cycle per lane and up to ``LANES`` in
-flight; per iteration a lane outside the small set takes a free step,
-and a lane in it tosses the coin, draws the endpoint and runs the bridge
-draws. When a cycle ends, its lane starts the block's next cycle not yet
-started, so one pass runs a whole block and every lane stays busy until
-the block's last cycles are in flight.
+Estimates from several starts share one run: ``run_cycles`` takes one
+start rule per block of cycles (a state, phi, or a start law), and
+block b is cycles b n .. (b + 1) n - 1 of the master seed. Cycles run
+in numpy lanes, one cycle per lane and up to ``LANES`` in flight; per
+iteration a lane outside the small set takes a free step, and a lane in
+it tosses the coin, draws the endpoint and runs the bridge draws. When
+a cycle ends, its lane starts the next cycle not yet started, from
+whichever block, so one pass runs every block and every lane stays busy
+until the last cycles are in flight. With workers, the cycle range
+splits into contiguous shards: the calling process runs the first and a
+process pool the rest.
 
 The k-th uniform of cycle i is word k % 4 of the Philox-4x64-10 block
 with key (master_seed, i) and counter k // 4 + 1, as (w >> 11) 2^-53:
 the k-th ``random()`` of ``np.random.Generator(np.random.Philox(key=[seed,
 i]))``. Each cycle draws in the order of a one-cycle-at-a-time simulation
-(the phi start first when no start state is given), whatever lane it
+(the phi start first when its block draws its starts), whatever lane it
 runs in, so estimates are bitwise reproducible whatever the worker count
 or lane count.
 
@@ -33,7 +38,8 @@ taken from the lane source :class:`CycleStreams` for the lanes given:
   and the proposals each lane rejected; a lane stops proposing once its
   rejections exceed its budget (needed only when lam < 1);
 * ``sample_bridge(x, y, streams, lanes)``, the m-1 intermediate state
-  arrays given the block's start and endpoint (needed only when m >= 2).
+  arrays given the m-step segment's start and endpoint (needed only
+  when m >= 2).
 
 Samplers must be picklable when workers > 1.
 """
@@ -60,6 +66,10 @@ LANES = 4096
 #: uniforms computed per lane for its first draws, and at each later refill
 #: (multiples of 4): most cycles end within the first few draws
 FIRST_DRAWS, WINDOW = 8, 32
+
+#: the most cycles per block: a run keeps each cycle's sum and length, 16
+#: bytes per cycle per block
+MAX_CYCLES = 10**8
 
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
@@ -151,30 +161,45 @@ class MCEstimate:
     mean_length: float
 
 
-def _start(sc, x0, streams: CycleStreams, lanes: np.ndarray) -> np.ndarray:
-    """Start states of the cycles just keyed to ``lanes``."""
-    if x0 is None:
+def _start(sc, rule, streams: CycleStreams, lanes: np.ndarray) -> np.ndarray:
+    """Start states, by one block's rule, of the cycles just keyed to ``lanes``."""
+    if rule is None:
         return sc.sample_phi(streams, lanes)
-    if callable(x0):
-        return x0(streams, lanes)
-    return np.full(lanes.size, x0, dtype=sc.dtype)
+    if callable(rule):
+        return rule(streams, lanes)
+    return np.full(lanes.size, rule, dtype=sc.dtype)
 
 
-def _run_lanes(sc, x0, streams: CycleStreams, n: int, max_steps: int):
-    """Per-cycle (sum_f, length) of ``n`` cycles from the streams' first.
+def _start_cycles(sc, starts, n: int, streams: CycleStreams, lanes, first: int) -> np.ndarray:
+    """Start states of the cycles ``first, first + 1, ...`` just keyed to ``lanes``.
 
-    The lanes start with the first ``streams.n`` cycles. A lane whose
-    cycle ends takes the next cycle not yet started, on its re-keyed
-    stream, until all ``n`` have started, so the streams hold a window
+    Cycle c belongs to block c // n and starts by ``starts[c // n]``; the
+    cycles of one block take one ``_start`` call.
+    """
+    parts = [
+        _start(sc, starts[b], streams, lanes[max(b * n - first, 0):(b + 1) * n - first])
+        for b in range(first // n, (first + lanes.size - 1) // n + 1)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_steps: int):
+    """Per-cycle (sum_f, length) of cycles ``lo .. hi - 1`` of blocks of ``n``.
+
+    The streams key their first lane to cycle ``lo``. The lanes start with
+    the first ``streams.n`` cycles. A lane whose cycle ends takes the next
+    cycle not yet started, on its re-keyed stream and by the rule of that
+    cycle's block, until all have started, so the streams hold a window
     only for the cycles in flight. Sums, lengths and the steps spent
     accumulate per lane; the sum and length go to the cycle's slot of the
     result when the cycle ends.
     """
+    count = hi - lo
     lanes = np.arange(streams.n)
-    cycle = lanes.copy()  # the cycle of each lane, counted from the first
+    cycle = lanes.copy()  # the cycle of each lane, counted from lo
     started = streams.n
-    x = _start(sc, x0, streams, lanes)
-    cycle_sums, cycle_lengths = np.empty(n), np.empty(n)
+    x = _start_cycles(sc, starts, n, streams, lanes, lo)
+    cycle_sums, cycle_lengths = np.empty(count), np.empty(count)
     sums = np.zeros(streams.n)
     length = np.zeros(streams.n, dtype=np.int64)
     # steps plus rejected residual proposals: what max_steps guards
@@ -217,16 +242,16 @@ def _run_lanes(sc, x0, streams: CycleStreams, n: int, max_steps: int):
         ld = lanes[done]
         cycle_sums[cycle[ld]] = sums[ld]
         cycle_lengths[cycle[ld]] = length[ld]
-        k = min(done.size, n - started)
+        k = min(done.size, count - started)
         if k:
             refill, lr = done[:k], ld[:k]
             cycle[lr] = np.arange(started, started + k)
-            started += k
             streams.restart(lr, cycle[lr])
             sums[lr] = 0.0
             length[lr] = 0
             spent[lr] = 0
-            x[refill] = _start(sc, x0, streams, lr)
+            x[refill] = _start_cycles(sc, starts, n, streams, lr, lo + started)
+            started += k
         if k < done.size:
             keep = np.ones(lanes.size, dtype=bool)
             keep[done[k:]] = False
@@ -234,56 +259,68 @@ def _run_lanes(sc, x0, streams: CycleStreams, n: int, max_steps: int):
     return cycle_sums, cycle_lengths
 
 
-def _cycle_block(args):
-    """Per-cycle (sum_f, length) of ``n`` cycles from ``first``, LANES in flight."""
-    sc, x0, master_seed, first, n, max_steps = args
-    return _run_lanes(sc, x0, CycleStreams(master_seed, first, min(LANES, n)), n, max_steps)
+def _shard(args):
+    """Per-cycle (sum_f, length) of one contiguous shard, LANES in flight."""
+    sc, starts, n, master_seed, lo, hi, max_steps = args
+    streams = CycleStreams(master_seed, lo, min(LANES, hi - lo))
+    return _run_lanes(sc, starts, n, streams, lo, hi, max_steps)
 
 
 def run_cycles(
     sc,
-    x0,
+    starts,
     n_cycles: int,
     master_seed: int,
     workers: int = 1,
-    stream_offset: int = 0,
     max_steps: int = DEFAULT_MAX_STEPS,
 ):
-    """Per-cycle (sum_f, length) arrays for i.i.d. cycles from x0.
+    """Per-cycle (sum_f, length) arrays of ``n_cycles`` i.i.d. cycles per block.
 
-    ``x0`` is a start state, ``None`` to draw each cycle's start from the
-    sampler's phi, or a start law ``x0(streams, lanes)``; either draw is
-    the first of the cycle's stream. The charge is summed over indices
-    0..tau-1. Results are in cycle-index order, so the arrays (and
-    anything reduced from them) do not depend on ``workers``, which run
-    contiguous blocks of cycles in a process pool of at most one process
-    per block and per CPU.
+    ``starts`` holds one start rule per block: a start state, ``None`` to
+    draw each cycle's start from the sampler's phi, or a start law
+    ``rule(streams, lanes)``; either draw is the first of the cycle's
+    stream. Block b is cycles b n .. (b + 1) n - 1 of the master seed, and
+    the charge is summed over indices 0..tau-1. Both arrays hold
+    len(starts) * n_cycles entries in cycle-index order, so block b's
+    cycles are row b of ``reshape(len(starts), n_cycles)``.
+
+    All blocks run in one lane pass: a lane whose cycle ends takes the
+    next cycle not yet started, from whichever block. ``workers`` splits
+    the whole cycle range into at most one contiguous shard per worker
+    and per CPU; the calling process runs the first shard and a process
+    pool the rest. Results do not depend on ``workers`` or on the lane
+    count, and an error comes from the lowest shard that raised one.
 
     Raises MaxStepsExceeded when a cycle's steps plus its rejected
     residual proposals exceed ``max_steps``, and MissingBridgeSampler for
     m >= 2 without a bridge.
     """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
+    if not 1 <= n_cycles <= MAX_CYCLES:
+        raise ValueError(f"n_cycles must lie in 1..{MAX_CYCLES}")
     if sc.m >= 2 and getattr(sc, "sample_bridge", None) is None:
         raise MissingBridgeSampler(f"m={sc.m} requires a bridge sampler")
     if sc.lam < 1.0 and getattr(sc, "sample_residual", None) is None:
         raise ValueError("lam < 1 requires a residual sampler")
-    bounds = stream_offset + np.linspace(0, n_cycles, max(workers, 1) + 1, dtype=int)
+    starts = list(starts)
+    if not starts:
+        raise ValueError("run_cycles needs at least one start rule")
+    total = len(starts) * n_cycles
+    shards = min(max(workers, 1), os.cpu_count() or 1, total)
+    bounds = [total * k // shards for k in range(shards + 1)]
     jobs = [
-        (sc, x0, master_seed, int(lo), int(hi - lo), max_steps)
+        (sc, starts, n_cycles, master_seed, lo, hi, max_steps)
         for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
     ]
-    if len(jobs) == 1:
-        blocks = [_cycle_block(jobs[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    if shards == 1:
+        return _shard(jobs[0])
+    from concurrent.futures import ProcessPoolExecutor
 
-        # the fork start method starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-            blocks = list(pool.map(_cycle_block, jobs))
-    sums, lengths = zip(*blocks)
+    # each submit starts a worker process, so the pool works while this
+    # process runs shard 0
+    with ProcessPoolExecutor(max_workers=shards - 1) as pool:
+        futures = [pool.submit(_shard, job) for job in jobs[1:]]
+        parts = [_shard(jobs[0])] + [future.result() for future in futures]
+    sums, lengths = zip(*parts)
     return np.concatenate(sums), np.concatenate(lengths)
 
 
@@ -305,6 +342,36 @@ def mean_and_se(y: np.ndarray) -> tuple:
     return point, max(se, 2.0 * EPS * float(np.abs(y).mean()))
 
 
+def gstar_from_cycles(sums: np.ndarray, lengths: np.ndarray, pi_f: float) -> MCEstimate:
+    """g*(x0) = E_x0 sum_{j<tau} (f - pi_f)(X_j) from the cycles of one block.
+
+    Each cycle contributes sum_f - pi_f * length; the point and its
+    standard error are those of :func:`mean_and_se`.
+    """
+    point, se = mean_and_se(sums - pi_f * lengths)
+    return MCEstimate(point, se, math.fsum(lengths) / lengths.size)
+
+
+def pif_from_cycles(sums: np.ndarray, lengths: np.ndarray) -> MCEstimate:
+    """Ratio estimator of pi(f) from the cycles of one phi-started block.
+
+    The total charge over the total length, both compensated sums. The
+    standard error uses the delta method for the regenerative ratio,
+    sd(sum_f - r*length) / (mean length * sqrt(n)), floored at 2 eps |r|
+    as in :func:`mean_and_se`.
+    """
+    n = lengths.size
+    total_length = math.fsum(lengths)
+    r = math.fsum(sums) / total_length
+    if n > 1:
+        resid = sums - r * lengths
+        se = float(resid.std(ddof=1) / (lengths.mean() * np.sqrt(n)))
+        se = max(se, 2.0 * EPS * abs(r))
+    else:
+        se = 0.0
+    return MCEstimate(r, se, total_length / n)
+
+
 def estimate_gstar(
     sc,
     x0,
@@ -312,17 +379,11 @@ def estimate_gstar(
     n_cycles: int,
     master_seed: int,
     workers: int = 1,
-    stream_offset: int = 0,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> MCEstimate:
-    """Estimate g*(x0) = E_x0 sum_{j<tau} (f - pi_f)(X_j) from i.i.d. cycles.
-
-    Each cycle contributes sum_f - pi_f * length; the point and its
-    standard error are those of :func:`mean_and_se`.
-    """
-    sums, lengths = run_cycles(sc, x0, n_cycles, master_seed, workers, stream_offset, max_steps)
-    point, se = mean_and_se(sums - pi_f * lengths)
-    return MCEstimate(point, se, math.fsum(lengths) / n_cycles)
+    """Estimate g*(x0) by :func:`gstar_from_cycles` over cycles from x0."""
+    sums, lengths = run_cycles(sc, [x0], n_cycles, master_seed, workers, max_steps)
+    return gstar_from_cycles(sums, lengths, pi_f)
 
 
 def estimate_pif(
@@ -330,25 +391,11 @@ def estimate_pif(
     n_cycles: int,
     master_seed: int,
     workers: int = 1,
-    stream_offset: int = 0,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> MCEstimate:
-    """Ratio estimator of pi(f): total charge over total length, from phi.
-
-    Both totals are compensated sums. The standard error uses the delta
-    method for the regenerative ratio, sd(sum_f - r*length) / (mean
-    length * sqrt(n)), floored at 2 eps |r| as in :func:`mean_and_se`.
-    """
-    sums, lengths = run_cycles(sc, None, n_cycles, master_seed, workers, stream_offset, max_steps)
-    total_length = math.fsum(lengths)
-    r = math.fsum(sums) / total_length
-    if n_cycles > 1:
-        resid = sums - r * lengths
-        se = float(resid.std(ddof=1) / (lengths.mean() * np.sqrt(n_cycles)))
-        se = max(se, 2.0 * EPS * abs(r))
-    else:
-        se = 0.0
-    return MCEstimate(r, se, total_length / n_cycles)
+    """Estimate pi(f) by :func:`pif_from_cycles` over cycles from phi."""
+    sums, lengths = run_cycles(sc, [None], n_cycles, master_seed, workers, max_steps)
+    return pif_from_cycles(sums, lengths)
 
 
 def _inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:

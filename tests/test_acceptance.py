@@ -200,7 +200,7 @@ def test_a09_two_state_monte_carlo(two_state):
     system = CycleSystem(two_state.chain, two_state.bundle)
     sc = FiniteChainSampler(system, two_state.f)
     t0 = time.perf_counter()
-    sums, lengths = run_cycles(sc, 1, 100_000, master_seed=424242)
+    sums, lengths = run_cycles(sc, [1], 100_000, master_seed=424242)
     pi_f = float(two_state.pi @ two_state.f)
     y = sums - pi_f * lengths
     g_est = float(y.mean())
@@ -208,7 +208,7 @@ def test_a09_two_state_monte_carlo(two_state):
     tau_est = float(lengths.mean())
     tau_se = float(lengths.std(ddof=1)) / np.sqrt(len(lengths))
     elapsed = time.perf_counter() - t0
-    sums2, lengths2 = run_cycles(sc, 1, 100_000, master_seed=424242)
+    sums2, lengths2 = run_cycles(sc, [1], 100_000, master_seed=424242)
     deterministic = np.array_equal(sums, sums2) and np.array_equal(lengths, lengths2)
     ok = (
         abs(g_est - (-2 / 3)) <= 3 * g_se

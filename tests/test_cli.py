@@ -262,6 +262,7 @@ def test_simulate_requires_exactly_one_mode(capsys):
         ["--spec", str(BUNDLED_SPEC), "--x0", "-1"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1.5"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--cycles", "0"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--cycles", "1000000000000"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--workers", "0"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--workers", "-3"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--max-steps", "-1"],
@@ -272,6 +273,7 @@ def test_simulate_requires_exactly_one_mode(capsys):
         ["--gig1", "--x0", "nan"],
         ["--gig1", "--x0", "inf"],
         ["--gig1", "--x0", "1", "--cycles", "0"],
+        ["--gig1", "--x0", "1", "--cycles", "1000000000000"],
         ["--gig1", "--x0", "1", "--workers", "0"],
         ["--gig1", "--x0", "1", "--max-steps", "-1"],
         ["--gig1", "--x0", "1", "--seed", "-1"],
@@ -281,9 +283,9 @@ def test_simulate_requires_exactly_one_mode(capsys):
 )
 def test_simulate_rejects_start_state_and_cycle_count_out_of_range(capsys, argv):
     # the state index must lie in 0..n-1 (n = 2 here), the waiting time
-    # must be finite and >= 0, at least one cycle must run in at least one
-    # worker, the step budget cannot be negative, and the seed must fit the
-    # uint64 stream key
+    # must be finite and >= 0, 1..mc.MAX_CYCLES cycles must run in at least
+    # one worker, the step budget cannot be negative, and the seed must fit
+    # the uint64 stream key
     code, out = run_cli(capsys, "simulate", *argv)
     assert code == 2
     report = json.loads(out)
@@ -330,6 +332,18 @@ def test_spec_without_small_set(tmp_path, capsys, argv, code, assertion):
     assert report["assertions"] == [
         {"name": assertion, "passed": False, "detail": report["error"]["message"]}
     ]
+
+
+def test_simulate_runs_at_most_one_shard_per_cpu(capsys, monkeypatch):
+    # a worker count far past the CPUs runs as many shards as there are
+    # CPUs, with the estimates of one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["simulate", "--spec", str(BUNDLED_SPEC), "--x0", "1", "--cycles", "500",
+            "--seed", "3"]
+    code1, out1 = run_cli(capsys, *argv)
+    code, out = run_cli(capsys, *argv, "--workers", "1000000000000")
+    assert code1 == code == 0
+    assert json.loads(out)["estimates"] == json.loads(out1)["estimates"]
 
 
 def test_simulate_spec_honours_max_steps(capsys):

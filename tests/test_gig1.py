@@ -257,11 +257,12 @@ def test_atom_regeneration_matches_split_chain(cert_roomy, monkeypatch):
     assert report["regeneration"] == "atom"
     points = [(row["estimate"], row["std_error"]) for row in report["points"]]
     sc = QueueSampler(model, cert)
-    sums, lengths = run_cycles(sc, None, n, master_seed=42)
+    blocks = [a.reshape(len(xs) + 1, n) for a in run_cycles(sc, [None, *xs], n, master_seed=42)]
+    sums, lengths = blocks[0][0], blocks[1][0]
     pi_f = sums.sum() / lengths.sum()
     pi_se = (sums - pi_f * lengths).std(ddof=1) / (lengths.mean() * np.sqrt(n))
     for k, (x, (point, se)) in enumerate(zip(xs, points)):
-        sums, lengths = run_cycles(sc, x, n, master_seed=42, stream_offset=(k + 1) * n)
+        sums, lengths = blocks[0][k + 1], blocks[1][k + 1]
         y = sums - pi_f * lengths
         ref = y.mean()
         ref_se = np.sqrt(y.var(ddof=1) / n + (lengths.mean() * pi_se) ** 2)
@@ -377,9 +378,9 @@ def test_residual_rejections_count_against_the_step_budget(cert_roomy):
     assert np.array_equal(rejected, [1, 4, 11, 51])
     # in a cycle the chain steps stay far below the budget, the proposals do not
     with pytest.raises(MaxStepsExceeded) as err:
-        run_cycles(sampler, 1.0, 20, master_seed=7, max_steps=500)
+        run_cycles(sampler, [1.0], 20, master_seed=7, max_steps=500)
     assert err.value.steps == 500
     assert err.value.code == "max-steps-exceeded"
     # the unmodified sampler completes the same cycles within that budget
-    _, lengths = run_cycles(QueueSampler(model, cert), 1.0, 20, master_seed=7, max_steps=500)
+    _, lengths = run_cycles(QueueSampler(model, cert), [1.0], 20, master_seed=7, max_steps=500)
     assert lengths.max() <= 500

@@ -34,24 +34,24 @@ def sampler(chain, cert, f):
 
 def test_cycle_from_inside_small_set_is_deterministic(chain, bundle):
     # from state 0 with lam = 1 and m = 1 every cycle is one step long
-    sums, lengths = run_cycles(sampler(chain, bundle, [1, 0]), 0, 50, master_seed=1)
+    sums, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [0], 50, master_seed=1)
     assert np.all(lengths == 1)
     assert np.all(sums == 1.0)
 
 
 def test_cycle_length_at_least_m(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 2)
-    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), 1, 50, master_seed=2)
+    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [1], 50, master_seed=2)
     assert np.all(lengths >= 2)
 
 
 def test_zero_charge_gives_zero_sum(chain, bundle):
-    sums, _ = run_cycles(sampler(chain, bundle, [0, 0]), 1, 20, master_seed=3)
+    sums, _ = run_cycles(sampler(chain, bundle, [0, 0]), [1], 20, master_seed=3)
     assert np.all(sums == 0.0)
 
 
 def test_cycle_moments_match_exact(chain, bundle):
-    sums, lengths = run_cycles(sampler(chain, bundle, [1, 0]), 1, 10000, master_seed=4)
+    sums, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [1], 10000, master_seed=4)
     # exact: E sum_f = 1, E length = 5 from state 1
     assert abs(sums.mean() - 1.0) <= 3 * sums.std(ddof=1) / 100 + 1e-12
     assert abs(lengths.mean() - 5.0) <= 3 * lengths.std(ddof=1) / 100
@@ -110,7 +110,7 @@ def test_regeneration_endpoint_distribution(chain):
     sc = sampler(chain, bundle, [1, 0])
     n = 10000
     streams = CycleStreams(21, 0, n)
-    mc._run_lanes(sc, 1, streams, n, mc.DEFAULT_MAX_STEPS)
+    mc._run_lanes(sc, [1], n, streams, 0, n, mc.DEFAULT_MAX_STEPS)
     ends = sc.sample_phi(streams, np.arange(n))
     counts = np.bincount(ends, minlength=2)
     expected = bundle.phi.mass * n
@@ -121,7 +121,7 @@ def test_regeneration_endpoint_distribution(chain):
 def test_cycle_length_matches_exact_with_residual_kernel(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0, 1], 1)
     system = CycleSystem(chain, bundle)
-    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), None, 10000, master_seed=22)
+    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [None], 10000, master_seed=22)
     se = lengths.std(ddof=1) / 100
     assert abs(lengths.mean() - system.phi @ system.tau) <= 3 * se
 
@@ -160,7 +160,7 @@ def test_missing_bridge_sampler_raises(chain, bundle):
         sample_phi=lambda streams, lanes: np.zeros(lanes.size, dtype=np.intp),
     )
     with pytest.raises(MissingBridgeSampler):
-        run_cycles(sc, 0, 1, master_seed=0)
+        run_cycles(sc, [0], 1, master_seed=0)
 
 
 def test_max_steps_guard(chain, bundle):
@@ -168,13 +168,13 @@ def test_max_steps_guard(chain, bundle):
     # so a 2-step budget is exhausted almost surely under this seed
     sc = sampler(chain, bundle, [1, 0])
     with pytest.raises(MaxStepsExceeded) as err:
-        run_cycles(sc, 1, 50, master_seed=33, max_steps=2)
+        run_cycles(sc, [1], 50, master_seed=33, max_steps=2)
     assert err.value.steps == 2
 
 
 def test_minorize_only_certificate_supported(chain):
     small = minorize(chain, [0], 1)
-    _, lengths = run_cycles(sampler(chain, small, [1, 0]), 1, 1, master_seed=8)
+    _, lengths = run_cycles(sampler(chain, small, [1, 0]), [1], 1, master_seed=8)
     assert lengths[0] >= 1
 
 
@@ -238,7 +238,7 @@ REFERENCE_CASES = [(3, None), (3, 4), (1, None), (2, 0)]
 
 
 def _check_against_reference(m, x0):
-    """Run 300 cycles in lanes and compare each with the per-cycle reference."""
+    """Run 300 cycles from phi and 300 from x0 in one pass, each against the reference."""
     rng = np.random.default_rng(5)
     n = 9
     chain = validate_chain(rng.dirichlet(np.full(n, 0.7), size=n))
@@ -247,13 +247,16 @@ def _check_against_reference(m, x0):
     system = CycleSystem(chain, minorize(chain, C, m))
     assert system.lam < 1.0
     sc = FiniteChainSampler(system, f)
-    n_cycles, seed, offset = 300, 2**35 + 11, 17
-    sums, lengths = run_cycles(sc, x0, n_cycles, seed, stream_offset=offset)
-    for i in range(n_cycles):
-        key = np.array([seed, offset + i], dtype=np.uint64)
-        ref = _reference_cycle(chain.kernel, f, C, m, system.lam, system.phi, system.Q, x0,
-                               np.random.Generator(np.random.Philox(key=key)))
-        assert (sums[i], lengths[i]) == ref, f"cycle {i}"
+    n_cycles, seed, starts = 300, 2**35 + 11, [None, x0]
+    sums, lengths = run_cycles(sc, starts, n_cycles, seed)
+    assert sums.shape == lengths.shape == (2 * n_cycles,)
+    for b, start in enumerate(starts):
+        for i in range(n_cycles):
+            key = np.array([seed, b * n_cycles + i], dtype=np.uint64)
+            ref = _reference_cycle(chain.kernel, f, C, m, system.lam, system.phi, system.Q,
+                                   start, np.random.Generator(np.random.Philox(key=key)))
+            c = b * n_cycles + i
+            assert (sums[c], lengths[c]) == ref, f"block {b}, cycle {i}"
 
 
 @pytest.mark.parametrize("m, x0", REFERENCE_CASES)
@@ -266,8 +269,9 @@ def test_lanes_reproduce_per_cycle_reference(m, x0):
 
 @pytest.mark.parametrize("m, x0", REFERENCE_CASES)
 def test_refilled_lanes_reproduce_per_cycle_reference(monkeypatch, m, x0):
-    # with 7 lanes for 300 cycles, all but the first 7 cycles start in the
-    # lane of a cycle that ended, on a re-keyed stream
+    # with 7 lanes for 2 x 300 cycles, all but the first 7 cycles start in
+    # the lane of a cycle that ended, on a re-keyed stream, and the lanes
+    # cross from the phi block to the x0 block mid-pass
     monkeypatch.setattr(mc, "LANES", 7)
     _check_against_reference(m, x0)
 
@@ -277,11 +281,25 @@ def test_max_steps_guard_covers_refilled_cycles(monkeypatch, chain, bundle):
     # steps), which starts in a refilled lane when 7 lanes run 60 cycles
     sc = sampler(chain, bundle, [1, 0])
     monkeypatch.setattr(mc, "LANES", 7)
-    _, lengths = run_cycles(sc, 1, 60, master_seed=45)
+    _, lengths = run_cycles(sc, [1], 60, master_seed=45)
     assert np.flatnonzero(lengths > 16).tolist() == [50] and lengths[50] == 31
     with pytest.raises(MaxStepsExceeded):
-        run_cycles(sc, 1, 60, master_seed=45, max_steps=30)
-    assert np.array_equal(run_cycles(sc, 1, 60, master_seed=45, max_steps=31)[1], lengths)
+        run_cycles(sc, [1], 60, master_seed=45, max_steps=30)
+    assert np.array_equal(run_cycles(sc, [1], 60, master_seed=45, max_steps=31)[1], lengths)
+
+
+def test_max_steps_guard_covers_worker_shards(monkeypatch, chain, bundle):
+    # the seed above at two workers: cycle 50 of 60 runs in the child's
+    # shard, and its error reads as it does in the calling process
+    import os
+
+    sc = sampler(chain, bundle, [1, 0])
+    monkeypatch.setattr(mc, "LANES", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(MaxStepsExceeded) as err:
+        run_cycles(sc, [1], 60, master_seed=45, workers=2, max_steps=30)
+    assert str(err.value) == "cycle exceeded 30 steps without regenerating"
+    assert err.value.steps == 30
 
 
 def test_window_holds_only_the_cycles_in_flight(monkeypatch, chain, bundle):
@@ -295,28 +313,37 @@ def test_window_holds_only_the_cycles_in_flight(monkeypatch, chain, bundle):
 
     monkeypatch.setattr(mc, "CycleStreams", Recorded)
     monkeypatch.setattr(mc, "LANES", 7)
-    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), 1, 60, master_seed=45)
+    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [1], 60, master_seed=45)
     assert lengths.size == 60
     assert [s._window.shape[0] for s in made] == [7]
 
 
 def test_lanes_independent_of_workers_and_chunks(monkeypatch):
+    import os
+
     rng = np.random.default_rng(6)
     chain = validate_chain(rng.dirichlet(np.ones(6), size=6))
     f = rng.uniform(0.0, 2.0, 6)
     sc = FiniteChainSampler(CycleSystem(chain, minorize(chain, [0, 2], 2)), f)
     n_cycles = mc.LANES + 37
-    serial = run_cycles(sc, 1, n_cycles, master_seed=9)
-    parallel = run_cycles(sc, 1, n_cycles, master_seed=9, workers=2)
-    monkeypatch.setattr(mc, "LANES", 7)
-    chunked = run_cycles(sc, 1, n_cycles, master_seed=9)
-    for other in (parallel, chunked):
-        assert np.array_equal(serial[0], other[0])
-        assert np.array_equal(serial[1], other[1])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for starts in ([1], [None, 1]):
+        serial = run_cycles(sc, starts, n_cycles, master_seed=9)
+        assert serial[0].size == len(starts) * n_cycles
+        others = [run_cycles(sc, starts, n_cycles, master_seed=9, workers=w) for w in (2, 3)]
+        with monkeypatch.context() as lanes:
+            lanes.setattr(mc, "LANES", 7)
+            others.append(run_cycles(sc, starts, n_cycles, master_seed=9))
+        for other in others:
+            assert np.array_equal(serial[0], other[0])
+            assert np.array_equal(serial[1], other[1])
+    # a block is the same cycles whichever blocks run after it
+    alone = run_cycles(sc, [None], n_cycles, master_seed=9)
+    assert np.array_equal(alone[0], serial[0][:n_cycles])
 
 
 class _RecordingPool:
-    """A stand-in ProcessPoolExecutor that runs its map in this process."""
+    """A stand-in ProcessPoolExecutor that runs each job in this process."""
 
     sizes = []
 
@@ -329,16 +356,18 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
+    def submit(self, fn, *args):
+        return types.SimpleNamespace(result=lambda: fn(*args))
 
 
 @pytest.mark.parametrize(
-    "workers, n_cycles, cpus, size",
+    "workers, n_cycles, cpus, shards",
     [(64, 10, 2, 2), (64, 10, 16, 10), (2, 10, 2, 2), (3, 10, 8, 3), (4, 10, None, 1)],
 )
-def test_pool_is_sized_by_its_work(monkeypatch, chain, bundle, workers, n_cycles, cpus, size):
-    # one process per nonempty block of cycles, and no more than the CPUs
+def test_pool_is_sized_by_its_work(monkeypatch, chain, bundle, workers, n_cycles, cpus, shards):
+    # one shard per worker, per CPU and at most per cycle; this process
+    # runs the first shard and a pool of one process per other shard the
+    # rest, so one shard starts no pool
     import concurrent.futures
     import os
 
@@ -346,7 +375,7 @@ def test_pool_is_sized_by_its_work(monkeypatch, chain, bundle, workers, n_cycles
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     sc = sampler(chain, bundle, [1, 0])
-    pooled = run_cycles(sc, 1, n_cycles, master_seed=4, workers=workers)
-    serial = run_cycles(sc, 1, n_cycles, master_seed=4)
-    assert _RecordingPool.sizes == [size]
+    pooled = run_cycles(sc, [1], n_cycles, master_seed=4, workers=workers)
+    serial = run_cycles(sc, [1], n_cycles, master_seed=4)
+    assert _RecordingPool.sizes == ([shards - 1] if shards > 1 else [])
     assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
