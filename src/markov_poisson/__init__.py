@@ -10,7 +10,7 @@ from .bounds import finite_bound_report
 from .certify import verify_bundle, verify_potential
 from .chain import validate_chain
 from .gig1 import GIG1Model, bound_curves, build_certificate, increment_family, mc_validate
-from .mc import FiniteChainSampler, estimate_gstar, estimate_pif
+from .mc import FiniteChainSampler, gstar_from_cycles, pif_from_cycles, run_cycles
 from .potential import truncated_potential, verify_truncation_gap
 from .split import CycleSystem, hitting
 
@@ -22,12 +22,13 @@ __all__ = [
     "GIG1Model",
     "bound_curves",
     "build_certificate",
-    "estimate_gstar",
-    "estimate_pif",
     "finite_bound_report",
+    "gstar_from_cycles",
     "hitting",
     "increment_family",
     "mc_validate",
+    "pif_from_cycles",
+    "run_cycles",
     "truncated_potential",
     "validate_chain",
     "verify_bundle",

@@ -32,7 +32,8 @@ from . import bounds as _bounds
 from . import gig1 as _gig1
 from .certify import minorize, verify_bundle, verify_potential
 from .errors import SpecFileError, ToolkitError
-from .mc import MAX_CYCLES, FiniteChainSampler, gstar_from_cycles, pif_from_cycles, run_cycles
+from .mc import (DEFAULT_MAX_STEPS, MAX_CYCLES, FiniteChainSampler, gstar_from_cycles,
+                 pif_from_cycles, run_cycles)
 from .potential import truncated_potential, verify_truncation_gap
 from .specfile import dumps_canonical, load_chain_spec
 from .split import CycleSystem, marginal_curve
@@ -288,8 +289,9 @@ def cmd_simulate(args):
     """Regenerative Monte Carlo on a chain-spec (--spec) or on the queue (--gig1)."""
     if (args.spec is None) == (not args.gig1):
         raise SpecFileError("simulate needs exactly one of --spec or --gig1")
-    if args.cycles < 1:
-        raise SpecFileError(f"--cycles must be at least 1, got {args.cycles}")
+    if args.cycles < 2:
+        # one cycle gives a point but no standard error
+        raise SpecFileError(f"--cycles must be at least 2, got {args.cycles}")
     if args.cycles > MAX_CYCLES:
         raise SpecFileError(f"--cycles must be at most {MAX_CYCLES}, got {args.cycles}")
     if args.workers < 1:
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-steps", type=int, default=10**8)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     add_queue(p, kappa=2.0)
     p.set_defaults(func=cmd_simulate)
 

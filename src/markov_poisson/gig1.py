@@ -52,7 +52,7 @@ import numpy as np
 
 from .bounds import envelope_comparison
 from .errors import NonFiniteResult, QuadratureFailure, SearchExhausted
-from .mc import gstar_from_cycles, pif_from_cycles, run_cycles
+from .mc import DEFAULT_MAX_STEPS, gstar_from_cycles, pif_from_cycles, run_cycles
 
 #: tolerance on the truncated density mass
 MASS_TOL = 1e-6
@@ -473,7 +473,7 @@ def mc_validate(
     n_cycles: int,
     master_seed: int,
     workers: int = 1,
-    max_steps: int = 10**8,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> dict:
     """Estimate g*(x) by regenerative cycles and check the envelope bounds.
 

@@ -8,6 +8,9 @@ and stops at the first success. Visits to the small set strictly inside
 a bridge segment never toss coins; the next eligible visit is the first
 one at least m steps after the previous toss.
 
+Every estimate is one block of a ``run_cycles`` pass, reduced by
+``pif_from_cycles`` (a phi-started block) or ``gstar_from_cycles`` (a
+block from one start state); each reduction needs at least two cycles.
 Estimates from several starts share one run: ``run_cycles`` takes one
 start rule per block of cycles (a state, phi, or a start law), and
 block b is cycles b n .. (b + 1) n - 1 of the master seed. Cycles run
@@ -324,32 +327,26 @@ def run_cycles(
     return np.concatenate(sums), np.concatenate(lengths)
 
 
-def mean_and_se(y: np.ndarray) -> tuple:
-    """Sample mean of per-cycle contributions and its standard error.
-
-    The mean is a compensated sum (``math.fsum``) divided by n. The
-    standard error, sd(y) / sqrt(n), is floored at 2 eps mean|y_i|, the
-    rounding error the contributions and their mean can carry: when every
-    cycle contributes the same value the sample deviation vanishes, but
-    the point is still only as exact as the arithmetic that formed it.
-    The floor is 0 when every contribution is exactly 0.
-    """
-    n = y.size
-    point = math.fsum(y) / n
-    if n < 2:
-        return point, 0.0
-    se = float(y.std(ddof=1)) / math.sqrt(n)
-    return point, max(se, 2.0 * EPS * float(np.abs(y).mean()))
-
-
 def gstar_from_cycles(sums: np.ndarray, lengths: np.ndarray, pi_f: float) -> MCEstimate:
     """g*(x0) = E_x0 sum_{j<tau} (f - pi_f)(X_j) from the cycles of one block.
 
-    Each cycle contributes sum_f - pi_f * length; the point and its
-    standard error are those of :func:`mean_and_se`.
+    Each cycle contributes y = sum_f - pi_f * length. The point is the
+    compensated sum (``math.fsum``) of y over n. The standard error,
+    sd(y) / sqrt(n), is floored at 2 eps mean|y|, the rounding error the
+    contributions and their mean can carry: when every cycle contributes
+    the same value the sample deviation vanishes, but the point is still
+    only as exact as the arithmetic that formed it. The floor is 0 when
+    every contribution is exactly 0. Fewer than two cycles give no error
+    bar and raise ValueError.
     """
-    point, se = mean_and_se(sums - pi_f * lengths)
-    return MCEstimate(point, se, math.fsum(lengths) / lengths.size)
+    n = lengths.size
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 cycles, got {n}")
+    y = sums - pi_f * lengths
+    point = math.fsum(y) / n
+    se = float(y.std(ddof=1)) / math.sqrt(n)
+    se = max(se, 2.0 * EPS * float(np.abs(y).mean()))
+    return MCEstimate(point, se, math.fsum(lengths) / n)
 
 
 def pif_from_cycles(sums: np.ndarray, lengths: np.ndarray) -> MCEstimate:
@@ -358,44 +355,18 @@ def pif_from_cycles(sums: np.ndarray, lengths: np.ndarray) -> MCEstimate:
     The total charge over the total length, both compensated sums. The
     standard error uses the delta method for the regenerative ratio,
     sd(sum_f - r*length) / (mean length * sqrt(n)), floored at 2 eps |r|
-    as in :func:`mean_and_se`.
+    as in :func:`gstar_from_cycles`. Fewer than two cycles raise
+    ValueError.
     """
     n = lengths.size
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 cycles, got {n}")
     total_length = math.fsum(lengths)
     r = math.fsum(sums) / total_length
-    if n > 1:
-        resid = sums - r * lengths
-        se = float(resid.std(ddof=1) / (lengths.mean() * np.sqrt(n)))
-        se = max(se, 2.0 * EPS * abs(r))
-    else:
-        se = 0.0
+    resid = sums - r * lengths
+    se = float(resid.std(ddof=1) / (lengths.mean() * np.sqrt(n)))
+    se = max(se, 2.0 * EPS * abs(r))
     return MCEstimate(r, se, total_length / n)
-
-
-def estimate_gstar(
-    sc,
-    x0,
-    pi_f: float,
-    n_cycles: int,
-    master_seed: int,
-    workers: int = 1,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> MCEstimate:
-    """Estimate g*(x0) by :func:`gstar_from_cycles` over cycles from x0."""
-    sums, lengths = run_cycles(sc, [x0], n_cycles, master_seed, workers, max_steps)
-    return gstar_from_cycles(sums, lengths, pi_f)
-
-
-def estimate_pif(
-    sc,
-    n_cycles: int,
-    master_seed: int,
-    workers: int = 1,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> MCEstimate:
-    """Estimate pi(f) by :func:`pif_from_cycles` over cycles from phi."""
-    sums, lengths = run_cycles(sc, [None], n_cycles, master_seed, workers, max_steps)
-    return pif_from_cycles(sums, lengths)
 
 
 def _inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:

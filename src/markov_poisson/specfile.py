@@ -25,6 +25,11 @@ from .errors import NegativityViolation, RowSumViolation, SpecFileError
 _TOP_KEYS = {"states", "labels", "kernel", "functions", "distributions", "small_set"}
 _SMALL_KEYS = {"C", "m", "lambda", "phi"}
 
+#: the most kernel-power entries, (m + 1) n^2, a small set may ask for: a
+#: chain keeps P^0..P^m, so 10**7 entries is 80 MB; the largest perfbench
+#: input (n = 500, m = 3) needs 10**6
+MAX_POWER_ENTRIES = 10**7
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -121,6 +126,11 @@ def parse_chain_spec(text: str) -> ChainSpec:
         _require(all(0 <= x < n for x in C), f"'C' indices must lie in 0..{n - 1}")
         m = raw["m"]
         _require(type(m) is int and m >= 1, "'m' must be an integer >= 1")
+        _require(
+            (m + 1) * n * n <= MAX_POWER_ENTRIES,
+            f"small_set m = {m} needs (m + 1) n^2 = {(m + 1) * n * n} kernel-power "
+            f"entries, more than MAX_POWER_ENTRIES = {MAX_POWER_ENTRIES}",
+        )
         lam = raw.get("lambda")
         if lam is not None:
             _require(

@@ -262,6 +262,7 @@ def test_simulate_requires_exactly_one_mode(capsys):
         ["--spec", str(BUNDLED_SPEC), "--x0", "-1"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1.5"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--cycles", "0"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--cycles", "1"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--cycles", "1000000000000"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--workers", "0"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--workers", "-3"],
@@ -273,6 +274,7 @@ def test_simulate_requires_exactly_one_mode(capsys):
         ["--gig1", "--x0", "nan"],
         ["--gig1", "--x0", "inf"],
         ["--gig1", "--x0", "1", "--cycles", "0"],
+        ["--gig1", "--x0", "1", "--cycles", "1"],
         ["--gig1", "--x0", "1", "--cycles", "1000000000000"],
         ["--gig1", "--x0", "1", "--workers", "0"],
         ["--gig1", "--x0", "1", "--max-steps", "-1"],
@@ -283,9 +285,9 @@ def test_simulate_requires_exactly_one_mode(capsys):
 )
 def test_simulate_rejects_start_state_and_cycle_count_out_of_range(capsys, argv):
     # the state index must lie in 0..n-1 (n = 2 here), the waiting time
-    # must be finite and >= 0, 1..mc.MAX_CYCLES cycles must run in at least
-    # one worker, the step budget cannot be negative, and the seed must fit
-    # the uint64 stream key
+    # must be finite and >= 0, 2..mc.MAX_CYCLES cycles (one cycle has no
+    # standard error) must run in at least one worker, the step budget
+    # cannot be negative, and the seed must fit the uint64 stream key
     code, out = run_cli(capsys, "simulate", *argv)
     assert code == 2
     report = json.loads(out)
@@ -686,6 +688,30 @@ def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, edits):
     code, out = run_cli(capsys, "verify", "--spec", spec_variant(tmp_path, **edits))
     assert code == 2
     assert json.loads(out)["error"]["code"] == "spec-file-error"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["solve"], ["potential"], ["simulate", "--x0", "1"]], ids=" ".join
+)
+def test_small_set_past_the_power_cap_is_refused_before_allocation(tmp_path, capsys, argv):
+    # the chain would keep P^0..P^m, 10**9 + 1 matrices of 2 x 2 (32 GB):
+    # the spec is refused at parse, before any power is formed
+    import tracemalloc
+
+    from markov_poisson.specfile import MAX_POWER_ENTRIES
+
+    spec = spec_variant(tmp_path, small_set={"m": 10**9})
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, argv[0], "--spec", spec, *argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "spec-file-error"
+    assert f"MAX_POWER_ENTRIES = {MAX_POWER_ENTRIES}" in error["message"]
+    assert peak < 10 * 2**20
 
 
 def test_rejected_input_report_goes_to_out_file(tmp_path, capsys):

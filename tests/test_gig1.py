@@ -16,7 +16,7 @@ from markov_poisson.gig1 import (
     increment_family,
     mc_validate,
 )
-from markov_poisson.mc import CycleStreams, estimate_pif, run_cycles
+from markov_poisson.mc import CycleStreams, pif_from_cycles, run_cycles
 
 STANDARD = dict(increment=increment_family("normal", -0.5, 1.0))
 
@@ -290,7 +290,7 @@ def test_mc_validate_scheme_follows_certificate_not_budget(cert_tight, cert_room
 def test_mc_pif_matches_long_run_average(cert_roomy):
     model, cert = cert_roomy
     sc = QueueSampler(model, cert)
-    est = estimate_pif(sc, 20000, master_seed=5)
+    est = pif_from_cycles(*run_cycles(sc, [None], 20000, master_seed=5))
     # independent oracle: time average of a long Lindley trajectory
     rng = np.random.default_rng(12345)
     steps = 400000
@@ -318,7 +318,7 @@ def test_non_normal_family_pipeline():
     worst = drift_spot_check(model, cert, 50, np.random.default_rng(4))
     assert worst <= 1e-6
     sc = QueueSampler(model, cert)
-    est = estimate_pif(sc, 500, master_seed=6)
+    est = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=6))
     assert np.isfinite(est.point) and est.point > 0.0
 
 
@@ -359,8 +359,8 @@ def test_unknown_family_rejected():
 def test_sampler_is_deterministic_per_stream(cert_roomy):
     model, cert = cert_roomy
     sc = QueueSampler(model, cert)
-    a = estimate_pif(sc, 500, master_seed=77)
-    b = estimate_pif(sc, 500, master_seed=77)
+    a = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=77))
+    b = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=77))
     assert (a.point, a.std_error) == (b.point, b.std_error)
 
 

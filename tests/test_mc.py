@@ -11,8 +11,8 @@ from markov_poisson.errors import MaxStepsExceeded, MissingBridgeSampler
 from markov_poisson.mc import (
     CycleStreams,
     FiniteChainSampler,
-    estimate_gstar,
-    estimate_pif,
+    gstar_from_cycles,
+    pif_from_cycles,
     run_cycles,
 )
 from markov_poisson.split import CycleSystem, hitting
@@ -59,44 +59,44 @@ def test_cycle_moments_match_exact(chain, bundle):
 
 def test_estimate_gstar_two_state(chain, bundle):
     sc = sampler(chain, bundle, [1, 0])
-    est = estimate_gstar(sc, 1, 1 / 3, 20000, master_seed=11)
+    est = gstar_from_cycles(*run_cycles(sc, [1], 20000, master_seed=11), 1 / 3)
     assert abs(est.point - (-2 / 3)) <= 3 * est.std_error
-    est0 = estimate_gstar(sc, 0, 1 / 3, 20000, master_seed=12)
+    est0 = gstar_from_cycles(*run_cycles(sc, [0], 20000, master_seed=12), 1 / 3)
     assert abs(est0.point - 2 / 3) <= 3 * est0.std_error
 
 
 def test_estimate_gstar_constant_reward_is_exact(chain, bundle):
     sc = sampler(chain, bundle, [2.0, 2.0])
-    est = estimate_gstar(sc, 1, 2.0, 500, master_seed=13)
+    est = gstar_from_cycles(*run_cycles(sc, [1], 500, master_seed=13), 2.0)
     assert est.point == 0.0
     assert est.std_error == 0.0
 
 
 def test_estimate_pif_two_state(chain, bundle):
     sc = sampler(chain, bundle, [1, 0])
-    est = estimate_pif(sc, 20000, master_seed=14)
+    est = pif_from_cycles(*run_cycles(sc, [None], 20000, master_seed=14))
     assert abs(est.point - 1 / 3) <= 3 * est.std_error
 
 
 def test_estimate_pif_unit_charge_is_exactly_one(chain, bundle):
     sc = sampler(chain, bundle, [1.0, 1.0])
-    est = estimate_pif(sc, 200, master_seed=15)
+    est = pif_from_cycles(*run_cycles(sc, [None], 200, master_seed=15))
     assert est.point == 1.0
 
 
 def test_identical_seeds_identical_estimates(chain, bundle):
     sc = sampler(chain, bundle, [1, 0])
-    a = estimate_gstar(sc, 1, 1 / 3, 2000, master_seed=99)
-    b = estimate_gstar(sc, 1, 1 / 3, 2000, master_seed=99)
+    a = gstar_from_cycles(*run_cycles(sc, [1], 2000, master_seed=99), 1 / 3)
+    b = gstar_from_cycles(*run_cycles(sc, [1], 2000, master_seed=99), 1 / 3)
     assert (a.point, a.std_error) == (b.point, b.std_error)
-    c = estimate_gstar(sc, 1, 1 / 3, 2000, master_seed=100)
+    c = gstar_from_cycles(*run_cycles(sc, [1], 2000, master_seed=100), 1 / 3)
     assert a.point != c.point
 
 
 def test_worker_count_does_not_change_estimates(chain, bundle):
     sc = sampler(chain, bundle, [1, 0])
-    serial = estimate_gstar(sc, 1, 1 / 3, 400, master_seed=7)
-    parallel = estimate_gstar(sc, 1, 1 / 3, 400, master_seed=7, workers=2)
+    serial = gstar_from_cycles(*run_cycles(sc, [1], 400, master_seed=7), 1 / 3)
+    parallel = gstar_from_cycles(*run_cycles(sc, [1], 400, master_seed=7, workers=2), 1 / 3)
     assert (serial.point, serial.std_error) == (parallel.point, parallel.std_error)
 
 
@@ -143,24 +143,53 @@ def test_mc_matches_exact_on_random_instances():
         pi_f = float(stationary(chain).mass @ f)
         sc = sampler(chain, bundle, f)
         x0 = int(rng.integers(0, n))
-        est = estimate_gstar(sc, x0, pi_f, 4000, master_seed=1000 + k)
+        est = gstar_from_cycles(*run_cycles(sc, [x0], 4000, master_seed=1000 + k), pi_f)
         assert abs(est.point - g[x0]) <= 3 * est.std_error, (
             f"instance {k}: {est.point} vs exact {g[x0]} (se {est.std_error})"
         )
 
 
-def test_missing_bridge_sampler_raises(chain, bundle):
-    sc = types.SimpleNamespace(
-        m=2,
-        lam=1.0,
+def bare_sampler(m, lam):
+    """A sampler with neither a residual nor a bridge draw."""
+    return types.SimpleNamespace(
+        m=m,
+        lam=lam,
         dtype=np.intp,
         step=lambda x, streams, lanes: x,
         charge=lambda x: np.zeros(x.size),
         in_small_set=lambda x: np.ones(x.size, dtype=bool),
         sample_phi=lambda streams, lanes: np.zeros(lanes.size, dtype=np.intp),
     )
+
+
+def test_missing_bridge_sampler_raises(chain, bundle):
     with pytest.raises(MissingBridgeSampler):
-        run_cycles(sc, [0], 1, master_seed=0)
+        run_cycles(bare_sampler(2, 1.0), [0], 1, master_seed=0)
+
+
+@pytest.mark.parametrize("n_cycles", [0, mc.MAX_CYCLES + 1])
+def test_cycle_count_out_of_range_is_refused(chain, bundle, n_cycles):
+    with pytest.raises(ValueError, match="n_cycles must lie in"):
+        run_cycles(sampler(chain, bundle, [1, 0]), [1], n_cycles, master_seed=0)
+
+
+def test_lam_below_one_needs_a_residual_sampler():
+    with pytest.raises(ValueError, match="residual sampler"):
+        run_cycles(bare_sampler(1, 0.5), [0], 10, master_seed=0)
+
+
+def test_run_without_start_rules_is_refused(chain, bundle):
+    with pytest.raises(ValueError, match="at least one start rule"):
+        run_cycles(sampler(chain, bundle, [1, 0]), [], 10, master_seed=0)
+
+
+def test_reductions_refuse_one_cycle():
+    # one cycle has a point but no standard error
+    sums, lengths = np.array([1.0]), np.array([5.0])
+    with pytest.raises(ValueError, match="at least 2 cycles"):
+        gstar_from_cycles(sums, lengths, 1 / 3)
+    with pytest.raises(ValueError, match="at least 2 cycles"):
+        pif_from_cycles(sums, lengths)
 
 
 def test_max_steps_guard(chain, bundle):
