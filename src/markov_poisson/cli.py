@@ -271,24 +271,33 @@ def _check_seed(seed: int) -> None:
         raise SpecFileError(f"--seed must be in 0..2**64 - 1, got {seed}")
 
 
+def _queue_options_given(args) -> dict:
+    """The queue options given on the command line, by name."""
+    return {name: value for name in args.queue_defaults
+            if (value := getattr(args, name)) is not None}
+
+
 def _gig1_model(args) -> tuple[_gig1.GIG1Model, dict]:
     """The queue model the options describe and their echo; a bad value is a spec-file error."""
+    queue = {**args.queue_defaults, **_queue_options_given(args)}
     try:
         model = _gig1.GIG1Model(
-            increment=_gig1.increment_family(args.family, args.mu, args.sigma),
-            kappa=args.kappa,
-            step=args.grid_step,
+            increment=_gig1.increment_family(queue["family"], queue["mu"], queue["sigma"]),
+            kappa=queue["kappa"],
+            step=queue["grid_step"],
         )
     except ValueError as err:
         raise SpecFileError(str(err)) from None
-    return model, {"family": args.family, "mu": args.mu, "sigma": args.sigma,
-                   "kappa": args.kappa, "grid_step": args.grid_step}
+    return model, queue
 
 
 def cmd_simulate(args):
     """Regenerative Monte Carlo on a chain-spec (--spec) or on the queue (--gig1)."""
     if (args.spec is None) == (not args.gig1):
         raise SpecFileError("simulate needs exactly one of --spec or --gig1")
+    if not args.gig1 and (given := _queue_options_given(args)):
+        option = "--" + next(iter(given)).replace("_", "-")
+        raise SpecFileError(f"{option} is a queue option and needs --gig1")
     if args.cycles < 2:
         # one cycle gives a point but no standard error
         raise SpecFileError(f"--cycles must be at least 2, got {args.cycles}")
@@ -355,11 +364,11 @@ def _simulate_chain(spec, x0, args, report, checks):
 def _simulate_queue(model, x0, args, report, checks):
     cert = _gig1.build_certificate(model)
     result = _gig1.mc_validate(
-        model, cert, [x0], args.cycles, args.seed,
+        cert, [x0], args.cycles, args.seed,
         workers=args.workers, max_steps=args.max_steps,
     )
     report["certificate"] = {
-        "x0": cert.x0, "lambda": cert.lam, "b1": cert.b1, "c1": cert.c1,
+        "x0": cert.x0, "lambda": cert.lam, "b1": cert.b1, "c1": cert.model.c1,
     }
     report["estimates"] = result
     checks.check("estimates_inside_envelope", result["all_inside"])
@@ -381,13 +390,13 @@ def cmd_gig1(args):
     def body(report, checks):
         cert = _gig1.build_certificate(model)
         a, competing, ours = _bounds.envelope_comparison(cert.b1, cert.lam, cert.phi_v1)
-        worst = _gig1.drift_spot_check(model, cert, 100, np.random.default_rng(args.seed))
+        worst = _gig1.drift_spot_check(cert, 100, np.random.default_rng(args.seed))
         report["certificate"] = {
             "x0": cert.x0,
             "lambda": cert.lam,
             "b1": cert.b1,
             "b2": cert.b2,
-            "c1": cert.c1,
+            "c1": cert.model.c1,
             "phi_atom": cert.phi_atom(),
             "phi_v1": cert.phi_v1,
         }
@@ -427,13 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--spec", required=True, help="chain-spec JSON file")
 
     def add_queue(p, kappa):
-        p.add_argument("--family", choices=_gig1.FAMILIES, default="normal",
-                       help="queue increment family")
-        p.add_argument("--mu", type=float, default=-0.5, help="queue increment location")
-        p.add_argument("--sigma", type=float, default=1.0, help="queue increment scale")
-        p.add_argument("--kappa", type=float, default=kappa,
-                       help="queue drift margin parameter, > 1")
-        p.add_argument("--grid-step", type=float, default=0.01, help="queue quadrature spacing")
+        # an option left out stays None, so simulate can tell it was not given
+        p.set_defaults(queue_defaults={"family": "normal", "mu": -0.5, "sigma": 1.0,
+                                       "kappa": kappa, "grid_step": 0.01})
+        p.add_argument("--family", choices=_gig1.FAMILIES, help="queue increment family")
+        p.add_argument("--mu", type=float, help="queue increment location")
+        p.add_argument("--sigma", type=float, help="queue increment scale")
+        p.add_argument("--kappa", type=float, help="queue drift margin parameter, > 1")
+        p.add_argument("--grid-step", type=float, help="queue quadrature spacing")
 
     for name, help_, body, failure_name in SPEC_COMMANDS:
         p = sub.add_parser(name, help=help_, parents=[spec, out])

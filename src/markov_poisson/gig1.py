@@ -201,7 +201,7 @@ class GIG1Model:
         if not self.drift_grid_end() / self.step <= MAX_GRID_POINTS:
             return  # build_certificate refuses the model before any grid is made
         zs = self.z_grid()
-        mass = np.trapezoid(self.h_z(zs), zs)
+        mass = np.trapezoid(self.increment.pdf(zs), zs)
         if abs(mass - 1.0) > MASS_TOL:
             raise QuadratureFailure(
                 f"truncated density mass {mass:.8f} deviates from 1 beyond {MASS_TOL}"
@@ -210,9 +210,6 @@ class GIG1Model:
     @property
     def c1(self) -> float:
         return self.kappa / (2.0 * abs(self._mean))
-
-    def h_z(self, z):
-        return self.increment.pdf(z)
 
     def v1(self, x):
         return np.maximum(self.c1 * np.square(x), 1.0)
@@ -236,7 +233,7 @@ class GIG1Model:
         """(Pv1)(x) = E v1(max(x + Z, 0)) on a grid of x, by quadrature."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         zs = self.z_grid()
-        hz = self.h_z(zs)
+        hz = self.increment.pdf(zs)
         out = np.empty(xs.size)
         block = max(1, int(2_000_000 / zs.size))
         for lo in range(0, xs.size, block):
@@ -260,12 +257,15 @@ class GIG1Model:
 class GIG1Certificate:
     """One-step certificate data for the queue, on quadrature grids.
 
-    ``atom`` and ``density`` form the unnormalized minorizing sub-measure
-    (total mass lam); phi is that measure divided by lam. v1 = v2 and
-    b1 = b2 by construction.
+    ``model`` is the :class:`GIG1Model` the certificate was built from, so
+    its consumers read the increment law, c1 and v1 from it and a
+    certificate cannot be paired with another queue. ``atom`` and
+    ``density`` form the unnormalized minorizing sub-measure (total mass
+    lam); phi is that measure divided by lam. v1 = v2 and b1 = b2 by
+    construction.
     """
 
-    c1: float
+    model: GIG1Model
     x0: float
     lam: float
     b1: float
@@ -279,9 +279,6 @@ class GIG1Certificate:
     @property
     def b2(self) -> float:
         return self.b1
-
-    def v1(self, x):
-        return np.maximum(self.c1 * np.square(x), 1.0)
 
     def phi_atom(self) -> float:
         return self.atom / self.lam
@@ -314,7 +311,7 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     # x_i + z_k = z_0 + (i + k) s, so (Pv1)(x_i) = sum_k t_k w_{i+k}: one
     # correlation of the lattice values w with the trapezoid-weighted density t
     dz = np.diff(zs)
-    t = model.h_z(zs) * (np.pad(dz, (0, 1)) + np.pad(dz, (1, 0))) / 2.0
+    t = model.increment.pdf(zs) * (np.pad(dz, (0, 1)) + np.pad(dz, (1, 0))) / 2.0
     w = model.v1(np.maximum(zs[0] + np.arange(xs.size + zs.size - 1) * s, 0.0))
     margin = model.v1(xs) - np.maximum(xs, 1.0) - np.correlate(w, t, "valid")
     last = np.flatnonzero(margin < 0.0)[-1]
@@ -327,7 +324,7 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     atom = float(model.increment.cdf(-x0))
     ys = np.arange(s, x0 + zs[-1] + s, s)
     # a unimodal h_Z(y - x) is least over x in [0, x0] at an end of C
-    density = np.minimum(model.h_z(ys), model.h_z(ys - x0))
+    density = np.minimum(model.increment.pdf(ys), model.increment.pdf(ys - x0))
     lam = atom + float(np.trapezoid(density, ys))
     if lam <= 0.0:
         raise QuadratureFailure("minorizing measure has zero mass")
@@ -339,7 +336,7 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     density.flags.writeable = False
     ys.flags.writeable = False
     return GIG1Certificate(
-        c1=model.c1,
+        model=model,
         x0=x0,
         lam=lam,
         b1=b1,
@@ -350,54 +347,57 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     )
 
 
+def _envelope(cert: GIG1Certificate, xs) -> np.ndarray:
+    """v1(x) + b1/lam at each x: g*'s upper envelope; -b1 times it is the lower."""
+    return cert.model.v1(np.asarray(xs, dtype=float)) + cert.b1 / cert.lam
+
+
 def bound_curves(cert: GIG1Certificate, x_grid) -> dict:
     """Solution envelope curves and the asymptotic coefficient comparison.
 
     ours_upper(x) = v1(x) + b1/lam, ours_lower(x) = -b1 (v1(x) + b1/lam),
     competing(x) = a (1 + b1) c1 x^2 with a = 1 + max{0, b1/lam - phi.v1}. The
     quadratic-growth coefficients are max{1, b1} (ours) and a (1 + b1).
+    Raises NonFiniteResult when a curve overflows at some x of the grid.
     """
     xs = np.asarray(x_grid, dtype=float)
-    envelope = cert.v1(xs) + cert.b1 / cert.lam
+    envelope = _envelope(cert, xs)
     a, competing_coeff, ours_coeff = envelope_comparison(cert.b1, cert.lam, cert.phi_v1)
-    return {
-        "x": xs,
+    curves = {
         "ours_upper": envelope,
         "ours_lower": -cert.b1 * envelope,
         "ours_abs": np.maximum(envelope, cert.b1 * envelope),
-        "competing": a * (1.0 + cert.b1) * cert.c1 * np.square(xs),
-        "comparison_a": a,
-        "competing_asymptotic_coeff": competing_coeff,
-        "ours_asymptotic_coeff": ours_coeff,
+        "competing": a * (1.0 + cert.b1) * cert.model.c1 * np.square(xs),
     }
+    for name, curve in curves.items():
+        overflow = ~np.isfinite(curve)
+        if overflow.any():
+            raise NonFiniteResult(f"the {name} curve at x = {xs[overflow][0]} overflows")
+    return {**curves, "competing_asymptotic_coeff": competing_coeff,
+            "ours_asymptotic_coeff": ours_coeff}
 
 
-def drift_spot_check(
-    model: GIG1Model,
-    cert: GIG1Certificate,
-    n_points: int,
-    rng: np.random.Generator,
-) -> float:
-    """Worst drift-inequality violation at random off-grid points.
+def drift_spot_check(cert: GIG1Certificate, n_points: int, rng: np.random.Generator) -> float:
+    """Worst drift-inequality violation of ``cert`` at random off-grid points.
 
-    Samples x uniformly on [0, horizon] and evaluates
-    (Pv1)(x) - v1(x) + max(x, 1) - b1*I[x <= x0]; the returned maximum
-    should not exceed the quadrature tolerance.
+    Samples x uniformly on [0, horizon] of the certificate's model and
+    evaluates (Pv1)(x) - v1(x) + max(x, 1) - b1*I[x <= x0]; the returned
+    maximum should not exceed the quadrature tolerance.
     """
-    horizon = model.drift_horizon() + HORIZON_PAD
-    xs = rng.uniform(0.0, horizon, size=n_points)
-    violation = -model.drift_margin(xs) - cert.b1 * (xs <= cert.x0)
+    xs = rng.uniform(0.0, cert.model.drift_horizon() + HORIZON_PAD, size=n_points)
+    violation = -cert.model.drift_margin(xs) - cert.b1 * (xs <= cert.x0)
     return float(violation.max())
 
 
 class QueueSampler:
-    """Batched Lindley-recursion sampler wired to a regeneration scheme.
+    """Batched Lindley-recursion sampler of a certificate's queue, with a regeneration scheme.
 
-    Increments are drawn as ``ppf(u)`` of the model's :class:`Increment`.
-    With the certificate's scheme (the default), C = [0, x0], lam is the
-    certificate's and phi is sampled by inverse CDF on its quadrature
-    representation (atom at 0 plus a piecewise-linear density CDF). The
-    residual kernel Q is sampled by rejection: propose a one-step
+    Increments are drawn as ``ppf(u)`` of the :class:`Increment` of the
+    certificate's model, and the minorizing measure is read from the
+    certificate. With the certificate's scheme (the default), C = [0, x0],
+    lam is the certificate's and phi is sampled by inverse CDF on its
+    quadrature representation (atom at 0 plus a piecewise-linear density
+    CDF). The residual kernel Q is sampled by rejection: propose a one-step
     transition from x and accept with probability 1 - psi(y)/p(x, y),
     where psi is the unnormalized minorizing measure; acceptance happens
     with overall probability 1 - lam, which is exactly the
@@ -408,19 +408,16 @@ class QueueSampler:
     dtype = float
     m = 1
 
-    def __init__(self, model: GIG1Model, cert: GIG1Certificate, at_atom: bool = False):
+    def __init__(self, cert: GIG1Certificate, at_atom: bool = False):
+        self.cert = cert
         self.at_atom = at_atom
         self.x0 = 0.0 if at_atom else cert.x0
         self.lam = 1.0 if at_atom else cert.lam
-        self.atom = cert.atom
-        self.ys = cert.ys
-        self.density = cert.density
-        self._increment = model.increment
+        self._increment = cert.model.increment
         # the cumulative trapezoid sum of the density, cell by cell
         steps = np.diff(cert.ys) * (cert.density[1:] + cert.density[:-1]) / 2.0
         cum = np.concatenate(([0.0], np.cumsum(steps)))
         self._phi_cum = (cert.atom + cum) / cert.lam
-        self._atom_p = cert.atom / cert.lam
 
     def charge(self, x: np.ndarray) -> np.ndarray:
         return x
@@ -440,12 +437,13 @@ class QueueSampler:
     def sample_certificate_phi(self, streams, lanes):
         """Draws from the certificate's phi, whatever the scheme."""
         u = streams.uniform(lanes)
-        return np.where(u < self._atom_p, 0.0, np.interp(u, self._phi_cum, self.ys))
+        return np.where(u < self.cert.phi_atom(), 0.0, np.interp(u, self._phi_cum, self.cert.ys))
 
     def _psi(self, y: np.ndarray) -> np.ndarray:
         """Unnormalized minorizing density at y > 0 (0 beyond the grid)."""
-        inside = (y > 0.0) & (y < self.ys[-1])
-        return np.where(inside, np.interp(y, self.ys, self.density), 0.0)
+        ys = self.cert.ys
+        inside = (y > 0.0) & (y < ys[-1])
+        return np.where(inside, np.interp(y, ys, self.cert.density), 0.0)
 
     def sample_residual(self, x, streams, lanes, budget):
         y = np.empty(x.size)
@@ -456,7 +454,7 @@ class QueueSampler:
             yp = self.step(xp, streams, lanes[pending])
             at_zero = yp == 0.0
             p = np.where(at_zero, self._increment.cdf(-xp), self._increment.pdf(yp - xp))
-            mass = np.where(at_zero, self.atom, self._psi(yp))
+            mass = np.where(at_zero, self.cert.atom, self._psi(yp))
             ratio = np.divide(mass, p, out=np.ones_like(p), where=p > 0.0)
             accept = streams.uniform(lanes[pending]) < 1.0 - ratio
             y[pending[accept]] = yp[accept]
@@ -467,7 +465,6 @@ class QueueSampler:
 
 
 def mc_validate(
-    model: GIG1Model,
     cert: GIG1Certificate,
     x_list,
     n_cycles: int,
@@ -475,7 +472,7 @@ def mc_validate(
     workers: int = 1,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> dict:
-    """Estimate g*(x) by regenerative cycles and check the envelope bounds.
+    """Estimate g*(x) of the certificate's queue and check the envelope bounds.
 
     Two regeneration schemes estimate the same g*, the certificate's
     canonical solution:
@@ -504,11 +501,17 @@ def mc_validate(
     Every estimate is one block of a single ``run_cycles`` pass, on its
     own disjoint cycle streams, so one master seed reproduces the whole
     report. Containment is asserted within 3 standard errors of each
-    estimate; an envelope that overflows raises NonFiniteResult.
+    estimate; an envelope that overflows at some x raises NonFiniteResult
+    before any cycle is run.
     """
     x_list = [float(x) for x in x_list]
+    uppers = _envelope(cert, x_list).tolist()
+    lowers = [-cert.b1 * upper for upper in uppers]
+    for x, lower in zip(x_list, lowers):
+        if not math.isfinite(lower):
+            raise NonFiniteResult(f"the lower envelope -b1 (v1(x) + b1/lam) at x = {x} overflows")
     regeneration = "split" if cert.m / cert.lam <= SPLIT_MAX_CYCLE else "atom"
-    sc = QueueSampler(model, cert, at_atom=regeneration == "atom")
+    sc = QueueSampler(cert, at_atom=regeneration == "atom")
     # pi(f) from phi, g* (g_a on the atom scheme) from each x and, on the
     # atom scheme, the same cycles with starts drawn from the certificate's phi
     starts = [None, *x_list]
@@ -532,11 +535,7 @@ def mc_validate(
         ]
     rows = []
     all_inside = True
-    for x, (point, se) in zip(x_list, points):
-        envelope = float(cert.v1(np.asarray(x)) + cert.b1 / cert.lam)
-        lower, upper = -cert.b1 * envelope, envelope
-        if not math.isfinite(lower):
-            raise NonFiniteResult(f"the lower envelope -b1 (v1(x) + b1/lam) at x = {x} overflows")
+    for x, lower, upper, (point, se) in zip(x_list, lowers, uppers, points):
         inside = point >= lower - 3.0 * se and point <= upper + 3.0 * se
         all_inside &= inside
         rows.append(

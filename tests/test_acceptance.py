@@ -228,7 +228,7 @@ def test_a10_queueing_example():
     failures = []
     model = GIG1Model(increment=increment_family("normal", -0.5, 1.0), kappa=1.1)
     cert = build_certificate(model)
-    spot = drift_spot_check(model, cert, 100, np.random.default_rng(2))
+    spot = drift_spot_check(cert, 100, np.random.default_rng(2))
     if spot > 1e-6:
         failures.append(f"drift spot check violated by {spot:.2e}")
     a, competing_coeff, ours_coeff = envelope_comparison(cert.b1, cert.lam, cert.phi_v1)
@@ -239,7 +239,7 @@ def test_a10_queueing_example():
     # estimates must come from regeneration at the atom {0}
     try:
         result = mc_validate(
-            model, cert, [0.0, 1.0, 2.0, 5.0, 10.0], n_cycles=200,
+            cert, [0.0, 1.0, 2.0, 5.0, 10.0], n_cycles=200,
             master_seed=7, max_steps=2_000_000,
         )
         if not result["all_inside"]:

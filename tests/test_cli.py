@@ -269,6 +269,11 @@ def test_simulate_requires_exactly_one_mode(capsys):
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--max-steps", "-1"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--seed", "-1"],
         ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--seed", str(2**64)],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--family", "laplace"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--mu=-1"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--sigma", "2"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--kappa", "7"],
+        ["--spec", str(BUNDLED_SPEC), "--x0", "1", "--grid-step", "0.004"],
         ["--gig1", "--x0", "abc"],
         ["--gig1", "--x0", "-3"],
         ["--gig1", "--x0", "nan"],
@@ -287,7 +292,8 @@ def test_simulate_rejects_start_state_and_cycle_count_out_of_range(capsys, argv)
     # the state index must lie in 0..n-1 (n = 2 here), the waiting time
     # must be finite and >= 0, 2..mc.MAX_CYCLES cycles (one cycle has no
     # standard error) must run in at least one worker, the step budget
-    # cannot be negative, and the seed must fit the uint64 stream key
+    # cannot be negative, the seed must fit the uint64 stream key, and the
+    # queue options belong to --gig1 alone
     code, out = run_cli(capsys, "simulate", *argv)
     assert code == 2
     report = json.loads(out)
@@ -406,6 +412,11 @@ def test_queue_parameters_out_of_range_are_input_errors(capsys, command, option)
         ["gig1", "--kappa", "1e300"],  # the comparison a(1 + b1) overflows
         ["gig1", "--kappa", "1e308"],  # b1 and phi(v1) overflow
         ["simulate", "--gig1", "--kappa", "1e300", "--x0", "0", "--cycles", "10"],
+        # v1(x0) overflows: refused before any cycle runs into the step budget
+        ["simulate", "--gig1", "--x0", "1e200", "--cycles", "10", "--max-steps", "1000"],
+        ["gig1", "--x-max", "1e160", "--curves", os.devnull],  # the curves overflow
+        # a (1 + b1) ~ 7e11 at kappa 1.1: competing overflows, the envelope does not
+        ["gig1", "--x-max", "1e150", "--curves", os.devnull],
     ],
     ids=" ".join,
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -24,15 +25,13 @@ STANDARD = dict(increment=increment_family("normal", -0.5, 1.0))
 @pytest.fixture(scope="module")
 def cert_tight():
     """kappa = 1.1: a barely-feasible drift margin forces a wide small set."""
-    model = GIG1Model(kappa=1.1, **STANDARD)
-    return model, build_certificate(model)
+    return build_certificate(GIG1Model(kappa=1.1, **STANDARD))
 
 
 @pytest.fixture(scope="module")
 def cert_roomy():
     """kappa = 2: comfortable margin, small C, regeneration easy to simulate."""
-    model = GIG1Model(kappa=2.0, **STANDARD)
-    return model, build_certificate(model)
+    return build_certificate(GIG1Model(kappa=2.0, **STANDARD))
 
 
 def test_model_validation():
@@ -52,7 +51,7 @@ def test_model_validation():
 
 def test_tight_certificate_regression_values(cert_tight):
     # frozen from the first run of this deterministic quadrature
-    _, cert = cert_tight
+    cert = cert_tight
     assert cert.x0 == pytest.approx(13.75, abs=1e-12)
     assert cert.lam == pytest.approx(6.197740398750353e-12, rel=1e-9)
     assert cert.b1 == pytest.approx(1.6417677137300017, rel=1e-9)
@@ -61,8 +60,8 @@ def test_tight_certificate_regression_values(cert_tight):
 
 
 def test_atom_is_tail_mass_below_minus_x0(cert_tight):
-    model, cert = cert_tight
-    assert cert.atom == pytest.approx(model.increment.cdf(-cert.x0), rel=1e-12)
+    cert = cert_tight
+    assert cert.atom == pytest.approx(cert.model.increment.cdf(-cert.x0), rel=1e-12)
 
 
 def test_search_exhausted_when_horizon_cut_short(monkeypatch):
@@ -106,7 +105,7 @@ def test_grid_refinement_moves_x0_at_most_one_coarse_step():
 
 
 def test_quadrature_self_consistency(cert_roomy):
-    _, cert = cert_roomy
+    cert = cert_roomy
     finer = build_certificate(GIG1Model(kappa=2.0, step=0.005, **STANDARD))
     assert abs(finer.lam - cert.lam) <= 0.01 * cert.lam
     assert abs(finer.b1 - cert.b1) <= 0.01 * cert.b1
@@ -117,7 +116,7 @@ def test_quadrature_self_consistency(cert_roomy):
 def test_drift_spot_check_random_points(kappa):
     model = GIG1Model(kappa=kappa, **STANDARD)
     cert = build_certificate(model)
-    worst = drift_spot_check(model, cert, 100, np.random.default_rng(0))
+    worst = drift_spot_check(cert, 100, np.random.default_rng(0))
     assert worst <= 1e-6
 
 
@@ -139,7 +138,7 @@ def test_certificate_matches_the_grid_reference(family, kappa, step):
     assert cert.b1 == pytest.approx(np.max(-margin[: last + 1]), rel=1e-10, abs=0.0)
     density = np.full(cert.ys.size, np.inf)
     for c in np.arange(0.0, cert.x0 + step / 2, step):
-        np.minimum(density, model.h_z(cert.ys - c), out=density)
+        np.minimum(density, model.increment.pdf(cert.ys - c), out=density)
     np.testing.assert_array_equal(cert.density, density)
 
 
@@ -147,10 +146,9 @@ def test_certificate_builds_in_linear_memory(cert_tight):
     # a (drift grid x increment grid) array at kappa = 1.1 would be 59 MiB
     import tracemalloc
 
-    model, _ = cert_tight
     tracemalloc.start()
     try:
-        build_certificate(model)
+        build_certificate(cert_tight.model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -184,11 +182,11 @@ def test_pv1_matches_the_normal_closed_form(kappa):
 
 
 def test_bound_curves_limits(cert_roomy):
-    _, cert = cert_roomy
+    cert = cert_roomy
     xs = np.linspace(0.0, 200.0, 400)
     curves = bound_curves(cert, xs)
     # the absolute envelope grows like max{1, b1} * c1 x^2
-    ratio = curves["ours_abs"][-1] / (cert.c1 * xs[-1] ** 2)
+    ratio = curves["ours_abs"][-1] / (cert.model.c1 * xs[-1] ** 2)
     assert ratio == pytest.approx(curves["ours_asymptotic_coeff"], rel=0.05)
     # the alternative envelope stays above ours by the coefficient ratio
     competing_ratio = curves["competing"][-1] / curves["ours_abs"][-1]
@@ -198,15 +196,15 @@ def test_bound_curves_limits(cert_roomy):
 
 
 def test_comparison_coefficients(cert_tight):
-    _, cert = cert_tight
+    cert = cert_tight
     curves = bound_curves(cert, np.array([1.0]))
     assert curves["ours_asymptotic_coeff"] == pytest.approx(max(1.0, cert.b1))
     assert curves["competing_asymptotic_coeff"] > curves["ours_asymptotic_coeff"]
 
 
 def test_phi_sampler_matches_quadrature_moments(cert_roomy):
-    model, cert = cert_roomy
-    sampler = QueueSampler(model, cert)
+    cert = cert_roomy
+    sampler = QueueSampler(cert)
     draws = sampler.sample_phi(CycleStreams(101, 0, 20000), np.arange(20000))
     atom_freq = np.mean(draws == 0.0)
     assert atom_freq == pytest.approx(cert.phi_atom(), abs=0.01)
@@ -218,8 +216,8 @@ def test_phi_sampler_matches_quadrature_moments(cert_roomy):
 def test_residual_sampler_reconstructs_one_step_law(cert_roomy):
     # lam * phi + (1 - lam) * Q must reproduce P(x, .): compare the mixture
     # of the two samplers against direct one-step draws via their CDFs
-    model, cert = cert_roomy
-    sampler = QueueSampler(model, cert)
+    cert = cert_roomy
+    sampler = QueueSampler(cert)
     x = 1.3
     n = 20000
     streams, lanes = CycleStreams(103, 0, n), np.arange(n)
@@ -236,8 +234,8 @@ def test_residual_sampler_reconstructs_one_step_law(cert_roomy):
 
 
 def test_mc_validation_inside_envelope(cert_roomy):
-    model, cert = cert_roomy
-    report = mc_validate(model, cert, [0.0, 1.0, 2.0, 5.0, 10.0], 4000, master_seed=99)
+    cert = cert_roomy
+    report = mc_validate(cert, [0.0, 1.0, 2.0, 5.0, 10.0], 4000, master_seed=99)
     assert report["all_inside"]
     for row in report["points"]:
         assert row["std_error"] > 0.0
@@ -247,16 +245,16 @@ def test_atom_regeneration_matches_split_chain(cert_roomy, monkeypatch):
     # both schemes estimate the certificate's g*; the split-chain reference
     # is computed here from raw cycles, its SE carrying pi(f)'s error by the
     # delta method. A wrong phi(g_a) would shift every point by one constant.
-    model, cert = cert_roomy
+    cert = cert_roomy
     xs = [0.0, 1.0, 2.0, 5.0, 10.0]
     n = 5000
     # mc_validate keeps this certificate on the split chain (m/lam ~ 5); a
     # zero threshold sends it to the atom scheme
     monkeypatch.setattr(gig1, "SPLIT_MAX_CYCLE", 0.0)
-    report = mc_validate(model, cert, xs, n, 41, workers=1, max_steps=10**8)
+    report = mc_validate(cert, xs, n, 41, workers=1, max_steps=10**8)
     assert report["regeneration"] == "atom"
     points = [(row["estimate"], row["std_error"]) for row in report["points"]]
-    sc = QueueSampler(model, cert)
+    sc = QueueSampler(cert)
     blocks = [a.reshape(len(xs) + 1, n) for a in run_cycles(sc, [None, *xs], n, master_seed=42)]
     sums, lengths = blocks[0][0], blocks[1][0]
     pi_f = sums.sum() / lengths.sum()
@@ -273,23 +271,22 @@ def test_atom_regeneration_matches_split_chain(cert_roomy, monkeypatch):
 def test_mc_validate_scheme_follows_certificate_not_budget(cert_tight, cert_roomy):
     # m/lam is 4.9 at kappa = 2, just below SPLIT_MAX_CYCLE, and 6.5 at
     # kappa = 1.8, just above it; the step budget must not move the choice
-    model = GIG1Model(kappa=1.8, **STANDARD)
-    near = (model, build_certificate(model))
-    for (model, cert), expected in ((cert_roomy, "split"), (near, "atom"), (cert_tight, "atom")):
+    near = build_certificate(GIG1Model(kappa=1.8, **STANDARD))
+    for cert, expected in ((cert_roomy, "split"), (near, "atom"), (cert_tight, "atom")):
         assert (cert.m / cert.lam <= SPLIT_MAX_CYCLE) == (expected == "split")
         for max_steps in (10**4, 10**8):
-            report = mc_validate(model, cert, [1.0], 50, master_seed=3, max_steps=max_steps)
+            report = mc_validate(cert, [1.0], 50, master_seed=3, max_steps=max_steps)
             assert report["regeneration"] == expected
             assert report["all_inside"]
     # a budget the split cycles outrun is an error, not a switch of scheme
-    model, cert = cert_roomy
+    cert = cert_roomy
     with pytest.raises(MaxStepsExceeded):
-        mc_validate(model, cert, [1.0], 200, master_seed=3, max_steps=2)
+        mc_validate(cert, [1.0], 200, master_seed=3, max_steps=2)
 
 
 def test_mc_pif_matches_long_run_average(cert_roomy):
-    model, cert = cert_roomy
-    sc = QueueSampler(model, cert)
+    cert = cert_roomy
+    sc = QueueSampler(cert)
     est = pif_from_cycles(*run_cycles(sc, [None], 20000, master_seed=5))
     # independent oracle: time average of a long Lindley trajectory
     rng = np.random.default_rng(12345)
@@ -315,9 +312,9 @@ def test_non_normal_family_pipeline():
     cert = build_certificate(model)
     assert 0.0 < cert.lam < 1.0
     assert cert.b1 > 0.0
-    worst = drift_spot_check(model, cert, 50, np.random.default_rng(4))
+    worst = drift_spot_check(cert, 50, np.random.default_rng(4))
     assert worst <= 1e-6
-    sc = QueueSampler(model, cert)
+    sc = QueueSampler(cert)
     est = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=6))
     assert np.isfinite(est.point) and est.point > 0.0
 
@@ -357,8 +354,8 @@ def test_unknown_family_rejected():
 
 
 def test_sampler_is_deterministic_per_stream(cert_roomy):
-    model, cert = cert_roomy
-    sc = QueueSampler(model, cert)
+    cert = cert_roomy
+    sc = QueueSampler(cert)
     a = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=77))
     b = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=77))
     assert (a.point, a.std_error) == (b.point, b.std_error)
@@ -367,10 +364,9 @@ def test_sampler_is_deterministic_per_stream(cert_roomy):
 def test_residual_rejections_count_against_the_step_budget(cert_roomy):
     # a residual whose proposals are never accepted (psi >= p everywhere)
     # must stop at the budget instead of proposing forever
-    model, cert = cert_roomy
-    sampler = QueueSampler(model, cert)
-    sampler.atom = 1.0
-    sampler.density = np.full(cert.density.size, 1e300)
+    cert = cert_roomy
+    never = dataclasses.replace(cert, atom=1.0, density=np.full(cert.density.size, 1e300))
+    sampler = QueueSampler(never)
     lanes = np.arange(4)
     y, rejected = sampler.sample_residual(
         np.full(4, 1.0), CycleStreams(7, 0, 4), lanes, np.array([0, 3, 10, 50])
@@ -382,5 +378,5 @@ def test_residual_rejections_count_against_the_step_budget(cert_roomy):
     assert err.value.steps == 500
     assert err.value.code == "max-steps-exceeded"
     # the unmodified sampler completes the same cycles within that budget
-    _, lengths = run_cycles(QueueSampler(model, cert), [1.0], 20, master_seed=7, max_steps=500)
+    _, lengths = run_cycles(QueueSampler(cert), [1.0], 20, master_seed=7, max_steps=500)
     assert lengths.max() <= 500
