@@ -38,7 +38,7 @@ print("aperiodic two-state chain")
 print("  g_tilde =", result.g_tilde, f" (solve residual {result.residual:.1e})")
 print("  g*      =", g)
 print("  gap     =", result.g_tilde - g, "  -pi(g*) =", -(pi @ g))
-report = verify_truncation_gap(chain, bundle, pot_cert, g, result, p=1)
+report = verify_truncation_gap(chain, bundle, pot_cert, g, result)
 print("  gap bound:", report["bound_abs"], " slack:", report["slack_abs"])
 
 # ---- periodic: two dense classes, period 2 --------------------------------

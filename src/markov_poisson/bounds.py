@@ -21,34 +21,32 @@ from .certify import CertificateBundle, PotentialCertificate
 from .errors import NonFiniteResult
 
 
+def cycle_bound(v, b: float, m: int, lam: float):
+    """v + b m/lambda: the bound on the cycle sum charged by h when (v, b) is h's drift pair."""
+    return v + b * m / lam
+
+
 def delta_bound(inf_v: float, phi_v: float, b: float, m: int, lam: float) -> float:
     """min{ inf v + 2bm/lambda, phi.v + bm/lambda }."""
-    return min(inf_v + 2.0 * b * m / lam, phi_v + b * m / lam)
+    return min(cycle_bound(inf_v, 2.0 * b, m, lam), cycle_bound(phi_v, b, m, lam))
 
 
-def delta_bounds(bundle: CertificateBundle, phi_v1: float, phi_v2: float):
-    """The pair (delta1, delta2) bounding cycle sums started from phi."""
-    d1 = delta_bound(float(bundle.v1.min()), phi_v1, bundle.b1, bundle.m, bundle.lam)
-    d2 = delta_bound(float(bundle.v2.min()), phi_v2, bundle.b2, bundle.m, bundle.lam)
-    return d1, d2
+def solution_envelope(cert, v1, v2):
+    """Two-sided envelope for g* where the Lyapunov values are v1, v2.
 
-
-def solution_envelope(bundle: CertificateBundle):
-    """Two-sided envelope for the canonical solution g*.
-
+    ``cert`` has b1, b2, m and lam: a CertificateBundle or a GIG1Certificate.
     upper(x) = v1(x) + b1 m / lambda
     lower(x) = -b1 (v2(x) + b2 m / lambda)
     abs(x)   = max(upper(x), -lower(x))
     """
-    ratio = bundle.m / bundle.lam
-    upper = bundle.v1 + bundle.b1 * ratio
-    lower = -bundle.b1 * (bundle.v2 + bundle.b2 * ratio)
+    upper = cycle_bound(v1, cert.b1, cert.m, cert.lam)
+    lower = -cert.b1 * cycle_bound(v2, cert.b2, cert.m, cert.lam)
     return upper, lower, np.maximum(upper, -lower)
 
 
 def uniform_marginal_bound(bundle: CertificateBundle, delta1: float) -> np.ndarray:
     """Uniform-in-n bound on marginals: E_x f(X_n) <= v1(x) + b1 m/lambda + delta1."""
-    return bundle.v1 + bundle.b1 * bundle.m / bundle.lam + delta1
+    return cycle_bound(bundle.v1, bundle.b1, bundle.m, bundle.lam) + delta1
 
 
 def truncation_gap_bounds(bundle: CertificateBundle, pot: PotentialCertificate, p: int):
@@ -58,9 +56,8 @@ def truncation_gap_bounds(bundle: CertificateBundle, pot: PotentialCertificate, 
     upper = b1 (p b4 + b2 m / lambda)
     abs   = max(upper, -lower)
     """
-    ratio = bundle.m / bundle.lam
-    lower = -p * pot.b3 - bundle.b1 * ratio
-    upper = bundle.b1 * (p * pot.b4 + bundle.b2 * ratio)
+    lower = -cycle_bound(p * pot.b3, bundle.b1, bundle.m, bundle.lam)
+    upper = bundle.b1 * cycle_bound(p * pot.b4, bundle.b2, bundle.m, bundle.lam)
     return lower, upper, max(upper, -lower)
 
 
@@ -121,8 +118,9 @@ def finite_bound_report(
     phi = bundle.phi.mass
     phi_v1 = float(phi @ bundle.v1)
     phi_v2 = float(phi @ bundle.v2)
-    d1, d2 = delta_bounds(bundle, phi_v1, phi_v2)
-    upper, lower, absb = solution_envelope(bundle)
+    d1 = delta_bound(float(bundle.v1.min()), phi_v1, bundle.b1, bundle.m, bundle.lam)
+    d2 = delta_bound(float(bundle.v2.min()), phi_v2, bundle.b2, bundle.m, bundle.lam)
+    upper, lower, absb = solution_envelope(bundle, bundle.v1, bundle.v2)
     report = {
         "delta1": d1,
         "delta2": d2,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -112,19 +113,14 @@ def _solve_body(spec, report, checks):
     pot_cert = _potential_cert_from_spec(spec, bundle)
     breport = _bounds.finite_bound_report(bundle, pot_cert, period)
 
-    ratio = bundle.m / bundle.lam
     poisson_residual = float(np.max(np.abs(chain.kernel @ g - g + f_c)))
     checks.check("poisson_residual", poisson_residual <= 1e-9, poisson_residual)
     l1 = float(np.abs(nu - pi).sum())
     checks.check("occupation_matches_stationary", l1 <= TOL_ASSERT, l1)
-    checks.check(
-        "cycle_f_bound",
-        bool(np.all(G_f <= bundle.v1 + bundle.b1 * ratio + TOL_ASSERT)),
-    )
-    checks.check(
-        "cycle_tau_bound",
-        bool(np.all(tau <= bundle.v2 + bundle.b2 * ratio + TOL_ASSERT)),
-    )
+    # the upper envelope v1 + b1 m/lambda is also the bound on f's cycle sums
+    checks.check("cycle_f_bound", bool(np.all(G_f <= breport.envelope_upper + TOL_ASSERT)))
+    tau_bound = _bounds.cycle_bound(bundle.v2, bundle.b2, bundle.m, bundle.lam)
+    checks.check("cycle_tau_bound", bool(np.all(tau <= tau_bound + TOL_ASSERT)))
     checks.check("cycle_f_phi_bound", G_f_at_phi <= breport.delta1 + TOL_ASSERT)
     checks.check("cycle_tau_phi_bound", tau_at_phi <= breport.delta2 + TOL_ASSERT)
     checks.check(
@@ -215,7 +211,7 @@ def _potential_body(spec, report, checks):
         pot_cert = _potential_cert_from_spec(spec, bundle)
         if pot_cert is not None:
             try:
-                truncation_gap = verify_truncation_gap(chain, bundle, pot_cert, g, result, p)
+                truncation_gap = verify_truncation_gap(chain, bundle, pot_cert, g, result)
                 checks.check("truncation_gap_bounds", True)
                 report["bounds"] = {
                     "gap_lower": truncation_gap["bound_lower"],
@@ -472,11 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_writable(path, what: str):
-    """Open --out or --curves before any work; append mode leaves a spec at that path readable."""
+    """Open --out or --curves before any work; append mode leaves a spec at that path
+    readable, and a file the probe creates is removed, so a failed run leaves none."""
+    existed = os.path.lexists(path)
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as err:
         raise SpecFileError(f"cannot write {what} file: {err}") from None
+    if not existed:
+        os.remove(path)
 
 
 def main(argv=None) -> int:

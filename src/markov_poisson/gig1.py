@@ -50,7 +50,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bounds import envelope_comparison
+from .bounds import envelope_comparison, solution_envelope
 from .errors import NonFiniteResult, QuadratureFailure, SearchExhausted
 from .mc import DEFAULT_MAX_STEPS, gstar_from_cycles, pif_from_cycles, run_cycles
 
@@ -284,6 +284,7 @@ class GIG1Certificate:
         return self.atom / self.lam
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_certificate(model: GIG1Model) -> GIG1Certificate:
     """Compute (x0, lam, phi, b1) for C = [0, x0] by quadrature.
 
@@ -296,8 +297,8 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     -(Pv1)(0) <= -(1 - MASS_TOL), and x0 = 0 leaves the atom C = {0},
     itself a small set. Raises SearchExhausted when the margin is still
     negative at the end of the grid, or when the grid would hold more
-    than MAX_GRID_POINTS points, and NonFiniteResult when x0, b1, lam or
-    phi(v1) is not finite.
+    than MAX_GRID_POINTS points, and NonFiniteResult, without a numpy
+    warning, when x0, b1, lam or phi(v1) is not finite.
     """
     end = model.drift_grid_end()
     if not end / model.step <= MAX_GRID_POINTS:
@@ -347,28 +348,22 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     )
 
 
-def _envelope(cert: GIG1Certificate, xs) -> np.ndarray:
-    """v1(x) + b1/lam at each x: g*'s upper envelope; -b1 times it is the lower."""
-    return cert.model.v1(np.asarray(xs, dtype=float)) + cert.b1 / cert.lam
-
-
 def bound_curves(cert: GIG1Certificate, x_grid) -> dict:
     """Solution envelope curves and the asymptotic coefficient comparison.
 
-    ours_upper(x) = v1(x) + b1/lam, ours_lower(x) = -b1 (v1(x) + b1/lam),
-    competing(x) = a (1 + b1) c1 x^2 with a = 1 + max{0, b1/lam - phi.v1}. The
-    quadratic-growth coefficients are max{1, b1} (ours) and a (1 + b1).
+    ours_* is ``bounds.solution_envelope`` with v2 = v1, and competing(x) =
+    a (1 + b1) c1 x^2; ``bounds.envelope_comparison`` gives a (1 + b1) and
+    the quadratic-growth coefficients max{1, b1} (ours) and a (1 + b1).
     Raises NonFiniteResult when a curve overflows at some x of the grid.
     """
     xs = np.asarray(x_grid, dtype=float)
-    envelope = _envelope(cert, xs)
-    a, competing_coeff, ours_coeff = envelope_comparison(cert.b1, cert.lam, cert.phi_v1)
-    curves = {
-        "ours_upper": envelope,
-        "ours_lower": -cert.b1 * envelope,
-        "ours_abs": np.maximum(envelope, cert.b1 * envelope),
-        "competing": a * (1.0 + cert.b1) * cert.model.c1 * np.square(xs),
-    }
+    _, competing_coeff, ours_coeff = envelope_comparison(cert.b1, cert.lam, cert.phi_v1)
+    with np.errstate(over="ignore"):  # an overflow is refused below as NonFiniteResult
+        v1 = cert.model.v1(xs)
+        upper, lower, absolute = solution_envelope(cert, v1, v1)
+        competing = competing_coeff * cert.model.c1 * np.square(xs)
+    curves = {"ours_upper": upper, "ours_lower": lower, "ours_abs": absolute,
+              "competing": competing}
     for name, curve in curves.items():
         overflow = ~np.isfinite(curve)
         if overflow.any():
@@ -505,8 +500,9 @@ def mc_validate(
     before any cycle is run.
     """
     x_list = [float(x) for x in x_list]
-    uppers = _envelope(cert, x_list).tolist()
-    lowers = [-cert.b1 * upper for upper in uppers]
+    with np.errstate(over="ignore"):  # an overflow is refused below as NonFiniteResult
+        v1 = cert.model.v1(np.array(x_list))
+        uppers, lowers, _ = (bound.tolist() for bound in solution_envelope(cert, v1, v1))
     for x, lower in zip(x_list, lowers):
         if not math.isfinite(lower):
             raise NonFiniteResult(f"the lower envelope -b1 (v1(x) + b1/lam) at x = {x} overflows")

@@ -92,7 +92,6 @@ def verify_truncation_gap(
     pot_cert: PotentialCertificate,
     g_star,
     result: PotentialResult,
-    p: int,
 ) -> dict:
     """Check the guaranteed gap bounds and report per-state slack.
 
@@ -100,13 +99,14 @@ def verify_truncation_gap(
 
         -p b3 - b1 m/lambda <= g_tilde(x) - g*(x) <= b1 (p b4 + b2 m/lambda)
 
-    together with the absolute form. A violation raises BoundViolation:
+    together with the absolute form, with p = ``chain.cyclic.period``, the
+    block length of ``result``. A violation raises BoundViolation:
     the inequalities are guaranteed, so failure indicates a certificate
     or implementation bug.
     """
     g_star = values_of(g_star, chain.n)
     gap = result.g_tilde - g_star
-    lower, upper, absolute = truncation_gap_bounds(bundle, pot_cert, p)
+    lower, upper, absolute = truncation_gap_bounds(bundle, pot_cert, chain.cyclic.period)
     low_slack = gap - lower
     high_slack = upper - gap
     if low_slack.min() < -CHECK_TOL or high_slack.min() < -CHECK_TOL:

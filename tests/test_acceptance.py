@@ -169,7 +169,7 @@ def test_a08_truncated_potential(suite, two_state):
         if spread > 1e-8:
             failures.append(f"{inst.name}: gap varies within a class by {spread:.2e}")
         try:
-            verify_truncation_gap(inst.chain, inst.bundle, inst.pot, inst.g_star, result, p=p)
+            verify_truncation_gap(inst.chain, inst.bundle, inst.pot, inst.g_star, result)
         except Exception as err:  # BoundViolation
             failures.append(f"{inst.name}: {err}")
 

@@ -3,7 +3,6 @@ import pytest
 
 from markov_poisson.bounds import (
     delta_bound,
-    delta_bounds,
     finite_bound_report,
     envelope_comparison,
     uniform_marginal_bound,
@@ -24,7 +23,8 @@ def test_delta_bounds_running_example(bundle):
     phi_v1 = float(bundle.phi.mass @ bundle.v1)
     phi_v2 = float(bundle.phi.mass @ bundle.v2)
     assert (phi_v1, phi_v2) == pytest.approx((2.5, 3.0))
-    d1, d2 = delta_bounds(bundle, phi_v1, phi_v2)
+    d1 = delta_bound(float(bundle.v1.min()), phi_v1, bundle.b1, bundle.m, bundle.lam)
+    d2 = delta_bound(float(bundle.v2.min()), phi_v2, bundle.b2, bundle.m, bundle.lam)
     assert d1 == pytest.approx(5.0)  # min{1 + 5, 2.5 + 2.5}
     assert d2 == pytest.approx(6.0)  # min{1 + 6, 3 + 3}
 
@@ -34,7 +34,7 @@ def test_delta_bound_direct_substitution():
 
 
 def test_envelope_curves(bundle):
-    upper, lower, absolute = solution_envelope(bundle)
+    upper, lower, absolute = solution_envelope(bundle, bundle.v1, bundle.v2)
     assert upper == pytest.approx([3.5, 6.5])
     assert lower == pytest.approx([-10.0, -20.0])
     assert absolute == pytest.approx([10.0, 20.0])
@@ -44,7 +44,7 @@ def test_envelope_zero_lyapunov_limit():
     chain = validate_chain([[1.0]])
     b = verify_bundle(chain, [0.0], [0.0], [0.0], [0], 1)
     # with v = 0 the curves collapse to the constant terms
-    upper, lower, _ = solution_envelope(b)
+    upper, lower, _ = solution_envelope(b, b.v1, b.v2)
     assert upper == pytest.approx([b.b1 * b.m / b.lam])
     assert lower == pytest.approx([-b.b1 * (b.b2 * b.m / b.lam)])
 

@@ -133,6 +133,28 @@ def test_unwritable_curve_file_is_rejected_before_any_work(tmp_path, capsys, mon
     assert not built and not curves.exists()
 
 
+@pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["missing", "existing"])
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["gig1", "--kappa", "1e300"], 1),  # the comparison overflows in the body
+        (["gig1", "--kappa", "0.5"], 2),  # the model is refused after the file check
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_failed_gig1_run_leaves_the_curve_file_as_it_was(tmp_path, capsys, argv,
+                                                         expected_code, existing):
+    curves = tmp_path / "curves.txt"
+    if existing is not None:
+        curves.write_bytes(existing)
+    code, _ = run_cli(capsys, *argv, "--curves", str(curves))
+    assert code == expected_code
+    if existing is None:
+        assert not curves.exists()
+    else:
+        assert curves.read_bytes() == existing
+
+
 def test_gig1_draws_curves_only_for_a_curve_file(tmp_path, capsys, monkeypatch):
     # the report's comparison needs no grid: the curves are drawn on
     # linspace(0, x_max, x_points) only when --curves asks for them
@@ -393,6 +415,7 @@ def test_grid_step_past_the_cap_is_refused_before_allocation(capsys):
         ["--mu", "0.5"],
         ["--sigma", "-1"],
         ["--sigma", "inf"],
+        ["--sigma", "1e200"],  # a finite scale whose variance overflows
         ["--seed", "-1"],
         ["--seed", str(2**64)],
     ],
@@ -420,13 +443,12 @@ def test_queue_parameters_out_of_range_are_input_errors(capsys, command, option)
     ],
     ids=" ".join,
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_queue_overflow_is_a_coded_error(capsys, argv):
-    # a certificate or bound that overflows cannot be written as a report;
-    # numpy warns of the overflow on the way
-    code, out = run_cli(capsys, *argv)
-    assert code == 1
+    # a certificate or bound that overflows cannot be written as a report,
+    # and the coded error is all the run prints: numpy does not warn of it
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
     report = json.loads(out)
     assert report["error"]["code"] == "non-finite-result"
     assert report["assertions"][-1]["passed"] is False

@@ -122,7 +122,7 @@ def test_bounds_contain_exact_values_and_gap_is_constant_per_class(case):
 
     p = inst.decomp.period
     result = truncated_potential(chain, inst.f, p)
-    gap = verify_truncation_gap(chain, b, inst.pot, g, result, p)["gap"]
+    gap = verify_truncation_gap(chain, b, inst.pot, g, result)["gap"]
     for cls in inst.decomp.classes:
         assert np.ptp(gap[sorted(cls)]) <= 1e-8
 

@@ -182,7 +182,7 @@ def test_truncation_gap_running_example(chain):
     pot = verify_potential(chain, bundle, [1, 17], [1, 21])
     g = CycleSystem(chain, bundle).canonical_solution([1, 0])
     result = truncated_potential(chain, [1, 0], p=1)
-    report = verify_truncation_gap(chain, bundle, pot, g, result, p=1)
+    report = verify_truncation_gap(chain, bundle, pot, g, result)
     assert report["gap"] == pytest.approx([2 / 9, 2 / 9], abs=1e-9)
     assert report["bound_abs"] == pytest.approx(35.0)
     assert np.all(report["slack_abs"] >= 0.0)
@@ -193,7 +193,7 @@ def test_truncation_gap_constant_reward_gap_zero(chain):
     pot = verify_potential(chain, bundle, [1, 17], [1, 21])
     g = CycleSystem(chain, bundle).canonical_solution([1.0, 1.0])
     result = truncated_potential(chain, [1.0, 1.0], p=1)
-    report = verify_truncation_gap(chain, bundle, pot, g, result, p=1)
+    report = verify_truncation_gap(chain, bundle, pot, g, result)
     assert report["gap"] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
@@ -201,6 +201,6 @@ def test_truncation_gap_bounds_hold_on_suite(suite):
     for inst in suite.instances:
         p = inst.decomp.period
         result = truncated_potential(inst.chain, inst.f, p=p)
-        report = verify_truncation_gap(inst.chain, inst.bundle, inst.pot, inst.g_star, result, p=p)
+        report = verify_truncation_gap(inst.chain, inst.bundle, inst.pot, inst.g_star, result)
         assert np.all(report["slack_lower"] >= -1e-9)
         assert np.all(report["slack_upper"] >= -1e-9)
