@@ -32,7 +32,7 @@ pi = chain.pi
 print("\nstationary law:", pi, "  pi(f) =", pi @ f)
 
 # one factored regeneration system serves g*, every cycle sum and nu
-system = CycleSystem(chain, bundle)
+system = CycleSystem(bundle)
 g = system.canonical_solution(f)
 print("canonical solution g* =", g)
 print("Poisson residual     =", np.max(np.abs(chain.kernel @ g - g + (f - pi @ f))))
@@ -43,8 +43,8 @@ print("cycle length E_x tau  =", system.tau, "  from phi:", float(system.phi @ s
 nu = system.occupation_measure().mass
 print("occupation law nu     =", nu, " (equals pi)")
 
-pot = verify_potential(chain, bundle, v3=[1, 17], v4=[1, 21])
-report = finite_bound_report(bundle, pot, period=1)
+pot = verify_potential(bundle, v3=[1, 17], v4=[1, 21])
+report = finite_bound_report(bundle, pot)
 print("\nbounds:")
 print("  delta1, delta2          :", report.delta1, report.delta2)
 print("  solution envelope upper :", report.envelope_upper)

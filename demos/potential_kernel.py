@@ -29,16 +29,16 @@ from markov_poisson import (
 chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
 f = np.array([1.0, 0.0])
 bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0], 1)
-pot_cert = verify_potential(chain, bundle, [1, 17], [1, 21])
+pot_cert = verify_potential(bundle, [1, 17], [1, 21])
 
 result = truncated_potential(chain, f, p=1)
-g = CycleSystem(chain, bundle).canonical_solution(f)
+g = CycleSystem(bundle).canonical_solution(f)
 pi = chain.pi
 print("aperiodic two-state chain")
 print("  g_tilde =", result.g_tilde, f" (solve residual {result.residual:.1e})")
 print("  g*      =", g)
 print("  gap     =", result.g_tilde - g, "  -pi(g*) =", -(pi @ g))
-report = verify_truncation_gap(chain, bundle, pot_cert, g, result)
+report = verify_truncation_gap(bundle, pot_cert, g, result)
 print("  gap bound:", report["bound_abs"], " slack:", report["slack_abs"])
 
 # ---- periodic: two dense classes, period 2 --------------------------------
@@ -56,7 +56,7 @@ print("\nperiodic chain, period", decomp.period, "classes", [sorted(c) for c in 
 _, v1 = hitting(chain, [0], f)
 _, v2 = hitting(chain, [0], np.ones(4))
 bundle = verify_bundle(chain, f, v1, v2, [0], 1)
-g = CycleSystem(chain, bundle).canonical_solution(f)
+g = CycleSystem(bundle).canonical_solution(f)
 result = truncated_potential(chain, f, p=2)
 gap = result.g_tilde - g
 pi = chain.pi

@@ -36,7 +36,7 @@ for trial in range(15):
     bundle = verify_bundle(chain, f, v1, v2, C, m)
 
     pi = chain.pi
-    system = CycleSystem(chain, bundle)
+    system = CycleSystem(bundle)
     g = system.canonical_solution(f)
     residual = np.max(np.abs(chain.kernel @ g - g + (f - pi @ f)))
     nu_gap = np.abs(system.occupation_measure().mass - pi).sum()

@@ -28,7 +28,7 @@ pi_f = float(chain.pi @ f)
 
 for m, label in [(1, "one-step regeneration"), (2, "two-step blocks with bridge")]:
     bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0], m)
-    system = CycleSystem(chain, bundle)
+    system = CycleSystem(bundle)
     exact = system.canonical_solution(f)
     tau = system.tau
     sc = FiniteChainSampler(system, f)
@@ -45,7 +45,7 @@ for m, label in [(1, "one-step regeneration"), (2, "two-step blocks with bridge"
 
 # a residual kernel in action: C = {0, 1} gives lambda = 3/4 < 1
 bundle = verify_bundle(chain, f, [1, 4], [1, 5], [0, 1], 1)
-system = CycleSystem(chain, bundle)
+system = CycleSystem(bundle)
 exact = system.canonical_solution(f)
 sc = FiniteChainSampler(system, f)
 est = gstar_from_cycles(*run_cycles(sc, [1], n_cycles=50_000, master_seed=11), pi_f)

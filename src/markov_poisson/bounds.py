@@ -49,13 +49,14 @@ def uniform_marginal_bound(bundle: CertificateBundle, delta1: float) -> np.ndarr
     return cycle_bound(bundle.v1, bundle.b1, bundle.m, bundle.lam) + delta1
 
 
-def truncation_gap_bounds(bundle: CertificateBundle, pot: PotentialCertificate, p: int):
-    """Bounds on the truncated-potential gap g_tilde - g*.
+def truncation_gap_bounds(bundle: CertificateBundle, pot: PotentialCertificate):
+    """Bounds on the truncated-potential gap g_tilde - g*, p the period of the bundle's chain.
 
     lower = -p b3 - b1 m / lambda
     upper = b1 (p b4 + b2 m / lambda)
     abs   = max(upper, -lower)
     """
+    p = bundle.chain.cyclic.period
     lower = -cycle_bound(p * pot.b3, bundle.b1, bundle.m, bundle.lam)
     upper = bundle.b1 * cycle_bound(p * pot.b4, bundle.b2, bundle.m, bundle.lam)
     return lower, upper, max(upper, -lower)
@@ -106,14 +107,13 @@ class BoundReport:
 
 
 def finite_bound_report(
-    bundle: CertificateBundle,
-    pot: PotentialCertificate | None = None,
-    period: int | None = None,
+    bundle: CertificateBundle, pot: PotentialCertificate | None = None
 ) -> BoundReport:
-    """Assemble the full report for a finite chain.
+    """Assemble the full report for the bundle's finite chain.
 
-    phi.v and inf v are exact here. The coefficient comparison is only
-    meaningful for m = 1 and is included in that case.
+    phi.v and inf v are exact here. The truncation gap bounds are included
+    when ``pot`` is given. The coefficient comparison is only meaningful
+    for m = 1 and is included in that case.
     """
     phi = bundle.phi.mass
     phi_v1 = float(phi @ bundle.v1)
@@ -130,9 +130,7 @@ def finite_bound_report(
         "marginal_bound": uniform_marginal_bound(bundle, d1),
     }
     if pot is not None:
-        if period is None:
-            raise ValueError("truncation gap bounds need the chain period")
-        g_lo, g_hi, g_abs = truncation_gap_bounds(bundle, pot, period)
+        g_lo, g_hi, g_abs = truncation_gap_bounds(bundle, pot)
         report.update(gap_bound_lower=g_lo, gap_bound_upper=g_hi, gap_bound_abs=g_abs)
     if bundle.m == 1:
         a, competing, ours = envelope_comparison(bundle.b1, bundle.lam, phi_v1)

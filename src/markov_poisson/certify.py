@@ -9,9 +9,9 @@ tolerance ``ATOL`` and compute the tightest constants:
   bounds are as tight as the supplied Lyapunov functions allow;
 * ``minorize`` returns the maximal ``lambda`` for the given (C, m) by
   taking the componentwise row minimum of P^m over C as the minorizing
-  sub-measure, or verifies a supplied (lambda, phi) pair. The gap
-  P^m - lambda*phi on C is tested only by :meth:`SmallSetCertificate.verify`,
-  and P^m is read from the chain's cached ``chain.powers``.
+  sub-measure, or takes a supplied (lambda, phi) pair. A certificate
+  carries its chain; building it tests the gap P^m - lambda*phi on C once,
+  by :meth:`SmallSetCertificate.verify`, with P^m from ``chain.powers``.
 
 Degenerate b <= 0 is clamped to a tiny positive value (the inequalities
 require strictly positive constants).
@@ -46,8 +46,9 @@ def _check_subset(C, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class SmallSetCertificate:
-    """m-step minorization P^m(x, .) >= lam * phi(.) for all x in C."""
+    """m-step minorization P^m(x, .) >= lam * phi(.) for all x in C, checked when built."""
 
+    chain: FiniteChain
     C: tuple
     m: int
     lam: float
@@ -58,10 +59,11 @@ class SmallSetCertificate:
             raise ValueError("m must be >= 1")
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"lambda must lie in (0, 1], got {self.lam}")
+        self.verify()
 
-    def verify(self, chain: FiniteChain) -> None:
-        """Raise MinorizationViolation unless the inequality holds on chain."""
-        Pm = chain.powers(self.m)[-1]
+    def verify(self) -> None:
+        """Raise MinorizationViolation unless the inequality holds on the chain."""
+        Pm = self.chain.powers(self.m)[-1]
         gap = Pm[list(self.C), :] - self.lam * self.phi.mass[None, :]
         if gap.min() < -ATOL:
             x = self.C[int(np.argmin(gap.min(axis=1)))]
@@ -133,23 +135,13 @@ def _ro(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def minorize(chain: FiniteChain, C, m: int, lam=None, phi=None) -> SmallSetCertificate:
-    """Maximal minorization of P^m over C, or the supplied (lam, phi) verified.
-
-    The componentwise row minimum min_{x in C} P^m(x, y) is the largest
-    sub-measure dominated by every row, so lam = its total mass is maximal
-    for the given (C, m) and phi is the normalized minimum.
-
-    Raises EmptyMinorization when the rows have disjoint support (lam = 0),
-    and MinorizationViolation when a supplied pair fails the inequality.
-    """
+def _minorization(chain: FiniteChain, C, m: int, lam, phi) -> tuple:
+    """(C, m, lam, phi) of the maximal minorization, or of the supplied pair."""
     if (lam is None) != (phi is None):
         raise ValueError("supply both lambda and phi, or neither")
     C = _check_subset(C, chain.n)
     if lam is not None:
-        small = SmallSetCertificate(C=C, m=m, lam=float(lam), phi=Distribution(mass=phi))
-        small.verify(chain)
-        return small
+        return C, m, float(lam), Distribution(mass=phi)
     if m < 1:
         raise ValueError("m must be >= 1")
     Pm = chain.powers(m)[-1]
@@ -163,8 +155,20 @@ def minorize(chain: FiniteChain, C, m: int, lam=None, phi=None) -> SmallSetCerti
     # component is empty, and dividing by (1 - lam) would amplify noise
     if lam > 1.0 - ATOL:
         lam = 1.0
-    phi = Distribution(mass=floor / floor.sum())
-    return SmallSetCertificate(C=C, m=m, lam=lam, phi=phi)
+    return C, m, lam, Distribution(mass=floor / floor.sum())
+
+
+def minorize(chain: FiniteChain, C, m: int, lam=None, phi=None) -> SmallSetCertificate:
+    """Maximal minorization of P^m over C, or the supplied (lam, phi), as a certificate.
+
+    The componentwise row minimum min_{x in C} P^m(x, y) is the largest
+    sub-measure dominated by every row, so lam = its total mass is maximal
+    for the given (C, m) and phi is the normalized minimum.
+
+    Raises EmptyMinorization when the rows have disjoint support (lam = 0),
+    and MinorizationViolation when a supplied pair fails the inequality.
+    """
+    return SmallSetCertificate(chain, *_minorization(chain, C, m, lam, phi))
 
 
 def verify_bundle(
@@ -179,18 +183,18 @@ def verify_bundle(
 ) -> CertificateBundle:
     """Assemble and verify the full certificate on a finite chain.
 
-    The minorization comes from :func:`minorize`: the maximal one when
-    ``lam``/``phi`` are omitted, otherwise the supplied pair verified as-is.
+    The minorization is the one :func:`minorize` gives: the maximal one
+    when ``lam``/``phi`` are omitted, otherwise the supplied pair.
     Drift constants b1, b2 are the minimal feasible values.
     """
     v1, b1 = verify_drift(chain, v1, f, C)
     v2, b2 = verify_drift(chain, v2, np.ones(chain.n), C)
-    small = minorize(chain, C, m, lam, phi)
-    return CertificateBundle(**vars(small), v1=v1, b1=b1, v2=v2, b2=b2)
+    small = _minorization(chain, C, m, lam, phi)
+    return CertificateBundle(chain, *small, v1=v1, b1=b1, v2=v2, b2=b2)
 
 
-def verify_potential(chain: FiniteChain, bundle: CertificateBundle, v3, v4) -> PotentialCertificate:
-    """Verify the second drift level: v3 charged by v1, v4 charged by v2."""
-    v3, b3 = verify_drift(chain, v3, bundle.v1, bundle.C)
-    v4, b4 = verify_drift(chain, v4, bundle.v2, bundle.C)
+def verify_potential(bundle: CertificateBundle, v3, v4) -> PotentialCertificate:
+    """Verify the second drift level on the bundle's chain: v3 charged by v1, v4 by v2."""
+    v3, b3 = verify_drift(bundle.chain, v3, bundle.v1, bundle.C)
+    v4, b4 = verify_drift(bundle.chain, v4, bundle.v2, bundle.C)
     return PotentialCertificate(v3=v3, b3=b3, v4=v4, b4=b4)

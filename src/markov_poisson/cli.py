@@ -63,7 +63,7 @@ def _bundle_from_spec(spec):
 def _potential_cert_from_spec(spec, bundle):
     """The second-level certificate when the spec declares v3 and v4, else None."""
     if {"v3", "v4"} <= set(spec.functions):
-        return verify_potential(spec.chain, bundle, spec.function("v3"), spec.function("v4"))
+        return verify_potential(bundle, spec.function("v3"), spec.function("v4"))
     return None
 
 
@@ -95,7 +95,7 @@ def _solve_body(spec, report, checks):
     chain = spec.chain
     f = spec.function("f")
     bundle = _bundle_from_spec(spec)
-    system = CycleSystem(chain, bundle)
+    system = CycleSystem(bundle)
     pi = chain.pi
     pi_f = float(pi @ f)
     f_c = f - pi_f
@@ -109,9 +109,8 @@ def _solve_body(spec, report, checks):
     G_f_at_phi = float(system.phi @ G_f)
     tau_at_phi = float(system.phi @ tau)
 
-    period = chain.cyclic.period
     pot_cert = _potential_cert_from_spec(spec, bundle)
-    breport = _bounds.finite_bound_report(bundle, pot_cert, period)
+    breport = _bounds.finite_bound_report(bundle, pot_cert)
 
     poisson_residual = float(np.max(np.abs(chain.kernel @ g - g + f_c)))
     checks.check("poisson_residual", poisson_residual <= 1e-9, poisson_residual)
@@ -157,7 +156,7 @@ def _solve_body(spec, report, checks):
     checks.check("power_drift_bound", ok)
 
     report["certificates"] = _certificates(bundle, pot_cert)
-    report["period"] = period
+    report["period"] = chain.cyclic.period
     report["pi"] = pi
     report["pi_f"] = pi_f
     report["tables"] = {
@@ -195,7 +194,7 @@ def _potential_body(spec, report, checks):
 
     if spec.small is not None and {"f", "v1", "v2"} <= set(spec.functions):
         bundle = _bundle_from_spec(spec)
-        g = CycleSystem(chain, bundle).canonical_solution(f)
+        g = CycleSystem(bundle).canonical_solution(f)
         gap = g_t - g
         report["tables"]["g_star"] = g
         report["tables"]["gap"] = gap
@@ -211,7 +210,7 @@ def _potential_body(spec, report, checks):
         pot_cert = _potential_cert_from_spec(spec, bundle)
         if pot_cert is not None:
             try:
-                truncation_gap = verify_truncation_gap(chain, bundle, pot_cert, g, result)
+                truncation_gap = verify_truncation_gap(bundle, pot_cert, g, result)
                 checks.check("truncation_gap_bounds", True)
                 report["bounds"] = {
                     "gap_lower": truncation_gap["bound_lower"],
@@ -330,7 +329,7 @@ def _simulate_chain(spec, x0, args, report, checks):
     f = spec.function("f")
     if spec.small is None:
         raise SpecFileError("simulate needs a 'small_set' declaration")
-    system = CycleSystem(chain, minorize(chain, **spec.small))
+    system = CycleSystem(minorize(chain, **spec.small))
     pi_f = float(chain.pi @ f)
     g_exact = system.canonical_solution(f)
     sc = FiniteChainSampler(system, f)

@@ -295,12 +295,15 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     moment bound in the module docstring certifies it, so the grid scan
     is exhaustive. Some point is always negative: the margin at 0 is
     -(Pv1)(0) <= -(1 - MASS_TOL), and x0 = 0 leaves the atom C = {0},
-    itself a small set. Raises SearchExhausted when the margin is still
-    negative at the end of the grid, or when the grid would hold more
-    than MAX_GRID_POINTS points, and NonFiniteResult, without a numpy
-    warning, when x0, b1, lam or phi(v1) is not finite.
+    itself a small set. Raises NonFiniteResult, without a numpy warning,
+    when the grid's end or a drift margin overflows (checked before the
+    scan) or when x0, b1, lam or phi(v1) is not finite, and SearchExhausted
+    when the margin is still negative at the end of the grid, or when the
+    grid would hold more than MAX_GRID_POINTS points.
     """
     end = model.drift_grid_end()
+    if not math.isfinite(end):
+        raise NonFiniteResult(f"the drift horizon is not finite: c1 = {model.c1:.6g}")
     if not end / model.step <= MAX_GRID_POINTS:
         raise SearchExhausted(
             f"the drift-margin grid up to {end:.6g} at step {model.step} would hold "
@@ -315,6 +318,8 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     t = model.increment.pdf(zs) * (np.pad(dz, (0, 1)) + np.pad(dz, (1, 0))) / 2.0
     w = model.v1(np.maximum(zs[0] + np.arange(xs.size + zs.size - 1) * s, 0.0))
     margin = model.v1(xs) - np.maximum(xs, 1.0) - np.correlate(w, t, "valid")
+    if not np.all(np.isfinite(margin)):
+        raise NonFiniteResult(f"the drift margin overflows on the grid: c1 = {model.c1:.6g}")
     last = np.flatnonzero(margin < 0.0)[-1]
     if last == xs.size - 1:
         raise SearchExhausted(f"drift margin still negative at the horizon {xs[-1]:.3f}")

@@ -399,7 +399,7 @@ class FiniteChainSampler:
         self.members[list(system.C)] = True
         self.c_index = np.cumsum(self.members) - 1
         self.phi_cdf = np.cumsum(system.phi)
-        self.q_cdf = np.cumsum(system.Q, axis=1) if system.Q is not None else None
+        self.q_cdf = np.cumsum(system.Q, axis=1)
 
     def charge(self, x: np.ndarray) -> np.ndarray:
         return self.f[x]

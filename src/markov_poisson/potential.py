@@ -13,9 +13,9 @@ g_tilde differs from g* by a constant on each cyclic class. Those
 per-class constants coincide only for aperiodic chains (where the shift
 is -pi.g* globally and g_tilde itself solves Poisson's equation); for
 p >= 2 they differ in general, so g_tilde solves the one-step equation
-only up to the between-class variation of the constants. verify_truncation_gap
-checks the guaranteed statements: the gap bounds and, per class, the
-constancy of the gap.
+only up to the between-class variation of the constants.
+verify_truncation_gap checks the guaranteed gap bounds; the per-class
+constancy of the gap is a check of the ``potential`` command.
 
 pi and the cyclic classes are the chain's own cached ``chain.pi`` and
 ``chain.cyclic``; P^p is ``np.linalg.matrix_power``, about log2 p
@@ -87,7 +87,6 @@ def truncated_potential(chain: FiniteChain, f, p: int) -> PotentialResult:
 
 
 def verify_truncation_gap(
-    chain: FiniteChain,
     bundle: CertificateBundle,
     pot_cert: PotentialCertificate,
     g_star,
@@ -99,14 +98,14 @@ def verify_truncation_gap(
 
         -p b3 - b1 m/lambda <= g_tilde(x) - g*(x) <= b1 (p b4 + b2 m/lambda)
 
-    together with the absolute form, with p = ``chain.cyclic.period``, the
-    block length of ``result``. A violation raises BoundViolation:
-    the inequalities are guaranteed, so failure indicates a certificate
-    or implementation bug.
+    together with the absolute form, on the bundle's chain, with p its
+    period ``chain.cyclic.period``, the block length of ``result``. A
+    violation raises BoundViolation: the inequalities are guaranteed, so
+    failure indicates a certificate or implementation bug.
     """
-    g_star = values_of(g_star, chain.n)
+    g_star = values_of(g_star, bundle.chain.n)
     gap = result.g_tilde - g_star
-    lower, upper, absolute = truncation_gap_bounds(bundle, pot_cert, chain.cyclic.period)
+    lower, upper, absolute = truncation_gap_bounds(bundle, pot_cert)
     low_slack = gap - lower
     high_slack = upper - gap
     if low_slack.min() < -CHECK_TOL or high_slack.min() < -CHECK_TOL:

@@ -18,9 +18,9 @@ schedule coin tosses; the block encodes that by construction.
 The equations for every charge share one dense matrix, solved by LU with
 partial pivoting; a pivot below 1e-13 raises SingularSystem (impossible
 under a valid certificate, surfaced defensively). :class:`CycleSystem`
-factors it once per chain and certificate and then solves any block of
-charges; it checks the minorization through the certificate's own
-``verify`` and reads P, ..., P^m from the chain's cached ``powers``.
+factors it once per certificate, on the certificate's own chain, and then
+solves any block of charges; it reads P, ..., P^m from the chain's cached
+``powers``.
 :func:`hitting` solves the absorbing-boundary equations for the first
 hit of C, which build hitting-sum Lyapunov functions.
 ``scipy.linalg`` is imported at the first factorization or solve, so
@@ -71,24 +71,26 @@ def _lu(A: np.ndarray):
     return lu, piv
 
 
-def _residual_rows(Pm: np.ndarray, small: SmallSetCertificate) -> np.ndarray | None:
+def _residual_rows(Pm: np.ndarray, small: SmallSetCertificate) -> np.ndarray:
     """Rows of Q(x, .) = (P^m(x, .) - lam*phi)/(1 - lam) for x in C.
 
-    The non-regenerative mixture component on C; None when lam = 1 (it
-    is never drawn). The certificate has passed ``small.verify``, so the
-    rows are nonnegative up to rounding noise, which is clipped.
+    The non-regenerative mixture component on C; a zero block when lam = 1
+    (it is never drawn, and (1 - lam) Q vanishes). The certificate has
+    passed ``small.verify``, so the rows are nonnegative up to rounding
+    noise, which is clipped.
     """
-    if small.lam >= 1.0:
-        return None
-    rows = (Pm[list(small.C), :] - small.lam * small.phi.mass[None, :]) / (1.0 - small.lam)
-    np.clip(rows, 0.0, None, out=rows)
-    sums = rows.sum(axis=1)
-    if sums.min() < 0.5:
-        raise NegativeResidual(
-            "a residual row lost its mass: lambda is too close to 1 for the "
-            "mixture to be meaningful (declare lambda = 1 instead)"
-        )
-    rows /= sums[:, None]
+    if small.lam < 1.0:
+        rows = (Pm[list(small.C), :] - small.lam * small.phi.mass[None, :]) / (1.0 - small.lam)
+        np.clip(rows, 0.0, None, out=rows)
+        sums = rows.sum(axis=1)
+        if sums.min() < 0.5:
+            raise NegativeResidual(
+                "a residual row lost its mass: lambda is too close to 1 for the "
+                "mixture to be meaningful (declare lambda = 1 instead)"
+            )
+        rows /= sums[:, None]
+    else:
+        rows = np.zeros((len(small.C), Pm.shape[1]))
     rows.flags.writeable = False
     return rows
 
@@ -141,7 +143,7 @@ def hitting(chain: FiniteChain, C, h=None):
 
 
 class CycleSystem:
-    """The factored regeneration system of one chain under one certificate.
+    """The factored regeneration system of one certificate's chain.
 
     Every cycle expectation G_h = E_. sum_{j<tau} h(X_j) solves the
     first-step equations of one split-chain cycle, the same matrix for
@@ -159,25 +161,24 @@ class CycleSystem:
     P^m(w, y) = 0 carry no mixture mass and are excluded. At m = 1, B
     holds the indicator rows of C.
 
-    Construction checks the minorization by ``cert.verify(chain)``, reads
-    ``powers`` = [I, P, ..., P^m] from the chain's cache and computes Q, B
-    and the LU factorization of I - K once; E tau is computed on first
-    use, and pi is the chain's own ``chain.pi``. Only the minorization is
-    read, so a bare SmallSetCertificate and a full CertificateBundle (one
-    of its kind) both serve as ``cert``.
+    Construction reads the chain from ``cert.chain`` and ``powers`` =
+    [I, P, ..., P^m] from the chain's cache, and computes Q, B and the LU
+    factorization of I - K once; E tau is computed on first use, and pi
+    is the chain's own ``chain.pi``. Only the minorization is read, so a
+    bare SmallSetCertificate and a full CertificateBundle (one of its
+    kind) both serve as ``cert``.
 
     This is the one entry point to every cycle quantity: ``solve(h)``
     (G_h), ``tau`` (E_x tau), ``canonical_solution(f)`` (g*) and
     ``occupation_measure()`` (nu = pi); values from phi are ``phi @ G_h``.
     """
 
-    def __init__(self, chain: FiniteChain, cert):
-        self.chain = chain
+    def __init__(self, cert: SmallSetCertificate):
+        self.chain = chain = cert.chain
         self.C = cert.C
         self.m = cert.m
         self.lam = cert.lam
         self.phi = cert.phi.mass
-        cert.verify(chain)
         self.powers = powers = chain.powers(cert.m)
         Pm = powers[-1]
         self.Q = _residual_rows(Pm, cert)
@@ -190,16 +191,14 @@ class CycleSystem:
                     f"phi places mass on endpoints with P^m({w}, .) = 0"
                 )
             B[i, w] = 1.0
-            weights = self.lam * self.phi
-            if self.Q is not None:
-                weights = weights + (1.0 - self.lam) * self.Q[i]
+            weights = self.lam * self.phi + (1.0 - self.lam) * self.Q[i]
             scaled = np.zeros(chain.n)
             scaled[live] = weights[live] / Pm[w, live]
             for j in range(1, self.m):
                 B[i, :] += powers[j][w, :] * (powers[self.m - j] @ scaled)
         self.B = B
         K = chain.kernel.copy()
-        K[list(self.C)] = 0.0 if self.Q is None else (1.0 - self.lam) * self.Q
+        K[list(self.C)] = (1.0 - self.lam) * self.Q
         self._lu = _lu(np.eye(chain.n) - K)
 
     def solve(self, charges) -> np.ndarray:

@@ -96,17 +96,17 @@ def build_instance(name: str, chain: FiniteChain, f: np.ndarray, C, m: int) -> I
     bundle = verify_bundle(chain, f, v1, v2, C, m)
     _, v3 = hitting(chain, C, v1 + 1.0)
     _, v4 = hitting(chain, C, v2 + 1.0)
-    pot = verify_potential(chain, bundle, v3, v4)
+    pot = verify_potential(bundle, v3, v4)
     pi = chain.pi
     f_c = f - float(pi @ f)
-    system = CycleSystem(chain, bundle)
+    system = CycleSystem(bundle)
     g = system.canonical_solution(f)
     residual = float(np.max(np.abs(chain.kernel @ g - g + f_c)))
     s = np.zeros(n)
     s[list(bundle.C)] = bundle.b1
     nu = system.occupation_measure().mass
     decomp = chain.cyclic
-    report = finite_bound_report(bundle, pot, decomp.period)
+    report = finite_bound_report(bundle, pot)
     return Instance(
         name=name,
         chain=chain,

@@ -169,7 +169,7 @@ def test_a08_truncated_potential(suite, two_state):
         if spread > 1e-8:
             failures.append(f"{inst.name}: gap varies within a class by {spread:.2e}")
         try:
-            verify_truncation_gap(inst.chain, inst.bundle, inst.pot, inst.g_star, result)
+            verify_truncation_gap(inst.bundle, inst.pot, inst.g_star, result)
         except Exception as err:  # BoundViolation
             failures.append(f"{inst.name}: {err}")
 
@@ -179,10 +179,10 @@ def test_a08_truncated_potential(suite, two_state):
 
     ts = two_state
     bundle = verify_bundle(ts.chain, [1, 0], [1, 4], [1, 5], [0], 1)
-    pot = verify_potential(ts.chain, bundle, [1, 17], [1, 21])
+    pot = verify_potential(bundle, [1, 17], [1, 21])
     result = truncated_potential(ts.chain, ts.f, p=1)
     gap = result.g_tilde - ts.g_star
-    _, _, bound_abs = truncation_gap_bounds(bundle, pot, 1)
+    _, _, bound_abs = truncation_gap_bounds(bundle, pot)
     if not np.allclose(gap, 2 / 9, atol=1e-9) or bound_abs != pytest.approx(35.0):
         failures.append("two-state example gap/bound mismatch")
 
@@ -197,7 +197,7 @@ def test_a08_truncated_potential(suite, two_state):
 
 
 def test_a09_two_state_monte_carlo(two_state):
-    system = CycleSystem(two_state.chain, two_state.bundle)
+    system = CycleSystem(two_state.bundle)
     sc = FiniteChainSampler(system, two_state.f)
     t0 = time.perf_counter()
     sums, lengths = run_cycles(sc, [1], 100_000, master_seed=424242)

@@ -55,16 +55,19 @@ def test_marginal_bound_curve(bundle):
 
 
 def test_truncation_gap_bounds_running_example(bundle):
-    chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
-    pot = verify_potential(chain, bundle, [1, 17], [1, 21])
-    lower, upper, absolute = truncation_gap_bounds(bundle, pot, 1)
+    pot = verify_potential(bundle, [1, 17], [1, 21])
+    lower, upper, absolute = truncation_gap_bounds(bundle, pot)
     assert lower == pytest.approx(-11.5)
     assert upper == pytest.approx(35.0)
     assert absolute == pytest.approx(35.0)
-    # doubling the period doubles the p*b3 and p*b4 terms
-    lower2, upper2, _ = truncation_gap_bounds(bundle, pot, 2)
-    assert lower2 == pytest.approx(-2 * 9.0 - 2.5)
-    assert upper2 == pytest.approx(2.5 * (2 * 11.0 + 3.0))
+    # on the flip chain, of period p = 2, the p*b3 and p*b4 terms are doubled
+    flip = validate_chain([[0.0, 1.0], [1.0, 0.0]])
+    b = verify_bundle(flip, [1, 0], [1, 1], [1, 2], [0], 2)
+    pot2 = verify_potential(b, [1, 2], [1, 3])
+    assert (b.b1, b.b2, pot2.b3, pot2.b4, b.lam) == (1.0, 2.0, 2.0, 3.0, 1.0)
+    lower2, upper2, _ = truncation_gap_bounds(b, pot2)
+    assert lower2 == pytest.approx(-(2 * 2.0 + 1.0 * 2))
+    assert upper2 == pytest.approx(1.0 * (2 * 3.0 + 2.0 * 2))
 
 
 def test_envelope_comparison_values():

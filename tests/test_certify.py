@@ -139,7 +139,7 @@ def test_verify_bundle_rejects_overstated_lambda(chain):
 
 def test_verify_potential_constants(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
-    pot = verify_potential(chain, bundle, [1, 17], [1, 21])
+    pot = verify_potential(bundle, [1, 17], [1, 21])
     assert pot.b3 == pytest.approx(9.0)
     assert pot.b4 == pytest.approx(11.0)
 
@@ -147,5 +147,5 @@ def test_verify_potential_constants(chain):
 def test_verify_potential_detects_violation(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
     with pytest.raises(DriftViolation) as err:
-        verify_potential(chain, bundle, [1, 10], [1, 21])
+        verify_potential(bundle, [1, 10], [1, 21])
     assert err.value.states == [1]

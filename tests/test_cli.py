@@ -440,6 +440,13 @@ def test_queue_parameters_out_of_range_are_input_errors(capsys, command, option)
         ["gig1", "--x-max", "1e160", "--curves", os.devnull],  # the curves overflow
         # a (1 + b1) ~ 7e11 at kappa 1.1: competing overflows, the envelope does not
         ["gig1", "--x-max", "1e150", "--curves", os.devnull],
+        # v1 overflows on the drift grid, and past kappa ~ 1.44e308 the horizon
+        # c1 E Z^2 does: both are refused before the drift-margin scan
+        *(["gig1", "--kappa", kappa, *family]
+          for kappa in ("3e305", "1e306", "1e307", "1.7e308")
+          for family in (["--family", "normal"], ["--family", "logistic"],
+                         ["--family", "laplace", "--grid-step", "0.004"])),
+        ["simulate", "--gig1", "--kappa", "1e306", "--x0", "0", "--cycles", "10"],
     ],
     ids=" ".join,
 )
@@ -452,6 +459,28 @@ def test_queue_overflow_is_a_coded_error(capsys, argv):
     report = json.loads(out)
     assert report["error"]["code"] == "non-finite-result"
     assert report["assertions"][-1]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, failure_name",
+    [
+        (["gig1", "--kappa", "2"], "certificate_built"),
+        (["simulate", "--gig1", "--x0", "0", "--cycles", "10"], "simulation_completed"),
+    ],
+    ids=["gig1", "simulate"],
+)
+def test_queue_minorizing_measure_of_zero_mass_is_refused(capsys, argv, failure_name):
+    # at sigma 0.01, x0 is about 1: the atom P(Z <= -x0) and the density
+    # h_Z(y) for y > 0 lie 50 standard deviations from the mean -0.5 and
+    # underflow to 0, so the minorizing measure has no mass
+    code = main([*argv, "--sigma", "0.01", "--grid-step", "0.001"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["error"] == {"code": "quadrature-failure",
+                               "message": "minorizing measure has zero mass"}
+    assert report["assertions"] == [{"name": failure_name, "passed": False,
+                                     "detail": "minorizing measure has zero mass"}]
 
 
 @pytest.mark.parametrize("command", [["gig1"], ["simulate", "--gig1", "--x0", "1"]])

@@ -28,37 +28,37 @@ def bundle(chain):
     return verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
 
 
-def sampler(chain, cert, f):
-    return FiniteChainSampler(CycleSystem(chain, cert), f)
+def sampler(cert, f):
+    return FiniteChainSampler(CycleSystem(cert), f)
 
 
 def test_cycle_from_inside_small_set_is_deterministic(chain, bundle):
     # from state 0 with lam = 1 and m = 1 every cycle is one step long
-    sums, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [0], 50, master_seed=1)
+    sums, lengths = run_cycles(sampler(bundle, [1, 0]), [0], 50, master_seed=1)
     assert np.all(lengths == 1)
     assert np.all(sums == 1.0)
 
 
 def test_cycle_length_at_least_m(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 2)
-    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [1], 50, master_seed=2)
+    _, lengths = run_cycles(sampler(bundle, [1, 0]), [1], 50, master_seed=2)
     assert np.all(lengths >= 2)
 
 
 def test_zero_charge_gives_zero_sum(chain, bundle):
-    sums, _ = run_cycles(sampler(chain, bundle, [0, 0]), [1], 20, master_seed=3)
+    sums, _ = run_cycles(sampler(bundle, [0, 0]), [1], 20, master_seed=3)
     assert np.all(sums == 0.0)
 
 
 def test_cycle_moments_match_exact(chain, bundle):
-    sums, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [1], 10000, master_seed=4)
+    sums, lengths = run_cycles(sampler(bundle, [1, 0]), [1], 10000, master_seed=4)
     # exact: E sum_f = 1, E length = 5 from state 1
     assert abs(sums.mean() - 1.0) <= 3 * sums.std(ddof=1) / 100 + 1e-12
     assert abs(lengths.mean() - 5.0) <= 3 * lengths.std(ddof=1) / 100
 
 
 def test_estimate_gstar_two_state(chain, bundle):
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     est = gstar_from_cycles(*run_cycles(sc, [1], 20000, master_seed=11), 1 / 3)
     assert abs(est.point - (-2 / 3)) <= 3 * est.std_error
     est0 = gstar_from_cycles(*run_cycles(sc, [0], 20000, master_seed=12), 1 / 3)
@@ -66,26 +66,26 @@ def test_estimate_gstar_two_state(chain, bundle):
 
 
 def test_estimate_gstar_constant_reward_is_exact(chain, bundle):
-    sc = sampler(chain, bundle, [2.0, 2.0])
+    sc = sampler(bundle, [2.0, 2.0])
     est = gstar_from_cycles(*run_cycles(sc, [1], 500, master_seed=13), 2.0)
     assert est.point == 0.0
     assert est.std_error == 0.0
 
 
 def test_estimate_pif_two_state(chain, bundle):
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     est = pif_from_cycles(*run_cycles(sc, [None], 20000, master_seed=14))
     assert abs(est.point - 1 / 3) <= 3 * est.std_error
 
 
 def test_estimate_pif_unit_charge_is_exactly_one(chain, bundle):
-    sc = sampler(chain, bundle, [1.0, 1.0])
+    sc = sampler(bundle, [1.0, 1.0])
     est = pif_from_cycles(*run_cycles(sc, [None], 200, master_seed=15))
     assert est.point == 1.0
 
 
 def test_identical_seeds_identical_estimates(chain, bundle):
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     a = gstar_from_cycles(*run_cycles(sc, [1], 2000, master_seed=99), 1 / 3)
     b = gstar_from_cycles(*run_cycles(sc, [1], 2000, master_seed=99), 1 / 3)
     assert (a.point, a.std_error) == (b.point, b.std_error)
@@ -94,7 +94,7 @@ def test_identical_seeds_identical_estimates(chain, bundle):
 
 
 def test_worker_count_does_not_change_estimates(chain, bundle):
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     serial = gstar_from_cycles(*run_cycles(sc, [1], 400, master_seed=7), 1 / 3)
     parallel = gstar_from_cycles(*run_cycles(sc, [1], 400, master_seed=7, workers=2), 1 / 3)
     assert (serial.point, serial.std_error) == (parallel.point, parallel.std_error)
@@ -107,7 +107,7 @@ def test_regeneration_endpoint_distribution(chain):
     # of the cycle's stream, taken from phi.
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0, 1], 1)
     assert bundle.lam == pytest.approx(0.75)
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     n = 10000
     streams = CycleStreams(21, 0, n)
     mc._run_lanes(sc, [1], n, streams, 0, n, mc.DEFAULT_MAX_STEPS)
@@ -120,8 +120,8 @@ def test_regeneration_endpoint_distribution(chain):
 
 def test_cycle_length_matches_exact_with_residual_kernel(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0, 1], 1)
-    system = CycleSystem(chain, bundle)
-    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [None], 10000, master_seed=22)
+    system = CycleSystem(bundle)
+    _, lengths = run_cycles(sampler(bundle, [1, 0]), [None], 10000, master_seed=22)
     se = lengths.std(ddof=1) / 100
     assert abs(lengths.mean() - system.phi @ system.tau) <= 3 * se
 
@@ -137,11 +137,11 @@ def test_mc_matches_exact_on_random_instances():
         _, v1 = hitting(chain, C, f)
         _, v2 = hitting(chain, C, np.ones(n))
         bundle = verify_bundle(chain, f, v1, v2, C, m)
-        g = CycleSystem(chain, bundle).canonical_solution(f)
+        g = CycleSystem(bundle).canonical_solution(f)
         from markov_poisson.chain import stationary
 
         pi_f = float(stationary(chain).mass @ f)
-        sc = sampler(chain, bundle, f)
+        sc = sampler(bundle, f)
         x0 = int(rng.integers(0, n))
         est = gstar_from_cycles(*run_cycles(sc, [x0], 4000, master_seed=1000 + k), pi_f)
         assert abs(est.point - g[x0]) <= 3 * est.std_error, (
@@ -170,7 +170,7 @@ def test_missing_bridge_sampler_raises(chain, bundle):
 @pytest.mark.parametrize("n_cycles", [0, mc.MAX_CYCLES + 1])
 def test_cycle_count_out_of_range_is_refused(chain, bundle, n_cycles):
     with pytest.raises(ValueError, match="n_cycles must lie in"):
-        run_cycles(sampler(chain, bundle, [1, 0]), [1], n_cycles, master_seed=0)
+        run_cycles(sampler(bundle, [1, 0]), [1], n_cycles, master_seed=0)
 
 
 def test_lam_below_one_needs_a_residual_sampler():
@@ -180,7 +180,7 @@ def test_lam_below_one_needs_a_residual_sampler():
 
 def test_run_without_start_rules_is_refused(chain, bundle):
     with pytest.raises(ValueError, match="at least one start rule"):
-        run_cycles(sampler(chain, bundle, [1, 0]), [], 10, master_seed=0)
+        run_cycles(sampler(bundle, [1, 0]), [], 10, master_seed=0)
 
 
 def test_reductions_refuse_one_cycle():
@@ -195,7 +195,7 @@ def test_reductions_refuse_one_cycle():
 def test_max_steps_guard(chain, bundle):
     # state 1 only reaches the small set {0} with probability 1/4 per step,
     # so a 2-step budget is exhausted almost surely under this seed
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     with pytest.raises(MaxStepsExceeded) as err:
         run_cycles(sc, [1], 50, master_seed=33, max_steps=2)
     assert err.value.steps == 2
@@ -203,7 +203,7 @@ def test_max_steps_guard(chain, bundle):
 
 def test_minorize_only_certificate_supported(chain):
     small = minorize(chain, [0], 1)
-    _, lengths = run_cycles(sampler(chain, small, [1, 0]), [1], 1, master_seed=8)
+    _, lengths = run_cycles(sampler(small, [1, 0]), [1], 1, master_seed=8)
     assert lengths[0] >= 1
 
 
@@ -273,7 +273,7 @@ def _check_against_reference(m, x0):
     chain = validate_chain(rng.dirichlet(np.full(n, 0.7), size=n))
     f = rng.uniform(0.0, 2.0, n)
     C = [1, 3]
-    system = CycleSystem(chain, minorize(chain, C, m))
+    system = CycleSystem(minorize(chain, C, m))
     assert system.lam < 1.0
     sc = FiniteChainSampler(system, f)
     n_cycles, seed, starts = 300, 2**35 + 11, [None, x0]
@@ -308,7 +308,7 @@ def test_refilled_lanes_reproduce_per_cycle_reference(monkeypatch, m, x0):
 def test_max_steps_guard_covers_refilled_cycles(monkeypatch, chain, bundle):
     # under this seed the one cycle longer than 16 steps is cycle 50 (31
     # steps), which starts in a refilled lane when 7 lanes run 60 cycles
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     monkeypatch.setattr(mc, "LANES", 7)
     _, lengths = run_cycles(sc, [1], 60, master_seed=45)
     assert np.flatnonzero(lengths > 16).tolist() == [50] and lengths[50] == 31
@@ -322,7 +322,7 @@ def test_max_steps_guard_covers_worker_shards(monkeypatch, chain, bundle):
     # shard, and its error reads as it does in the calling process
     import os
 
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     monkeypatch.setattr(mc, "LANES", 7)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with pytest.raises(MaxStepsExceeded) as err:
@@ -342,7 +342,7 @@ def test_window_holds_only_the_cycles_in_flight(monkeypatch, chain, bundle):
 
     monkeypatch.setattr(mc, "CycleStreams", Recorded)
     monkeypatch.setattr(mc, "LANES", 7)
-    _, lengths = run_cycles(sampler(chain, bundle, [1, 0]), [1], 60, master_seed=45)
+    _, lengths = run_cycles(sampler(bundle, [1, 0]), [1], 60, master_seed=45)
     assert lengths.size == 60
     assert [s._window.shape[0] for s in made] == [7]
 
@@ -353,7 +353,7 @@ def test_lanes_independent_of_workers_and_chunks(monkeypatch):
     rng = np.random.default_rng(6)
     chain = validate_chain(rng.dirichlet(np.ones(6), size=6))
     f = rng.uniform(0.0, 2.0, 6)
-    sc = FiniteChainSampler(CycleSystem(chain, minorize(chain, [0, 2], 2)), f)
+    sc = FiniteChainSampler(CycleSystem(minorize(chain, [0, 2], 2)), f)
     n_cycles = mc.LANES + 37
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for starts in ([1], [None, 1]):
@@ -403,7 +403,7 @@ def test_pool_is_sized_by_its_work(monkeypatch, chain, bundle, workers, n_cycles
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    sc = sampler(chain, bundle, [1, 0])
+    sc = sampler(bundle, [1, 0])
     pooled = run_cycles(sc, [1], n_cycles, master_seed=4, workers=workers)
     serial = run_cycles(sc, [1], n_cycles, master_seed=4)
     assert _RecordingPool.sizes == ([shards - 1] if shards > 1 else [])

@@ -155,7 +155,7 @@ def test_periodic_gap_matches_class_conditioned_shift():
     _, v1 = hitting(chain, [0], f)
     _, v2 = hitting(chain, [0], np.ones(4))
     bundle = verify_bundle(chain, f, v1, v2, [0], 1)
-    g = CycleSystem(chain, bundle).canonical_solution(f)
+    g = CycleSystem(bundle).canonical_solution(f)
     decomp = cyclic_decomposition(chain)
     assert decomp.period == 2
     result = truncated_potential(chain, f, p=2)
@@ -179,10 +179,10 @@ def test_overflow_is_a_coded_error(chain, f):
 
 def test_truncation_gap_running_example(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
-    pot = verify_potential(chain, bundle, [1, 17], [1, 21])
-    g = CycleSystem(chain, bundle).canonical_solution([1, 0])
+    pot = verify_potential(bundle, [1, 17], [1, 21])
+    g = CycleSystem(bundle).canonical_solution([1, 0])
     result = truncated_potential(chain, [1, 0], p=1)
-    report = verify_truncation_gap(chain, bundle, pot, g, result)
+    report = verify_truncation_gap(bundle, pot, g, result)
     assert report["gap"] == pytest.approx([2 / 9, 2 / 9], abs=1e-9)
     assert report["bound_abs"] == pytest.approx(35.0)
     assert np.all(report["slack_abs"] >= 0.0)
@@ -190,10 +190,10 @@ def test_truncation_gap_running_example(chain):
 
 def test_truncation_gap_constant_reward_gap_zero(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 1)
-    pot = verify_potential(chain, bundle, [1, 17], [1, 21])
-    g = CycleSystem(chain, bundle).canonical_solution([1.0, 1.0])
+    pot = verify_potential(bundle, [1, 17], [1, 21])
+    g = CycleSystem(bundle).canonical_solution([1.0, 1.0])
     result = truncated_potential(chain, [1.0, 1.0], p=1)
-    report = verify_truncation_gap(chain, bundle, pot, g, result)
+    report = verify_truncation_gap(bundle, pot, g, result)
     assert report["gap"] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
@@ -201,6 +201,6 @@ def test_truncation_gap_bounds_hold_on_suite(suite):
     for inst in suite.instances:
         p = inst.decomp.period
         result = truncated_potential(inst.chain, inst.f, p=p)
-        report = verify_truncation_gap(inst.chain, inst.bundle, inst.pot, inst.g_star, result)
+        report = verify_truncation_gap(inst.bundle, inst.pot, inst.g_star, result)
         assert np.all(report["slack_lower"] >= -1e-9)
         assert np.all(report["slack_upper"] >= -1e-9)

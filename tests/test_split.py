@@ -27,21 +27,19 @@ def bundle(chain):
 
 
 def test_residual_kernel_empty_when_lambda_one(chain):
-    assert CycleSystem(chain, minorize(chain, [0], 1)).Q is None
+    Q = CycleSystem(minorize(chain, [0], 1)).Q
+    assert Q.shape == (1, 2) and not Q.any() and not Q.flags.writeable
 
 
 def test_residual_kernel_rows(chain):
-    Q = CycleSystem(chain, minorize(chain, [0, 1], 1)).Q
+    Q = CycleSystem(minorize(chain, [0, 1], 1)).Q
     assert np.allclose(Q, [[1.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_residual_kernel_rejects_overstated_certificate(chain):
-    # the certificate's own verify finds the fault before Q is formed
-    bad = SmallSetCertificate(
-        C=(0, 1), m=1, lam=0.9, phi=Distribution(mass=[1 / 3, 2 / 3])
-    )
+    # building the certificate checks it, so no system is ever formed
     with pytest.raises(MinorizationViolation):
-        CycleSystem(chain, bad)
+        SmallSetCertificate(chain, (0, 1), 1, 0.9, Distribution(mass=[1 / 3, 2 / 3]))
 
 
 def test_hitting_running_example(chain):
@@ -65,14 +63,14 @@ def test_hitting_unreachable():
 
 
 def test_cycle_values_running_example(chain, bundle):
-    system = CycleSystem(chain, bundle)
+    system = CycleSystem(bundle)
     assert system.solve([2 / 3, -1 / 3]) == pytest.approx([2 / 3, -2 / 3])
     assert system.tau == pytest.approx([1.0, 5.0])
     assert system.phi @ system.tau == pytest.approx(3.0)
 
 
 def test_cycle_values_zero_charge(chain, bundle):
-    assert np.array_equal(CycleSystem(chain, bundle).solve([0, 0]), [0.0, 0.0])
+    assert np.array_equal(CycleSystem(bundle).solve([0, 0]), [0.0, 0.0])
 
 
 def test_cycle_values_nonnegative_for_nonnegative_charge(suite):
@@ -87,25 +85,25 @@ def test_tau_dominates_first_hit_plus_m(suite):
 
 
 def test_canonical_solution_running_example(chain, bundle):
-    g = CycleSystem(chain, bundle).canonical_solution([1, 0])
+    g = CycleSystem(bundle).canonical_solution([1, 0])
     assert g == pytest.approx([2 / 3, -2 / 3])
     # matches the pinned linear-solve solution (4/3, 0) up to the constant -2/3
     assert g - np.array([4 / 3, 0.0]) == pytest.approx([-2 / 3, -2 / 3])
 
 
 def test_canonical_solution_constant_reward(chain, bundle):
-    g = CycleSystem(chain, bundle).canonical_solution([3.5, 3.5])
+    g = CycleSystem(bundle).canonical_solution([3.5, 3.5])
     assert np.max(np.abs(g)) <= 1e-12
 
 
 def test_phi_gstar_vanishes_at_m_equal_one(chain, bundle):
-    g = CycleSystem(chain, bundle).canonical_solution([1, 0])
+    g = CycleSystem(bundle).canonical_solution([1, 0])
     assert abs(bundle.phi.mass @ g) <= 1e-10
 
 
 def test_two_step_certificate_hand_values(chain):
     bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], 2)
-    system = CycleSystem(chain, bundle)
+    system = CycleSystem(bundle)
     g = system.canonical_solution([1, 0])
     assert g == pytest.approx([5 / 6, -1 / 2])
     assert system.tau == pytest.approx([2.0, 6.0])
@@ -116,17 +114,17 @@ def test_three_cycle_hand_values():
     _, v1 = hitting(chain, [0], [1, 0, 0])
     _, v2 = hitting(chain, [0], np.ones(3))
     bundle = verify_bundle(chain, [1, 0, 0], v1, v2, [0], 3)
-    system = CycleSystem(chain, bundle)
+    system = CycleSystem(bundle)
     g = system.canonical_solution([1, 0, 0])
     assert g == pytest.approx([0.0, -2 / 3, -1 / 3], abs=1e-12)
     assert system.tau == pytest.approx([3.0, 5.0, 4.0])
 
 
 def test_occupation_measure_examples(chain, bundle):
-    assert CycleSystem(chain, bundle).occupation_measure().mass == pytest.approx([1 / 3, 2 / 3])
+    assert CycleSystem(bundle).occupation_measure().mass == pytest.approx([1 / 3, 2 / 3])
     one = validate_chain([[1.0]])
     b1 = verify_bundle(one, [0.0], [0.0], [0.0], [0], 1)
-    assert CycleSystem(one, b1).occupation_measure().mass == pytest.approx([1.0])
+    assert CycleSystem(b1).occupation_measure().mass == pytest.approx([1.0])
 
 
 def test_occupation_measure_three_cycle_uniform():
@@ -134,7 +132,7 @@ def test_occupation_measure_three_cycle_uniform():
     _, v1 = hitting(chain, [0], [1, 0, 0])
     _, v2 = hitting(chain, [0], np.ones(3))
     bundle = verify_bundle(chain, [1, 0, 0], v1, v2, [0], 3)
-    assert CycleSystem(chain, bundle).occupation_measure().mass == pytest.approx([1 / 3] * 3)
+    assert CycleSystem(bundle).occupation_measure().mass == pytest.approx([1 / 3] * 3)
 
 
 def test_exact_marginal_examples(chain):
@@ -148,7 +146,7 @@ def test_exact_marginal_examples(chain):
 def test_bridge_sums_zero_for_one_step(chain):
     # at m = 1 there is no bridge: the block charge is h itself on C
     h = np.array([1.0, 2.0])
-    system = CycleSystem(chain, minorize(chain, [0], 1))
+    system = CycleSystem(minorize(chain, [0], 1))
     assert np.array_equal(system.B @ h, h[[0]])
 
 
@@ -158,7 +156,7 @@ def test_bridge_sums_match_path_enumeration(chain):
     small = minorize(chain, [0, 1], 2)
     assert 0.0 < small.lam < 1.0
     h = np.array([0.7, -0.2])
-    system = CycleSystem(chain, small)
+    system = CycleSystem(small)
     P = chain.kernel
     P2 = P @ P
     Q = system.Q
@@ -175,12 +173,9 @@ def test_inconsistent_certificate_rejected():
     flip = validate_chain([[0.0, 1.0], [1.0, 0.0]])
     # lambda small enough to pass the minorization tolerance while phi
     # keeps real mass on an endpoint that one step cannot reach
-    tiny = SmallSetCertificate(
-        C=(0,), m=1, lam=1e-8, phi=Distribution(mass=[1e-5, 1.0 - 1e-5])
-    )
-    tiny.verify(flip)
+    tiny = SmallSetCertificate(flip, (0,), 1, 1e-8, Distribution(mass=[1e-5, 1.0 - 1e-5]))
     with pytest.raises(InconsistentCertificate):
-        CycleSystem(flip, tiny)
+        CycleSystem(tiny)
 
 
 def test_cycle_system_factors_one_matrix(monkeypatch):
@@ -200,7 +195,7 @@ def test_cycle_system_factors_one_matrix(monkeypatch):
         return original(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    CycleSystem(chain, small)
+    CycleSystem(small)
     assert shapes == [(6, 6)]
 
 
@@ -217,7 +212,7 @@ def test_singular_system_guard():
 
 def test_charge_shape_mismatch_rejected(chain, bundle):
     with pytest.raises(ValueError):
-        CycleSystem(chain, bundle).solve([1.0, 2.0, 3.0])
+        CycleSystem(bundle).solve([1.0, 2.0, 3.0])
 
 
 def test_poisson_residual_small_random_sweep():
@@ -230,7 +225,7 @@ def test_poisson_residual_small_random_sweep():
         _, v1 = hitting(chain, C, f)
         _, v2 = hitting(chain, C, np.ones(n))
         bundle = verify_bundle(chain, f, v1, v2, C, int(rng.integers(1, 4)))
-        g = CycleSystem(chain, bundle).canonical_solution(f)
+        g = CycleSystem(bundle).canonical_solution(f)
         from markov_poisson.chain import stationary
 
         f_c = f - stationary(chain).mass @ f
@@ -273,9 +268,9 @@ def test_atom_solution_shifted_by_phi_average_is_gstar(suite):
             continue
         for a in range(inst.chain.n):
             atom = SmallSetCertificate(
-                C=(a,), m=1, lam=1.0, phi=Distribution(mass=inst.chain.kernel[a])
+                inst.chain, (a,), 1, 1.0, Distribution(mass=inst.chain.kernel[a])
             )
-            g_a = CycleSystem(inst.chain, atom).canonical_solution(inst.f)
+            g_a = CycleSystem(atom).canonical_solution(inst.f)
             shifted = g_a - float(inst.bundle.phi.mass @ g_a)
             assert np.max(np.abs(shifted - inst.g_star)) <= 1e-12, (inst.name, a)
             pairs += 1
