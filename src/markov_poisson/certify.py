@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ATOL, Distribution, FiniteChain, values_of
+from .chain import ATOL, Distribution, FiniteChain, _complement, values_of
 from .errors import (
     DriftViolation,
     EmptyMinorization,
@@ -121,7 +121,7 @@ def verify_drift(chain: FiniteChain, v, f, C) -> tuple[np.ndarray, float]:
         raise NegativityViolation(f"f has negative entry {f.min():.3e}")
     C = _check_subset(C, chain.n)
     residual = chain.kernel @ v - v + f  # must be <= 0 off C, <= b on C
-    outside = np.setdiff1d(np.arange(chain.n), C, assume_unique=True)
+    outside = _complement(chain.n, C)
     bad = outside[residual[outside] > ATOL]
     if bad.size:
         raise DriftViolation(bad.tolist(), residual[bad].tolist())

@@ -138,6 +138,13 @@ def validate_chain(kernel) -> FiniteChain:
     return FiniteChain(n=n, kernel=P)
 
 
+def _complement(n: int, states) -> np.ndarray:
+    """The states 0..n-1 not in ``states``, as sorted intp indices."""
+    keep = np.ones(n, dtype=bool)
+    keep[list(states)] = False
+    return np.flatnonzero(keep)
+
+
 def stationary(chain: FiniteChain) -> Distribution:
     """Unique stationary distribution of a chain with one recurrent class.
 
@@ -148,7 +155,7 @@ def stationary(chain: FiniteChain) -> Distribution:
     deliberately avoided: n is small by design and periodic kernels do
     not converge under it.
     """
-    rec = np.setdiff1d(np.arange(chain.n), chain.cyclic.transient)
+    rec = _complement(chain.n, chain.cyclic.transient)
     Pr = chain.kernel[np.ix_(rec, rec)]
     k = rec.size
     A = Pr.T - np.eye(k)

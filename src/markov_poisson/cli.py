@@ -17,6 +17,11 @@ ToolkitError, reported as the ``error`` entry plus a failed
 cannot be read or parsed, an option out of range), reported as
 ``command``, ``error`` and ``passed`` alone. Every report goes to --out
 once that file has opened, and to stdout otherwise.
+
+One process builds the parser once (:func:`build_parser` is cached), so
+an in-process call pays only for its own command. :func:`main` carries
+nothing else from one call to the next: parsing returns a fresh
+namespace, and the queue defaults the parser holds are only read.
 """
 
 from __future__ import annotations
@@ -418,7 +423,9 @@ def cmd_gig1(args):
     return inputs, "certificate_built", body
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="markov-poisson",
         description="Certificates, exact solutions, bounds, and regenerative "

@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import SmallSetCertificate
-from .chain import Distribution, FiniteChain, _bfs_levels, values_of
+from .certify import SmallSetCertificate, _check_subset
+from .chain import Distribution, FiniteChain, _bfs_levels, _complement, values_of
 from .errors import (
     InconsistentCertificate,
     InvariantViolation,
@@ -114,11 +114,12 @@ def hitting(chain: FiniteChain, C, h=None):
         E_x sum_{j<T_1} h(X_j) when a charge h is given (zero on C).
 
     Both solve I - P on the states outside C, with C as absorbing
-    boundary. Raises Unreachable if some state cannot reach C.
+    boundary. Raises ValueError if C is empty or names a state outside
+    0..n-1, and Unreachable if some state cannot reach C.
     """
-    C = tuple(sorted({int(x) for x in C}))
+    C = _check_subset(C, chain.n)
     _reach_check(chain, C)
-    outside = np.setdiff1d(np.arange(chain.n), C, assume_unique=True)
+    outside = _complement(chain.n, C)
     # rows for x in C are point masses
     H = np.zeros((chain.n, len(C)))
     H[list(C), np.arange(len(C))] = 1.0

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from markov_poisson.chain import (
     Distribution,
+    _complement,
     cyclic_decomposition,
     kernel_powers,
     stationary,
@@ -238,3 +239,20 @@ def test_cyclic_decomposition_matches_strong_components(periods, n_transient, se
     first = min(min(cls) for cls in block)
     shift = next(i for i, cls in enumerate(block) if first in cls)
     assert [set(cls) for cls in decomp.classes] == block[shift:] + block[:shift]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 30).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), unique=True, max_size=n))))
+# the small set may be every state (an empty complement), and a chain with
+# no transient states passes transient = ()
+@example((1, [0]))
+@example((7, [6, 2, 0, 5, 1, 3, 4]))
+@example((7, []))
+def test_complement_matches_setdiff1d(case):
+    n, states = case
+    for given_as in (tuple(states), tuple(sorted(states)), list(states)):
+        got = _complement(n, given_as)
+        want = np.setdiff1d(np.arange(n), np.asarray(given_as, dtype=int), assume_unique=True)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)

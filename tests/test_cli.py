@@ -200,6 +200,31 @@ def test_gig1_simulate_mode(capsys):
         assert simulated[key] == certificate[key], key
 
 
+def test_calls_in_one_process_stay_independent(capsys):
+    # one process builds the parser once; an option given to one call, or
+    # a call refused by the parser, leaves nothing behind for the next
+    assert build_parser() is build_parser()
+    code, out = run_cli(capsys, "gig1", "--family", "logistic", "--kappa", "2", "--seed", "5")
+    assert code == 0
+    assert json.loads(out)["inputs"]["family"] == "logistic"
+    code, out = run_cli(capsys, "gig1", "--kappa", "2")
+    echoed = json.loads(out)["inputs"]
+    assert (echoed["family"], echoed["seed"]) == ("normal", 0)
+
+    run_cli(capsys, "simulate", "--gig1", "--kappa", "1.5", "--x0", "0", "--cycles", "10")
+    code, out = run_cli(capsys, "simulate", "--gig1", "--x0", "0", "--cycles", "10")
+    assert json.loads(out)["inputs"]["gig1"]["kappa"] == 2.0
+
+    verify = ["verify", "--spec", str(BUNDLED_SPEC)]
+    before = run_cli(capsys, *verify)
+    assert before[0] == 0
+    with pytest.raises(SystemExit) as refused:
+        main(["simulate"])
+    assert refused.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *verify) == before
+
+
 def test_inputs_echo_round_trips(capsys):
     code, out = run_cli(capsys, "solve", "--spec", str(BUNDLED_SPEC))
     assert code == 0

@@ -199,6 +199,27 @@ def test_cycle_system_factors_one_matrix(monkeypatch):
     assert shapes == [(6, 6)]
 
 
+def test_hitting_on_every_state_solves_nothing(monkeypatch):
+    # C = every state leaves no state outside C: point masses, a zero
+    # charge sum and no factorization
+    from markov_poisson import split
+
+    factored = []
+    monkeypatch.setattr(split, "_lu", lambda A: factored.append(A.shape))
+    chain = validate_chain(np.random.default_rng(11).dirichlet(np.ones(4), size=4))
+    H, u = hitting(chain, [3, 1, 0, 2], [1.0, 2.0, 3.0, 4.0])
+    assert factored == []
+    assert np.array_equal(H, np.eye(4))
+    assert np.array_equal(u, np.zeros(4))
+
+
+@pytest.mark.parametrize("C", [[], [-1], [4], [0, 4]])
+def test_hitting_refuses_a_set_outside_the_states(C):
+    chain = validate_chain(np.random.default_rng(11).dirichlet(np.ones(4), size=4))
+    with pytest.raises(ValueError):
+        hitting(chain, C, np.ones(4))
+
+
 def test_singular_system_guard():
     import warnings
 
