@@ -20,15 +20,15 @@ import numpy as np
 
 from markov_poisson import (
     GIG1Model,
+    Increment,
     bound_curves,
     build_certificate,
-    increment_family,
     mc_validate,
 )
 from markov_poisson.gig1 import drift_spot_check
 
 # ---- comfortable margin: build, bound, and simulate -----------------------
-model = GIG1Model(increment=increment_family("normal", -0.5, 1.0), kappa=2.0)
+model = GIG1Model(increment=Increment("normal", -0.5, 1.0), kappa=2.0)
 cert = build_certificate(model)
 print("kappa = 2.0")
 print(f"  small set C = [0, {cert.x0}]   lambda = {cert.lam:.6f}   b1 = b2 = {cert.b1:.6f}")
@@ -60,7 +60,7 @@ for row in report["points"]:
           f"   inside={row['inside']}")
 
 # ---- thin margin: regenerate at the atom {0} ------------------------------
-model = GIG1Model(increment=increment_family("normal", -0.5, 1.0), kappa=1.1)
+model = GIG1Model(increment=Increment("normal", -0.5, 1.0), kappa=1.1)
 cert = build_certificate(model)
 curves = bound_curves(cert, xs)
 print("\nkappa = 1.1")

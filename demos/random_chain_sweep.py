@@ -17,6 +17,7 @@ from markov_poisson import (
     validate_chain,
     verify_bundle,
 )
+from markov_poisson.bounds import cycle_bound
 
 rng = np.random.default_rng(7)
 
@@ -48,10 +49,10 @@ for trial in range(15):
 
 print("\ncycle-sum bounds on the last instance:")
 G_f, tau = system.solve(f), system.tau
-cap = bundle.v1 + bundle.b1 * bundle.m / bundle.lam
+cap = cycle_bound(bundle.v1, bundle.b1, bundle.m, bundle.lam)
 print("  E_x sum f  <= v1 + b1*m/lambda :",
       np.all(G_f <= cap), f"(worst slack {np.min(cap - G_f):.3g})")
-cap_tau = bundle.v2 + bundle.b2 * bundle.m / bundle.lam
+cap_tau = cycle_bound(bundle.v2, bundle.b2, bundle.m, bundle.lam)
 print("  E_x tau    <= v2 + b2*m/lambda :",
       np.all(tau <= cap_tau), f"(worst slack {np.min(cap_tau - tau):.3g})")
 print("  from phi   :", float(system.phi @ G_f), "<=", report.delta1, "and",

@@ -9,7 +9,7 @@ other public name is imported from its own module (``markov_poisson.bounds``,
 from .bounds import finite_bound_report
 from .certify import verify_bundle, verify_potential
 from .chain import validate_chain
-from .gig1 import GIG1Model, bound_curves, build_certificate, increment_family, mc_validate
+from .gig1 import GIG1Model, Increment, bound_curves, build_certificate, mc_validate
 from .mc import FiniteChainSampler, gstar_from_cycles, pif_from_cycles, run_cycles
 from .potential import truncated_potential, verify_truncation_gap
 from .split import CycleSystem, hitting
@@ -20,12 +20,12 @@ __all__ = [
     "CycleSystem",
     "FiniteChainSampler",
     "GIG1Model",
+    "Increment",
     "bound_curves",
     "build_certificate",
     "finite_bound_report",
     "gstar_from_cycles",
     "hitting",
-    "increment_family",
     "mc_validate",
     "pif_from_cycles",
     "run_cycles",

@@ -282,7 +282,7 @@ def _gig1_model(args) -> tuple[_gig1.GIG1Model, dict]:
     queue = {**args.queue_defaults, **_queue_options_given(args)}
     try:
         model = _gig1.GIG1Model(
-            increment=_gig1.increment_family(queue["family"], queue["mu"], queue["sigma"]),
+            increment=_gig1.Increment(queue["family"], queue["mu"], queue["sigma"]),
             kappa=queue["kappa"],
             step=queue["grid_step"],
         )

@@ -44,6 +44,7 @@ as g_a - phi(g_a) from the atom scheme's solution g_a.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -107,12 +108,20 @@ class Increment:
     scipy.stats 1.17, so every value, ppf(0) = -inf and ppf(1) = inf
     included, is the float its frozen law gives. scipy.special is imported
     on first use, so the package import that every command pays leaves it
-    out. :func:`increment_family` checks the arguments.
+    out. Construction checks the arguments and raises ValueError.
     """
 
     family: str
     loc: float
     scale: float
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown increment family {self.family!r}; choose from {FAMILIES}")
+        if not (math.isfinite(self.loc) and math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(
+                f"location must be finite and scale finite and > 0, got {self.loc}, {self.scale}"
+            )
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -157,29 +166,16 @@ class Increment:
         return mu2 * self.scale * self.scale
 
 
-def increment_family(family: str, loc: float, scale: float) -> Increment:
-    """The increment law of a family name, with its arguments checked."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown increment family {family!r}; choose from {FAMILIES}")
-    if not (math.isfinite(loc) and math.isfinite(scale) and scale > 0):
-        raise ValueError(f"location must be finite and scale finite and > 0, got {loc}, {scale}")
-    return Increment(family, loc, scale)
-
-
 @dataclass(frozen=True)
 class GIG1Model:
     """Increment law, drift margin parameter, and quadrature resolution.
 
-    ``increment`` is an :class:`Increment`, from :func:`increment_family`
-    (its pdf is the increment density h_Z). The quadrature grid uses
-    spacing ``step`` and truncates the increment support at mean +-
-    TAIL_SIGMAS standard deviations. The truncated density's mass is
-    checked on construction, except when the drift-margin grid would hold
-    more than MAX_GRID_POINTS points: ``build_certificate`` refuses that
-    model, and the increment grid at that step may not fit in memory.
+    ``increment`` is an :class:`Increment` (its pdf is the increment
+    density h_Z). Construction checks the arguments and evaluates no
+    density. The increment ``lattice`` is built on first use and kept.
     ``pv1`` and ``drift_margin`` take any points, at a cost of the points
-    times the increment grid; ``build_certificate`` gets the same sums on
-    its drift grid, which shares the step, by one correlation.
+    times the lattice; ``build_certificate`` gets the same sums on its
+    drift grid, which shares the step, by one correlation.
     """
 
     increment: Increment
@@ -198,14 +194,24 @@ class GIG1Model:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
         object.__setattr__(self, "_mean", mean)
         object.__setattr__(self, "_sd", math.sqrt(var))
-        if not self.drift_grid_end() / self.step <= MAX_GRID_POINTS:
-            return  # build_certificate refuses the model before any grid is made
-        zs = self.z_grid()
-        mass = np.trapezoid(self.increment.pdf(zs), zs)
+
+    @functools.cached_property
+    def lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """The increment grid z (step ``step``, mean +- TAIL_SIGMAS sd) and h_Z on it, read-only.
+
+        Raises QuadratureFailure when the trapezoid mass of h_Z deviates from 1 beyond MASS_TOL.
+        """
+        half = TAIL_SIGMAS * self._sd
+        zs = np.arange(self._mean - half, self._mean + half + self.step, self.step)
+        hz = self.increment.pdf(zs)
+        mass = np.trapezoid(hz, zs)
         if abs(mass - 1.0) > MASS_TOL:
             raise QuadratureFailure(
                 f"truncated density mass {mass:.8f} deviates from 1 beyond {MASS_TOL}"
             )
+        zs.flags.writeable = False
+        hz.flags.writeable = False
+        return zs, hz
 
     @property
     def c1(self) -> float:
@@ -213,11 +219,6 @@ class GIG1Model:
 
     def v1(self, x):
         return np.maximum(self.c1 * np.square(x), 1.0)
-
-    def z_grid(self) -> np.ndarray:
-        lo = self._mean - TAIL_SIGMAS * self._sd
-        hi = self._mean + TAIL_SIGMAS * self._sd
-        return np.arange(lo, hi + self.step, self.step)
 
     def drift_grid_end(self) -> float:
         """End of the drift-margin grid: the horizon, HORIZON_PAD and one step."""
@@ -232,8 +233,7 @@ class GIG1Model:
     def pv1(self, xs: np.ndarray) -> np.ndarray:
         """(Pv1)(x) = E v1(max(x + Z, 0)) on a grid of x, by quadrature."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        zs = self.z_grid()
-        hz = self.increment.pdf(zs)
+        zs, hz = self.lattice
         out = np.empty(xs.size)
         block = max(1, int(2_000_000 / zs.size))
         for lo in range(0, xs.size, block):
@@ -299,7 +299,9 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
     when the grid's end or a drift margin overflows (checked before the
     scan) or when x0, b1, lam or phi(v1) is not finite, and SearchExhausted
     when the margin is still negative at the end of the grid, or when the
-    grid would hold more than MAX_GRID_POINTS points.
+    grid would hold more than MAX_GRID_POINTS points (before the model's
+    lattice is built); QuadratureFailure when the lattice's mass check
+    fails or the minorizing measure has zero mass.
     """
     end = model.drift_grid_end()
     if not math.isfinite(end):
@@ -311,11 +313,11 @@ def build_certificate(model: GIG1Model) -> GIG1Certificate:
         )
     s = model.step
     xs = np.arange(0.0, end, s)
-    zs = model.z_grid()
+    zs, hz = model.lattice
     # x_i + z_k = z_0 + (i + k) s, so (Pv1)(x_i) = sum_k t_k w_{i+k}: one
     # correlation of the lattice values w with the trapezoid-weighted density t
     dz = np.diff(zs)
-    t = model.increment.pdf(zs) * (np.pad(dz, (0, 1)) + np.pad(dz, (1, 0))) / 2.0
+    t = hz * (np.pad(dz, (0, 1)) + np.pad(dz, (1, 0))) / 2.0
     w = model.v1(np.maximum(zs[0] + np.arange(xs.size + zs.size - 1) * s, 0.0))
     margin = model.v1(xs) - np.maximum(xs, 1.0) - np.correlate(w, t, "valid")
     if not np.all(np.isfinite(margin)):
@@ -393,24 +395,25 @@ class QueueSampler:
     """Batched Lindley-recursion sampler of a certificate's queue, with a regeneration scheme.
 
     Increments are drawn as ``ppf(u)`` of the :class:`Increment` of the
-    certificate's model, and the minorizing measure is read from the
-    certificate. With the certificate's scheme (the default), C = [0, x0],
-    lam is the certificate's and phi is sampled by inverse CDF on its
-    quadrature representation (atom at 0 plus a piecewise-linear density
-    CDF). The residual kernel Q is sampled by rejection: propose a one-step
-    transition from x and accept with probability 1 - psi(y)/p(x, y),
-    where psi is the unnormalized minorizing measure; acceptance happens
-    with overall probability 1 - lam, which is exactly the
-    Q-normalization. With ``at_atom=True`` the same chain regenerates at
-    its atom: C = {0}, lam = 1 and phi = P(0, .).
+    certificate's model. The certificate gives the minorizing measure and
+    sets the scheme, ``regeneration`` (see :func:`mc_validate`). On the
+    split chain C = [0, x0], lam is the certificate's and phi is sampled by
+    inverse CDF on its quadrature representation (atom at 0 plus a
+    piecewise-linear density CDF). The residual kernel Q is sampled by
+    rejection: propose a one-step transition from x and accept with
+    probability 1 - psi(y)/p(x, y), where psi is the unnormalized
+    minorizing measure; acceptance happens with overall probability
+    1 - lam, which is exactly the Q-normalization. On the atom scheme the
+    chain regenerates at its atom: C = {0}, lam = 1 and phi = P(0, .).
     """
 
     dtype = float
     m = 1
 
-    def __init__(self, cert: GIG1Certificate, at_atom: bool = False):
+    def __init__(self, cert: GIG1Certificate):
         self.cert = cert
-        self.at_atom = at_atom
+        at_atom = cert.m / cert.lam > SPLIT_MAX_CYCLE
+        self.regeneration = "atom" if at_atom else "split"
         self.x0 = 0.0 if at_atom else cert.x0
         self.lam = 1.0 if at_atom else cert.lam
         self._increment = cert.model.increment
@@ -430,7 +433,7 @@ class QueueSampler:
         return np.where(w > 0.0, w, 0.0)
 
     def sample_phi(self, streams, lanes):
-        if self.at_atom:
+        if self.regeneration == "atom":
             return self.step(np.zeros(lanes.size), streams, lanes)
         return self.sample_certificate_phi(streams, lanes)
 
@@ -440,10 +443,8 @@ class QueueSampler:
         return np.where(u < self.cert.phi_atom(), 0.0, np.interp(u, self._phi_cum, self.cert.ys))
 
     def _psi(self, y: np.ndarray) -> np.ndarray:
-        """Unnormalized minorizing density at y > 0 (0 beyond the grid)."""
-        ys = self.cert.ys
-        inside = (y > 0.0) & (y < ys[-1])
-        return np.where(inside, np.interp(y, ys, self.cert.density), 0.0)
+        """Unnormalized minorizing density at y > 0; 0 off ``ys``, where lam has no mass."""
+        return np.interp(y, self.cert.ys, self.cert.density, left=0.0, right=0.0)
 
     def sample_residual(self, x, streams, lanes, budget):
         y = np.empty(x.size)
@@ -511,12 +512,11 @@ def mc_validate(
     for x, lower in zip(x_list, lowers):
         if not math.isfinite(lower):
             raise NonFiniteResult(f"the lower envelope -b1 (v1(x) + b1/lam) at x = {x} overflows")
-    regeneration = "split" if cert.m / cert.lam <= SPLIT_MAX_CYCLE else "atom"
-    sc = QueueSampler(cert, at_atom=regeneration == "atom")
+    sc = QueueSampler(cert)
     # pi(f) from phi, g* (g_a on the atom scheme) from each x and, on the
     # atom scheme, the same cycles with starts drawn from the certificate's phi
     starts = [None, *x_list]
-    if regeneration == "atom":
+    if sc.regeneration == "atom":
         starts.append(sc.sample_certificate_phi)
     sums, lengths = (
         a.reshape(len(starts), n_cycles)
@@ -525,7 +525,7 @@ def mc_validate(
     pif = pif_from_cycles(sums[0], lengths[0])
     estimates = [gstar_from_cycles(s, t, pif.point) for s, t in zip(sums[1:], lengths[1:])]
     points = [(e.point, e.std_error) for e in estimates]
-    if regeneration == "atom":
+    if sc.regeneration == "atom":
         phi = estimates.pop()
         points = [
             (e.point - phi.point, math.sqrt(
@@ -550,7 +550,7 @@ def mc_validate(
             }
         )
     return {
-        "regeneration": regeneration,
+        "regeneration": sc.regeneration,
         "pi_f": {"estimate": pif.point, "std_error": pif.std_error},
         "n_cycles": n_cycles,
         "seed": master_seed,

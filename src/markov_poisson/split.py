@@ -103,15 +103,15 @@ def _reach_check(chain: FiniteChain, C: tuple) -> None:
         raise Unreachable(int(unreached[0]))
 
 
-def hitting(chain: FiniteChain, C, h=None):
-    """First-hit distribution on C and optional pre-hit charge sums.
+def hitting(chain: FiniteChain, C, h):
+    """First-hit distribution on C and pre-hit sums of the charge h.
 
     Returns
     -------
     H : (n, |C|) ndarray
         H(x, w) = P_x(X_{T_1} = w) with T_1 = inf{n >= 0 : X_n in C}.
-    u : (n,) ndarray or None
-        E_x sum_{j<T_1} h(X_j) when a charge h is given (zero on C).
+    u : (n,) ndarray
+        E_x sum_{j<T_1} h(X_j) (zero on C).
 
     Both solve I - P on the states outside C, with C as absorbing
     boundary. Raises ValueError if C is empty or names a state outside
@@ -123,8 +123,8 @@ def hitting(chain: FiniteChain, C, h=None):
     # rows for x in C are point masses
     H = np.zeros((chain.n, len(C)))
     H[list(C), np.arange(len(C))] = 1.0
-    h = None if h is None else values_of(h, chain.n)
-    u = None if h is None else np.zeros(chain.n)
+    h = values_of(h, chain.n)
+    u = np.zeros(chain.n)
     if outside.size:
         P = chain.kernel
         A = np.eye(outside.size) - P[np.ix_(outside, outside)]
@@ -138,8 +138,7 @@ def hitting(chain: FiniteChain, C, h=None):
             return x
 
         H[outside, :] = solve(P[np.ix_(outside, list(C))])
-        if u is not None:
-            u[outside] = solve(h[outside])
+        u[outside] = solve(h[outside])
     return H, u
 
 

@@ -27,9 +27,9 @@ from markov_poisson.bounds import envelope_comparison
 from markov_poisson.errors import MaxStepsExceeded
 from markov_poisson.gig1 import (
     GIG1Model,
+    Increment,
     build_certificate,
     drift_spot_check,
-    increment_family,
     mc_validate,
 )
 from markov_poisson.mc import FiniteChainSampler, run_cycles
@@ -226,7 +226,7 @@ def test_a09_two_state_monte_carlo(two_state):
 def test_a10_queueing_example():
     t0 = time.perf_counter()
     failures = []
-    model = GIG1Model(increment=increment_family("normal", -0.5, 1.0), kappa=1.1)
+    model = GIG1Model(increment=Increment("normal", -0.5, 1.0), kappa=1.1)
     cert = build_certificate(model)
     spot = drift_spot_check(cert, 100, np.random.default_rng(2))
     if spot > 1e-6:

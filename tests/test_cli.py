@@ -544,8 +544,9 @@ def test_gig1_curve_grid_out_of_range_is_an_input_error(capsys, option):
 
 
 def test_errors_before_any_report_exit_2(tmp_path, capsys):
-    # a kernel that fails validation and a quadrature that misses its mass
-    # check are rejected with their own codes, not with a traceback
+    # a kernel that fails validation is an input error, and a quadrature
+    # that misses its mass check is a failed computation: each is rejected
+    # with its own code, not with a traceback
     doc = json.loads(BUNDLED_SPEC.read_text())
     doc["kernel"][0] = [0.5, 0.4]
     bad = tmp_path / "row.json"
@@ -553,7 +554,37 @@ def test_errors_before_any_report_exit_2(tmp_path, capsys):
     code, out = run_cli(capsys, "potential", "--spec", str(bad))
     assert (code, json.loads(out)["error"]["code"]) == (2, "row-sum-violation")
     code, out = run_cli(capsys, "gig1", "--family", "laplace")
-    assert (code, json.loads(out)["error"]["code"]) == (2, "quadrature-failure")
+    report = json.loads(out)
+    assert (code, report["error"]["code"]) == (1, "quadrature-failure")
+    assert [a["name"] for a in report["assertions"]] == ["certificate_built"]
+
+
+@pytest.mark.parametrize(
+    "argv, failure_name",
+    [(["solve"], "solve_completed"),
+     (["simulate", "--x0", "0", "--cycles", "10"], "simulation_completed")],
+    ids=["solve", "simulate"],
+)
+def test_lambda_a_rounding_below_one_is_a_negative_residual(tmp_path, capsys, argv,
+                                                            failure_name):
+    # three identical rows, C every state, m = 3 and phi = P^3(0, .): at
+    # lambda = nextafter(1, 0) every entry of P^3 - lambda phi rounds to 0,
+    # so the residual rows have no mass left to normalize
+    from markov_poisson.chain import validate_chain
+
+    row = [0.32659861550674013, 0.25049337513525005, 0.42290800935800976]
+    phi = validate_chain(np.array([row] * 3)).powers(3)[3][0]
+    doc = {"states": 3, "kernel": [row] * 3,
+           "functions": {"f": [1.0, 0.0, 0.0], "v1": [2.0] * 3, "v2": [2.0] * 3},
+           "small_set": {"C": [0, 1, 2], "m": 3, "lambda": float(np.nextafter(1.0, 0.0)),
+                         "phi": phi.tolist()}}
+    spec = tmp_path / "near_one.json"
+    spec.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, argv[0], "--spec", str(spec), *argv[1:])
+    report = json.loads(out)
+    assert (code, report["error"]["code"]) == (1, "negative-residual")
+    failed = [a["name"] for a in report["assertions"] if not a["passed"]]
+    assert failed == [failure_name]
 
 
 def _count_calls(monkeypatch, name):

@@ -144,9 +144,7 @@ def test_one_system_matches_the_first_hit_decomposition(case):
     G = system.solve(X)
     for j in range(3):
         H, u = hitting(chain, small.C, X[:, j])
-        core = np.eye(n)
-        if system.Q is not None:
-            core -= (1.0 - small.lam) * H @ system.Q
+        core = np.eye(n) - (1.0 - small.lam) * H @ system.Q
         oracle = np.linalg.solve(core, u + H @ (system.B @ X[:, j]))
         assert np.max(np.abs(G[:, j] - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(G)))
 

@@ -10,16 +10,16 @@ from markov_poisson.errors import MaxStepsExceeded, QuadratureFailure, SearchExh
 from markov_poisson.gig1 import (
     SPLIT_MAX_CYCLE,
     GIG1Model,
+    Increment,
     QueueSampler,
     bound_curves,
     build_certificate,
     drift_spot_check,
-    increment_family,
     mc_validate,
 )
 from markov_poisson.mc import CycleStreams, pif_from_cycles, run_cycles
 
-STANDARD = dict(increment=increment_family("normal", -0.5, 1.0))
+STANDARD = dict(increment=Increment("normal", -0.5, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +36,16 @@ def cert_roomy():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        GIG1Model(increment=increment_family("normal", 0.5, 1.0), kappa=2.0)
+        GIG1Model(increment=Increment("normal", 0.5, 1.0), kappa=2.0)
     for bad in (1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="kappa"):
             GIG1Model(kappa=bad, **STANDARD)
     # at the default step the trapezoid rule gives the laplace density,
-    # kinked at its mode, mass 0.99999745: outside MASS_TOL
-    with pytest.raises(QuadratureFailure):
-        GIG1Model(increment=increment_family("laplace", -0.5, 1.0), kappa=2.0)
+    # kinked at its mode, mass 0.99999745: outside MASS_TOL. The model
+    # holds its arguments; the lattice, built on first use, is refused
+    model = GIG1Model(increment=Increment("laplace", -0.5, 1.0), kappa=2.0)
+    with pytest.raises(QuadratureFailure, match="truncated density mass 0.99999745"):
+        build_certificate(model)
     for bad in (0.0, -0.01, np.nan, np.inf):
         with pytest.raises(ValueError, match="step"):
             GIG1Model(kappa=2.0, step=bad, **STANDARD)
@@ -92,7 +94,7 @@ def test_stronger_drift_shrinks_small_set():
     # monotone on this family: the margin threshold behaves like
     # (|mu| + 1/|mu|)/2 here, decreasing while |mu| stays below 1
     x0s = [
-        build_certificate(GIG1Model(increment=increment_family("normal", mu, 1.0), kappa=2.0)).x0
+        build_certificate(GIG1Model(increment=Increment("normal", mu, 1.0), kappa=2.0)).x0
         for mu in (-0.5, -0.6, -0.75)
     ]
     assert x0s[0] >= x0s[1] >= x0s[2]
@@ -129,7 +131,7 @@ def test_certificate_matches_the_grid_reference(family, kappa, step):
     # the certificate's one correlation and its density read at the two
     # ends of C against the general pv1 and the infimum over every grid
     # point of C
-    model = GIG1Model(increment=increment_family(family, -0.5, 1.0), kappa=kappa, step=step)
+    model = GIG1Model(increment=Increment(family, -0.5, 1.0), kappa=kappa, step=step)
     cert = build_certificate(model)
     xs = np.arange(0.0, model.drift_grid_end(), step)
     margin = model.drift_margin(xs)
@@ -248,14 +250,15 @@ def test_atom_regeneration_matches_split_chain(cert_roomy, monkeypatch):
     cert = cert_roomy
     xs = [0.0, 1.0, 2.0, 5.0, 10.0]
     n = 5000
-    # mc_validate keeps this certificate on the split chain (m/lam ~ 5); a
-    # zero threshold sends it to the atom scheme
+    # the certificate sets the sampler's scheme: the split chain (m/lam ~ 5)
+    sc = QueueSampler(cert)
+    assert sc.regeneration == "split"
+    blocks = [a.reshape(len(xs) + 1, n) for a in run_cycles(sc, [None, *xs], n, master_seed=42)]
+    # a zero threshold sends the same certificate to the atom scheme
     monkeypatch.setattr(gig1, "SPLIT_MAX_CYCLE", 0.0)
     report = mc_validate(cert, xs, n, 41, workers=1, max_steps=10**8)
     assert report["regeneration"] == "atom"
     points = [(row["estimate"], row["std_error"]) for row in report["points"]]
-    sc = QueueSampler(cert)
-    blocks = [a.reshape(len(xs) + 1, n) for a in run_cycles(sc, [None, *xs], n, master_seed=42)]
     sums, lengths = blocks[0][0], blocks[1][0]
     pi_f = sums.sum() / lengths.sum()
     pi_se = (sums - pi_f * lengths).std(ddof=1) / (lengths.mean() * np.sqrt(n))
@@ -304,17 +307,21 @@ def test_mc_pif_matches_long_run_average(cert_roomy):
     assert abs(est.point - longrun) <= 5 * est.std_error + 0.02
 
 
-def test_non_normal_family_pipeline():
+def test_non_normal_family_pipeline(monkeypatch):
     # the quadrature and the generic inverse-CDF sampler handle any
     # continuous positive density; laplace exercises the fallback path
     # (its kink needs a finer grid to clear the mass tolerance)
-    model = GIG1Model(increment=increment_family("laplace", -0.5, 1.0), kappa=2.0, step=0.004)
+    model = GIG1Model(increment=Increment("laplace", -0.5, 1.0), kappa=2.0, step=0.004)
     cert = build_certificate(model)
     assert 0.0 < cert.lam < 1.0
     assert cert.b1 > 0.0
     worst = drift_spot_check(cert, 50, np.random.default_rng(4))
     assert worst <= 1e-6
+    # m/lam ~ 9.4 would take the atom scheme: keep the split sampler, with
+    # its phi and its rejection residual, under test on this family
+    monkeypatch.setattr(gig1, "SPLIT_MAX_CYCLE", 2.0 * cert.m / cert.lam)
     sc = QueueSampler(cert)
+    assert sc.regeneration == "split"
     est = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=6))
     assert np.isfinite(est.point) and est.point > 0.0
 
@@ -332,7 +339,7 @@ def test_increment_gives_the_frozen_scipy_law_floats(family):
     for loc, scale in [(-0.5, 1.0), (0.0, 1.0)] + [
         (rng.uniform(-50.0, 50.0), float(np.exp(rng.uniform(-7.0, 7.0)))) for _ in range(20)
     ]:
-        ours, frozen = increment_family(family, loc, scale), SCIPY_LAWS[family](loc, scale)
+        ours, frozen = Increment(family, loc, scale), SCIPY_LAWS[family](loc, scale)
         z = np.concatenate([np.linspace(-40.0, 40.0, 801), rng.normal(0.0, 10.0, 200)])
         xs = np.concatenate([loc + frozen.std() * z, [-np.inf, np.inf, np.nan]])
         qs = np.concatenate([q_fixed, rng.uniform(size=200), np.linspace(0.0, 1.0, 257)])
@@ -350,7 +357,62 @@ def test_increment_gives_the_frozen_scipy_law_floats(family):
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        increment_family("cauchy", -0.5, 1.0)
+        Increment("cauchy", -0.5, 1.0)
+
+
+def test_increment_checks_its_arguments():
+    # a record built directly is checked as the command line's is: a
+    # misspelt family would otherwise evaluate the laplace pdf with the
+    # logistic cdf and ppf
+    with pytest.raises(ValueError, match="unknown increment family 'Normal'"):
+        Increment("Normal", -0.5, 1.0)
+    for loc in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="location must be finite"):
+            Increment("normal", loc, 1.0)
+    for scale in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="scale finite and > 0"):
+            Increment("logistic", -0.5, scale)
+
+
+def test_one_lattice_per_gig1_op(monkeypatch, capsys):
+    # h_Z is evaluated on the increment lattice once per op: the certificate's
+    # weights and the spot check's pv1 read the model's one lattice
+    from markov_poisson.cli import main
+
+    original, lattice_calls = Increment.pdf, []
+    zs = np.arange(-0.5 - gig1.TAIL_SIGMAS, -0.5 + gig1.TAIL_SIGMAS + 0.01, 0.01)
+
+    def counted(self, x):
+        x = np.asarray(x)
+        lattice_calls.append(x.shape == zs.shape and np.array_equal(x, zs))
+        return original(self, x)
+
+    monkeypatch.setattr(Increment, "pdf", counted)
+    assert main(["gig1", "--kappa", "2"]) == 0
+    capsys.readouterr()
+    assert sum(lattice_calls) == 1
+    # building a model evaluates no density
+    lattice_calls.clear()
+    GIG1Model(kappa=2.0, **STANDARD)
+    assert lattice_calls == []
+
+
+def test_psi_lives_where_lambda_has_mass(cert_roomy):
+    # psi is the minorizing density on the certificate's grid ys and 0 off
+    # it, (0, ys[0]) included: the atom plus the integral of psi is lam, so
+    # the residual sampler removes exactly the mass that phi carries
+    cert = cert_roomy
+    psi = QueueSampler(cert)._psi
+    ys = cert.ys
+    assert ys[0] > 0.0
+    off = np.concatenate([np.linspace(0.0, ys[0], 11)[1:-1], ys[-1] + [1e-9, 0.5, 10.0]])
+    np.testing.assert_array_equal(psi(off), 0.0)
+    np.testing.assert_array_equal(psi(ys), cert.density)
+    mid = (ys[1:] + ys[:-1]) / 2.0
+    np.testing.assert_allclose(psi(mid), (cert.density[1:] + cert.density[:-1]) / 2.0,
+                               rtol=1e-12, atol=0.0)
+    # psi is linear between grid points, so the trapezoid sum on ys is its integral
+    assert cert.atom + np.trapezoid(psi(ys), ys) == pytest.approx(cert.lam, rel=1e-14, abs=0.0)
 
 
 def test_sampler_is_deterministic_per_stream(cert_roomy):
