@@ -13,7 +13,10 @@ drift margin so far that C must reach out to ~13.75, which collapses
 lambda to ~6e-12: a split-chain cycle would last ~1.6e11 steps. The
 certificate and its bound comparison remain perfectly valid, and the
 simulation regenerates at the queue's atom {0} instead, recovering the
-same g* as g_a - phi(g_a) from the atom scheme's solution g_a.
+same g* as g_a - phi(g_a) from the atom scheme's solution g_a. Both
+simulations charge the control h = f - (u - Pu) with the fluid value
+function u(x) = x^2/(2|EZ|), which keeps the estimates' means and shrinks
+their error bars.
 """
 
 import numpy as np

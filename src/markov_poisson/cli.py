@@ -140,9 +140,9 @@ def _solve_body(spec, report, checks):
         bool(np.all(G_f <= bundle.v1 + G_s + 1e-9)),
     )
     checks.check("pi_f_le_b1", pi_f <= bundle.b1 + TOL_ASSERT, pi_f)
-    if bundle.m == 1:
-        phi_g = float(bundle.phi.mass @ g)
-        checks.check("phi_gstar_zero", abs(phi_g) <= TOL_ASSERT, phi_g)
+    # phi G_{f_c} = E_phi tau * nu(f_c) and nu = pi, so phi(g*) = 0 at every m
+    phi_g = float(bundle.phi.mass @ g)
+    checks.check("phi_gstar_zero", abs(phi_g) <= TOL_ASSERT, phi_g)
 
     marg = marginal_curve(chain, f, 200)
     worst_marg = float(np.max(marg - breport.marginal_bound[None, :]))
@@ -174,7 +174,7 @@ def _solve_body(spec, report, checks):
     }
     report["bounds"] = breport.as_dict()
     report["diagnostics"] = {
-        "phi_g_star": float(bundle.phi.mass @ g),
+        "phi_g_star": phi_g,
         "poisson_residual": poisson_residual,
         "cycle_f_at_phi": G_f_at_phi,
         "expected_tau_at_phi": tau_at_phi,

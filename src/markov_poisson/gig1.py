@@ -39,7 +39,11 @@ chain while its cycles are short (m/lam <= SPLIT_MAX_CYCLE). A thinner
 drift margin (kappa nearer 1) pushes x0 out and lam towards 0, so split
 cycles grow long; the chain is then regenerated at its atom {0}, which it
 reaches from every x with probability P(Z <= -x) > 0, and g* is recovered
-as g_a - phi(g_a) from the atom scheme's solution g_a.
+as g_a - phi(g_a) from the atom scheme's solution g_a. On both schemes the
+cycles are charged with a control, h = f - (u - Pu) for the fluid value
+function u(x) = x^2 / (2 |E Z|), and each g*(x) gets u(x) - phi(u) back:
+the estimates keep their means and lose most of their variance, and each
+error bar carries pi(f)'s error.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 from .bounds import envelope_comparison, solution_envelope
 from .errors import NonFiniteResult, QuadratureFailure, SearchExhausted
-from .mc import DEFAULT_MAX_STEPS, gstar_from_cycles, pif_from_cycles, run_cycles
+from .mc import DEFAULT_MAX_STEPS, MCEstimate, gstar_from_cycles, pif_from_cycles, run_cycles
 
 #: tolerance on the truncated density mass
 MASS_TOL = 1e-6
@@ -68,12 +72,15 @@ TAIL_SIGMAS = 15.0
 HORIZON_PAD = 2.0
 
 #: largest m/lam (a lower bound on the mean split-cycle length) at which
-#: ``mc_validate`` keeps the certificate's split chain. Measured on the
-#: normal(-0.5, 1) example, 5000 cycles, three seeds, as seconds x SE^2
-#: with both standard errors carrying pi(f)'s error (seed means): at
-#: m/lam = 2.9 and 4.9 (kappa = 3, 2) the split chain is 2.3x and 1.3x
-#: cheaper at x = 0 (the atom 1.1x and 1.3x cheaper at x = 5); from
-#: m/lam = 6.5 (kappa = 1.8) on the atom is cheaper at both points.
+#: ``mc_validate`` keeps the certificate's split chain. Set at the crossover
+#: of seconds x SE^2 measured before the control, when the split chain was
+#: 1.3x cheaper at x = 0 at m/lam = 4.9 (kappa = 2) and the atom cheaper
+#: at both x = 0 and x = 5 from m/lam = 6.5 (kappa = 1.8) on. With the
+#: control (normal(-0.5, 1), 5000 cycles, seed means of three, one 2-core
+#: Intel Xeon; both standard errors carry pi(f)'s error), the atom is
+#: cheaper at m/lam = 2.9 (kappa = 3) at x = 5 (1.3x; the split chain 2.1x
+#: cheaper at x = 0), and at both points at m/lam = 4.9 (1.1x, 1.7x) and
+#: 6.5 (1.8x, 2.0x): the crossover now lies below 4.9.
 SPLIT_MAX_CYCLE = 6.0
 
 #: most points the drift-margin grid of ``build_certificate`` may hold, and
@@ -102,13 +109,15 @@ _SQRT_2PI = np.sqrt(2 * np.pi)
 class Increment:
     """An increment law of one of FAMILIES, at location ``loc`` and scale ``scale``.
 
-    Each method takes the standard law's formula on z = (x - loc)/scale,
-    divides the pdf by scale, returns quantiles as z*scale + loc and the
-    moments as mu*scale + loc and mu2*scale*scale: the arithmetic of
-    scipy.stats 1.17, so every value, ppf(0) = -inf and ppf(1) = inf
-    included, is the float its frozen law gives. scipy.special is imported
-    on first use, so the package import that every command pays leaves it
-    out. Construction checks the arguments and raises ValueError.
+    pdf, cdf, ppf, mean and var take the standard law's formula on z =
+    (x - loc)/scale, divide the pdf by scale, return quantiles as
+    z*scale + loc and the moments as mu*scale + loc and mu2*scale*scale:
+    the arithmetic of scipy.stats 1.17, so every value, ppf(0) = -inf and
+    ppf(1) = inf included, is the float its frozen law gives
+    (``lower_partial_moments`` has no scipy.stats counterpart).
+    scipy.special is imported on first use, so the package import that
+    every command pays leaves it out. Construction checks the arguments and
+    raises ValueError.
     """
 
     family: str
@@ -164,6 +173,54 @@ class Increment:
     def var(self) -> float:
         _, mu2 = _STANDARD_MOMENTS[self.family]
         return mu2 * self.scale * self.scale
+
+    def lower_partial_moments(self, t):
+        """(M0, M1, M2) with M_k = E[Z^k; Z <= t], elementwise in t.
+
+        Z = loc + scale L, and the standard law's partial moments m_k(s) =
+        E[L^k; L <= s] are closed forms in which no term cancels:
+
+        * normal, at any s: m0 = ndtr(s), m1 = -pdf(s), m2 = m0 - s pdf(s);
+        * laplace and logistic, at w = -|s| <= 0, with the complements
+          1 - m0(w), m1(w) and E L^2 - m2(w) for s > 0 (both laws are
+          symmetric): laplace m0 = e^w / 2, m1 = (w - 1) m0, m2 = (w - 1) m1
+          + m0; logistic m0 = expit(w), m1 = w m0 - sp(w) with sp(w) =
+          log1p(e^w), m2 = w^2 m0 - 2 (w sp(w) + spence(1 + e^w)), by parts
+          twice and the integral of sp from -inf to w, -spence(1 + e^w).
+
+        Far in the lower tail each M_k underflows towards 0 and keeps only
+        its absolute accuracy.
+        """
+        s = (np.asarray(t, dtype=float) - self.loc) / self.scale
+        if self.family == "normal":
+            from scipy.special import ndtr
+
+            m0 = ndtr(s)
+            with np.errstate(over="ignore"):  # s^2 = inf past 1e154: the density is 0
+                density = np.exp(-s * s / 2.0) / _SQRT_2PI
+            m1 = -density
+            m2 = m0 - s * density
+        else:
+            w = -np.abs(s)
+            if self.family == "laplace":
+                m0 = np.exp(w) / 2.0
+                m1 = (w - 1.0) * m0
+                m2 = (w - 1.0) * m1 + m0
+            else:
+                from scipy.special import expit, log1p, spence
+
+                e = np.exp(w)
+                m0 = expit(w)
+                softplus = log1p(e)
+                m1 = w * m0 - softplus
+                m2 = w * (w * m0) - 2.0 * (w * softplus + spence(1.0 + e))
+            upper = s > 0.0
+            _, second = _STANDARD_MOMENTS[self.family]
+            m0 = np.where(upper, 1.0 - m0, m0)
+            m2 = np.where(upper, second - m2, m2)
+        loc, scale = self.loc, self.scale
+        m2 = loc * loc * m0 + 2.0 * loc * scale * m1 + scale * scale * m2
+        return m0, loc * m0 + scale * m1, m2
 
 
 @dataclass(frozen=True)
@@ -405,6 +462,17 @@ class QueueSampler:
     minorizing measure; acceptance happens with overall probability
     1 - lam, which is exactly the Q-normalization. On the atom scheme the
     chain regenerates at its atom: C = {0}, lam = 1 and phi = P(0, .).
+
+    Cycles are charged with h = f - (u - Pu), not f(x) = x, where u is the
+    fluid value function u(x) = x^2 / (2 |E Z|). The x terms of f - u + Pu
+    cancel exactly and leave the bounded charge
+
+        h(x) = (E Z^2 - E[(x + Z)^2; Z <= -x]) / (2 |E Z|),
+
+    one ``Increment.lower_partial_moments`` call. ``phi_u`` is the exact
+    mean of u under the law ``sample_certificate_phi`` draws from: the atom
+    at 0 adds nothing, and a cell [a, b] of ``ys`` with phi-mass w is
+    uniform and adds w (a^2 + ab + b^2) / 3 / (2 |E Z|).
     """
 
     dtype = float
@@ -416,14 +484,25 @@ class QueueSampler:
         self.regeneration = "atom" if at_atom else "split"
         self.x0 = 0.0 if at_atom else cert.x0
         self.lam = 1.0 if at_atom else cert.lam
-        self._increment = cert.model.increment
+        self._increment = increment = cert.model.increment
         # the cumulative trapezoid sum of the density, cell by cell
         steps = np.diff(cert.ys) * (cert.density[1:] + cert.density[:-1]) / 2.0
         cum = np.concatenate(([0.0], np.cumsum(steps)))
         self._phi_cum = (cert.atom + cum) / cert.lam
+        mean = increment.mean()
+        self._fluid = 1.0 / (2.0 * abs(mean))
+        self._second_moment = increment.var() + mean * mean
+        a, b = cert.ys[:-1], cert.ys[1:]
+        self.phi_u = float(np.diff(self._phi_cum) @ (a * a + a * b + b * b)) / 3.0 * self._fluid
+
+    def u(self, x) -> np.ndarray:
+        """The control's fluid value function x^2 / (2 |E Z|)."""
+        return self._fluid * np.square(x)
 
     def charge(self, x: np.ndarray) -> np.ndarray:
-        return x
+        m0, m1, m2 = self._increment.lower_partial_moments(-x)
+        # x (x M0 + 2 M1) + M2: M0 and M1 vanish before x^2 could overflow
+        return (self._second_moment - (x * (x * m0 + 2.0 * m1) + m2)) * self._fluid
 
     def in_small_set(self, x: np.ndarray) -> np.ndarray:
         return x <= self.x0
@@ -465,6 +544,37 @@ class QueueSampler:
         return y, rejected
 
 
+def gstar_points(sums: np.ndarray, lengths: np.ndarray, offsets, centred: bool):
+    """pi(f) and each (g*(x), standard error) from the blocks of one ``run_cycles`` pass.
+
+    Row 0 of ``sums`` and ``lengths`` is the phi-started block, which gives
+    pi(f) by the ratio estimator; rows 1.. are the blocks from each x, and
+    when ``centred`` the last row is a block started from the certificate's
+    phi (the atom scheme's centring). With g_x the ``gstar_from_cycles``
+    estimate from x and g_phi the centring estimate (0 with no error and
+    no length when not ``centred``), each point is
+
+        g_x - g_phi + offset,
+
+    and its standard error adds the three independent sources by the delta
+    method, pi(f)'s included:
+
+        Var g_x + Var g_phi + ((E_x len - E_phi len) SE(pi_f))^2.
+
+    The offsets are u(x) - phi(u) of the control (see :func:`mc_validate`).
+    """
+    pif = pif_from_cycles(sums[0], lengths[0])
+    estimates = [gstar_from_cycles(s, t, pif.point) for s, t in zip(sums[1:], lengths[1:])]
+    centre = estimates.pop() if centred else MCEstimate(0.0, 0.0, 0.0)
+    points = [
+        (e.point - centre.point + offset, math.hypot(
+            e.std_error, centre.std_error, (e.mean_length - centre.mean_length) * pif.std_error
+        ))
+        for e, offset in zip(estimates, offsets)
+    ]
+    return pif, points
+
+
 def mc_validate(
     cert: GIG1Certificate,
     x_list,
@@ -480,20 +590,30 @@ def mc_validate(
 
     * ``"split"``: the certificate's split chain. pi(f) is the ratio
       estimator over cycles started from phi, and each g*(x) averages
-      sum_f - pi_f * length over cycles from x. A cycle tosses a
+      sum_h - pi_f * length over cycles from x. A cycle tosses a
       Bernoulli(lam) coin per visit to C, so it lasts at least m/lam
       steps on average.
     * ``"atom"``: the chain regenerated at its atom {0}. Its canonical
       solution g_a solves the same Poisson equation, so it differs from
-      g* by a constant, and phi(g*) = 0 at m = 1 fixes that constant:
+      g* by a constant, and phi(g*) = 0 fixes that constant:
       g* = g_a - phi(g_a) with phi the certificate's minorizing law.
       {0} is a small set with m = 1, lam = 1 and phi = P(0, .): an atom
-      cycle runs to the first visit of 0 (charged, with f(0) = 0) and
-      regenerates with certainty there. pi(f) is the ratio estimator
-      over atom cycles, and g_a(x) and phi(g_a) are ``gstar_from_cycles``
-      over atom cycles from x and from phi. The standard error adds the
-      three sources by the delta method:
-      Var g_a(x) + Var phi(g_a) + ((E_x len - E_phi len) SE(pi_f))^2.
+      cycle runs to the first visit of 0 (charged there) and regenerates
+      with certainty. pi(f) is the ratio estimator over atom cycles, and
+      g_a(x) and phi(g_a) are ``gstar_from_cycles`` over atom cycles from x
+      and from phi.
+
+    Both schemes charge the cycles with the control h = f - (u - Pu) of
+    :class:`QueueSampler`. Reveal each coin together with the next state:
+    then tau is a stopping time, u(X_n) - u(X_0) - sum_{j<n} (Pu - u)(X_j)
+    is a martingale and X_tau ~ phi, so E_x sum_{j<tau} (u - Pu)(X_j) =
+    u(x) - phi(u). Hence pi(f) = E_phi sum h / E_phi tau, the same ratio
+    estimator, and g*(x) = E_x sum_{j<tau} (h - pi(f))(X_j) + u(x) - phi(u).
+    On the atom scheme the Pu(0) terms of g_a(x) and phi(g_a) cancel, so
+    both schemes add the same u(x) - phi(u), with phi the certificate's
+    law. :func:`gstar_points` reduces the cycles, and every standard error
+    carries pi(f)'s error on both schemes. The report names the control
+    under ``"control"``, with phi(u).
 
     The scheme depends on the certificate alone: the split chain when
     m/lam <= SPLIT_MAX_CYCLE, the atom otherwise, and the report names it
@@ -516,24 +636,15 @@ def mc_validate(
     # pi(f) from phi, g* (g_a on the atom scheme) from each x and, on the
     # atom scheme, the same cycles with starts drawn from the certificate's phi
     starts = [None, *x_list]
-    if sc.regeneration == "atom":
+    centred = sc.regeneration == "atom"
+    if centred:
         starts.append(sc.sample_certificate_phi)
     sums, lengths = (
         a.reshape(len(starts), n_cycles)
         for a in run_cycles(sc, starts, n_cycles, master_seed, workers, max_steps)
     )
-    pif = pif_from_cycles(sums[0], lengths[0])
-    estimates = [gstar_from_cycles(s, t, pif.point) for s, t in zip(sums[1:], lengths[1:])]
-    points = [(e.point, e.std_error) for e in estimates]
-    if sc.regeneration == "atom":
-        phi = estimates.pop()
-        points = [
-            (e.point - phi.point, math.sqrt(
-                e.std_error**2 + phi.std_error**2
-                + ((e.mean_length - phi.mean_length) * pif.std_error) ** 2
-            ))
-            for e in estimates
-        ]
+    offsets = (sc.u(np.array(x_list)) - sc.phi_u).tolist()
+    pif, points = gstar_points(sums, lengths, offsets, centred)
     rows = []
     all_inside = True
     for x, lower, upper, (point, se) in zip(x_list, lowers, uppers, points):
@@ -551,10 +662,10 @@ def mc_validate(
         )
     return {
         "regeneration": sc.regeneration,
+        "control": {"u": "x^2 / (2 |E Z|)", "phi_u": sc.phi_u},
         "pi_f": {"estimate": pif.point, "std_error": pif.std_error},
         "n_cycles": n_cycles,
         "seed": master_seed,
         "points": rows,
         "all_inside": all_inside,
     }
-

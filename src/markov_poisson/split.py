@@ -224,9 +224,9 @@ class CycleSystem:
 
         g*(x) = E_x sum_{j<tau} f_c(X_j); the Poisson residual is verified
         to 1e-9 before returning (InvariantViolation otherwise). The
-        additive normalization of g* is the one induced by tau; phi . g*
-        vanishes when m = 1 but has no closed form for m >= 2 and is
-        reported as a diagnostic elsewhere, not asserted.
+        additive normalization of g* is the one induced by tau, and
+        phi . g* = 0 at every m: phi . G_h = E_phi tau nu(h), the transposed
+        solve of :meth:`occupation_measure`, and nu = pi gives nu(f_c) = 0.
         """
         f = values_of(f, self.chain.n)
         f_c = f - float(self.chain.pi @ f)

@@ -713,6 +713,17 @@ def test_solve_with_a_pinned_minorization(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_solve_asserts_phi_gstar_zero_at_every_m(tmp_path, capsys, m):
+    # phi G_{f_c} = E_phi tau * nu(f_c) and nu = pi, so phi(g*) = 0 whatever m
+    code, out = run_cli(capsys, "solve", "--spec", spec_variant(tmp_path, small_set={"m": m}))
+    assert code == 0
+    report = json.loads(out)
+    entry = next(a for a in report["assertions"] if a["name"] == "phi_gstar_zero")
+    assert entry["passed"] and abs(entry["detail"]) <= 1e-12
+    assert entry["detail"] == report["diagnostics"]["phi_g_star"]
+
+
 def test_potential_reports_drift_violation_of_v3(tmp_path, capsys):
     # v3 is charged by v1 = (1, 4): off C it needs v3(1) >= v3(0) + 16
     spec = spec_variant(tmp_path, functions={"v3": [1.0, 10.0]})

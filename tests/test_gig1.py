@@ -1,11 +1,16 @@
 import dataclasses
+import types
 import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from scipy import integrate, stats
+from test_cycle_system import chains_with_certificates
 
 from markov_poisson import gig1
+from markov_poisson.certify import minorize
+from markov_poisson.chain import validate_chain
 from markov_poisson.errors import MaxStepsExceeded, QuadratureFailure, SearchExhausted
 from markov_poisson.gig1 import (
     SPLIT_MAX_CYCLE,
@@ -15,9 +20,11 @@ from markov_poisson.gig1 import (
     bound_curves,
     build_certificate,
     drift_spot_check,
+    gstar_points,
     mc_validate,
 )
-from markov_poisson.mc import CycleStreams, pif_from_cycles, run_cycles
+from markov_poisson.mc import CycleStreams, FiniteChainSampler, pif_from_cycles, run_cycles
+from markov_poisson.split import CycleSystem
 
 STANDARD = dict(increment=Increment("normal", -0.5, 1.0))
 
@@ -265,7 +272,8 @@ def test_atom_regeneration_matches_split_chain(cert_roomy, monkeypatch):
     for k, (x, (point, se)) in enumerate(zip(xs, points)):
         sums, lengths = blocks[0][k + 1], blocks[1][k + 1]
         y = sums - pi_f * lengths
-        ref = y.mean()
+        # the cycles are charged with the control h = f - (u - Pu)
+        ref = y.mean() + sc.u(x) - sc.phi_u
         ref_se = np.sqrt(y.var(ddof=1) / n + (lengths.mean() * pi_se) ** 2)
         z = (point - ref) / np.hypot(se, ref_se)
         assert abs(z) <= 3.5, f"x={x}: atom {point} vs split {ref} (z = {z:.2f})"
@@ -442,3 +450,160 @@ def test_residual_rejections_count_against_the_step_budget(cert_roomy):
     # the unmodified sampler completes the same cycles within that budget
     _, lengths = run_cycles(QueueSampler(cert), [1.0], 20, master_seed=7, max_steps=500)
     assert lengths.max() <= 500
+
+
+@pytest.mark.parametrize("family", gig1.FAMILIES)
+def test_lower_partial_moments_match_quadrature(family):
+    # both branches, t below the mode and above it (the complements), on
+    # three laws; past t = -20 the moments keep only their absolute accuracy
+    for loc, scale in ((-0.5, 1.0), (-3.0, 0.5), (0.7, 2.0)):
+        inc = Increment(family, loc, scale)
+        for t in (-8.0, -3.0, -1.0, -0.5, 0.0, 0.3, 1.0, 4.0, 10.0):
+            got = inc.lower_partial_moments(t)
+            cuts = [-np.inf, min(loc, t), t]
+            for k in range(3):
+                want = sum(
+                    integrate.quad(lambda z: z**k * inc.pdf(z), a, b, epsabs=0.0, epsrel=1e-13,
+                                   limit=200)[0]
+                    for a, b in zip(cuts[:-1], cuts[1:]) if a < b
+                )
+                assert float(got[k]) == pytest.approx(want, rel=1e-11, abs=1e-300), (loc, t, k)
+
+
+CONTROL_STEPS = {"normal": 0.01, "logistic": 0.01, "laplace": 0.004}
+
+
+@pytest.mark.parametrize("family", gig1.FAMILIES)
+@pytest.mark.parametrize("kappa", [2.0, 1.1])
+def test_control_charge_matches_quadrature(family, kappa):
+    # h = (E Z^2 - E[(x + Z)^2; Z <= -x]) / (2 |E Z|) against the integral by
+    # quad; the form x - u + Pu would cancel away its last digits at x = 30,
+    # where Pu is about 900
+    inc = Increment(family, -0.5, 1.0)
+    cert = build_certificate(GIG1Model(increment=inc, kappa=kappa, step=CONTROL_STEPS[family]))
+    sc = QueueSampler(cert)
+    second = inc.var() + inc.mean() ** 2
+    for x in (0.0, cert.x0, 5.0, 30.0):
+        def integrand(z):
+            return (x + z) ** 2 * inc.pdf(z)
+
+        # split at the mode, where the laplace density has its kink
+        cuts = [-np.inf, min(inc.loc, -x), -x]
+        lower = sum(integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(cuts[:-1], cuts[1:]) if a < b)
+        want = (second - lower) / (2.0 * abs(inc.mean()))
+        got = float(sc.charge(np.array([x]))[0])
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, got, want)
+    # far out the lower partial moment is 0 and nothing overflows on the way
+    far = sc.charge(np.array([1e152, 1e300]))
+    np.testing.assert_allclose(far, second / (2.0 * abs(inc.mean())), rtol=1e-15)
+
+
+@pytest.mark.parametrize("kappa", [2.0, 1.1])
+def test_phi_u_is_the_mean_of_u_under_the_sampled_phi(kappa):
+    # a midpoint sum of u over the sampler's own inverse CDF, 100 midpoints
+    # per cell of ys; the atom at 0 adds u(0) = 0
+    cert = build_certificate(GIG1Model(kappa=kappa, **STANDARD))
+    sc = QueueSampler(cert)
+    cum = sc._phi_cum
+    mid = (np.arange(100) + 0.5) / 100.0
+    q = (cum[:-1, None] + np.diff(cum)[:, None] * mid[None, :]).ravel()
+    draws = sc.sample_certificate_phi(types.SimpleNamespace(uniform=lambda lanes: q), None)
+    weights = np.repeat(np.diff(cum), 100) / 100.0
+    assert sc.phi_u == pytest.approx(float(weights @ sc.u(draws)), rel=1e-8, abs=0.0)
+
+
+def _oracle(system, f, xs, centred, n=200, seed=11):
+    """gstar_points on cycles charged with u = g*: the charge f - (u - Pu) is pi(f)."""
+    g = system.canonical_solution(f)
+    sc = FiniteChainSampler(system, f - g + system.chain.kernel @ g)
+    starts = [None, *xs] + ([sc.sample_phi] if centred else [])
+    sums, lengths = (a.reshape(len(starts), n) for a in run_cycles(sc, starts, n, seed))
+    phi_g = float(system.phi @ g)
+    pif, points = gstar_points(sums, lengths, g[xs] - phi_g, centred)
+    scale = max(1.0, float(np.abs(g).max()))
+    assert pif.point == pytest.approx(float(system.chain.pi @ f), rel=1e-12, abs=1e-12)
+    for x, (point, se) in zip(xs, points):
+        # every cycle contributes 0 up to rounding: the point is exact and
+        # its error bar is rounding noise
+        assert abs(point - (g[x] - phi_g)) <= 1e-12 * scale
+        assert se <= 1e-12 * scale
+    # phi(g*) = 0 at every m, so the oracle returns g* itself
+    assert abs(phi_g) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("centred", [False, True])
+def test_gstar_points_finite_chain_oracle(m, centred):
+    chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
+    _oracle(CycleSystem(minorize(chain, [0], m)), np.array([1.0, 0.0]), [0, 1], centred)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(chains_with_certificates())
+def test_gstar_points_oracle_on_drawn_chains(case):
+    chain, small, rng = case
+    f = rng.uniform(0.0, 2.0, chain.n)
+    xs = list(range(chain.n))
+    for centred in (False, True):
+        _oracle(CycleSystem(small), f, xs, centred, n=50)
+
+
+def lattice_reference(cert, step=0.04, length=40.0):
+    """pi(f) and g* on x_i = i step of the queue's lattice chain, by one bordered solve.
+
+    P(i, j) is the increment's mass on cell j, [x_j - step/2, x_j + step/2],
+    with both end cells open. g* is normalized by the certificate's phi as
+    the sampler draws it, projected on the cells: [I - P, 1; phi, 0] [g; c]
+    = [f; 0] gives phi(g) = 0 and c = pi(f).
+    """
+    n = int(round(length / step)) + 1
+    xs = np.arange(n) * step
+    edges = (np.arange(1, n) - 0.5) * step
+    cdf = cert.model.increment.cdf(edges[None, :] - xs[:, None])
+    chain = validate_chain(np.diff(cdf, prepend=0.0, append=1.0, axis=1))
+    phi_cdf = np.interp(edges, cert.ys, QueueSampler(cert)._phi_cum)
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = np.eye(n) - chain.kernel
+    system[:n, n] = 1.0
+    system[n, :n] = np.diff(phi_cdf, prepend=0.0, append=1.0)
+    solution = np.linalg.solve(system, np.append(xs, 0.0))
+    g, pi_f = solution[:n], solution[n]
+    assert pi_f == pytest.approx(float(chain.pi @ xs), rel=1e-12)
+    return pi_f, {x: g[int(round(x / step))] for x in (0.0, 5.0)}
+
+
+@pytest.fixture(scope="module")
+def lattice_roomy(cert_roomy):
+    # at s = 0.04: pi(f) 0.5320760, g*(0) -2.2660069, g*(5) 30.0860886; halving
+    # s moves them by -1.0e-5, +1.3e-4 and -6.7e-4, and L = 60 moves nothing
+    # at 1e-12: far below the Monte Carlo error bars they are held to
+    return lattice_reference(cert_roomy)
+
+
+@pytest.mark.parametrize("scheme", ["split", "atom"])
+def test_estimates_match_the_lattice_reference(cert_roomy, lattice_roomy, scheme, monkeypatch):
+    if scheme == "atom":
+        monkeypatch.setattr(gig1, "SPLIT_MAX_CYCLE", 0.0)
+    report = mc_validate(cert_roomy, [0.0, 5.0], 2000, master_seed=2024)
+    assert report["regeneration"] == scheme
+    pi_f, gstar = lattice_roomy
+    assert abs(report["pi_f"]["estimate"] - pi_f) <= 3.0 * report["pi_f"]["std_error"]
+    for row in report["points"]:
+        assert abs(row["estimate"] - gstar[row["x"]]) <= 3.0 * row["std_error"], row
+
+
+def test_error_bars_match_the_seed_spread(cert_roomy, lattice_roomy):
+    # over 40 seeds at x = 0 the reported error bar must match the spread of
+    # the points; a bar without pi(f)'s error is 2.8x too small here (2.4x
+    # at 5000 cycles)
+    reports = [mc_validate(cert_roomy, [0.0], 2000, master_seed=seed) for seed in range(40)]
+    assert {r["regeneration"] for r in reports} == {"split"}
+    points = np.array([r["points"][0]["estimate"] for r in reports])
+    bars = np.array([r["points"][0]["std_error"] for r in reports])
+    ratio = points.std(ddof=1) / bars.mean()
+    assert 1.0 / 1.5 <= ratio <= 1.5
+    # coverage of the sharp reference by 1.96 error bars: with honest bars
+    # at least 34 of 40 points are covered with probability 0.997
+    inside = np.abs(points - lattice_roomy[1][0.0]) <= 1.96 * bars
+    assert inside.mean() >= 0.85
