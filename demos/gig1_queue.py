@@ -4,19 +4,19 @@ Single-server queue waiting times
 
 The Lindley recursion W_{n+1} = max(W_n + Z_n, 0) with Gaussian
 increments. The quadratic Lyapunov function v1(x) = max(c1 x^2, 1),
-c1 = kappa/(2|EZ|), certifies a one-step regeneration scheme on
-C = [0, x0]; the choice of kappa trades the drift margin against the
-regeneration probability lambda.
+c1 = kappa/(2|EZ|), certifies a one-step minorization on C = [0, x0];
+the choice of kappa trades the drift margin against the regeneration
+probability lambda.
 
-kappa = 2 gives a small C and easy simulation; kappa = 1.1 shrinks the
-drift margin so far that C must reach out to ~13.75, which collapses
-lambda to ~6e-12: a split-chain cycle would last ~1.6e11 steps. The
-certificate and its bound comparison remain perfectly valid, and the
-simulation regenerates at the queue's atom {0} instead, recovering the
-same g* as g_a - phi(g_a) from the atom scheme's solution g_a. Both
-simulations charge the control h = f - (u - Pu) with the fluid value
-function u(x) = x^2/(2|EZ|), which keeps the estimates' means and shrinks
-their error bars.
+kappa = 2 gives a small C; kappa = 1.1 shrinks the drift margin so far
+that C must reach out to ~13.75, which collapses lambda to ~6e-12: a
+split-chain cycle would last ~1.6e11 steps. The certificate and its bound
+comparison remain perfectly valid either way. The simulation needs no
+split chain: it regenerates at the queue's atom {0} and recovers the
+certificate's g* as g_a - phi(g_a) from the atom's solution g_a. It
+charges the control h = f - (u - Pu) with the fluid value function
+u(x) = x^2/(2|EZ|), which keeps the estimates' means and shrinks their
+error bars.
 """
 
 import numpy as np
@@ -55,14 +55,13 @@ report = mc_validate(cert, [0.0, 1.0, 2.0, 5.0, 10.0],
                      n_cycles=4000, master_seed=99)
 print(f"  pi(f) ratio estimate: {report['pi_f']['estimate']:.4f}"
       f" +- {report['pi_f']['std_error']:.4f}")
-print(f"  regeneration scheme: {report['regeneration']}")
 print("  regenerative estimates of g*(x) inside the envelope:")
 for row in report["points"]:
     print(f"    x={row['x']:5.1f}  g* ~ {row['estimate']:9.4f} +- {row['std_error']:.4f}"
           f"   in [{row['bound_lower']:9.2f}, {row['bound_upper']:8.2f}]"
           f"   inside={row['inside']}")
 
-# ---- thin margin: regenerate at the atom {0} ------------------------------
+# ---- thin margin: the same atom, however small lambda is ------------------
 model = GIG1Model(increment=Increment("normal", -0.5, 1.0), kappa=1.1)
 cert = build_certificate(model)
 curves = bound_curves(cert, xs)
@@ -75,7 +74,6 @@ print(f"  asymptotic coefficients: ours {curves['ours_asymptotic_coeff']:.4f}"
 
 report = mc_validate(cert, [0.0, 1.0, 2.0, 5.0, 10.0],
                      n_cycles=4000, master_seed=99)
-print(f"  regeneration scheme: {report['regeneration']}")
 print(f"  pi(f) ratio estimate: {report['pi_f']['estimate']:.4f}"
       f" +- {report['pi_f']['std_error']:.4f}")
 for row in report["points"]:

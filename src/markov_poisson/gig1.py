@@ -34,16 +34,13 @@ by the moment bound
 valid for x >= max(1, 1/sqrt(c1)), which follows from v1(y) <= c1 y^2 + 1
 and E[(x + Z)^2] = x^2 + 2 x E[Z] + E[Z^2].
 
-Simulation (``mc_validate``) regenerates through the certificate's split
-chain while its cycles are short (m/lam <= SPLIT_MAX_CYCLE). A thinner
-drift margin (kappa nearer 1) pushes x0 out and lam towards 0, so split
-cycles grow long; the chain is then regenerated at its atom {0}, which it
-reaches from every x with probability P(Z <= -x) > 0, and g* is recovered
-as g_a - phi(g_a) from the atom scheme's solution g_a. On both schemes the
-cycles are charged with a control, h = f - (u - Pu) for the fluid value
-function u(x) = x^2 / (2 |E Z|), and each g*(x) gets u(x) - phi(u) back:
-the estimates keep their means and lose most of their variance, and each
-error bar carries pi(f)'s error.
+Simulation (``mc_validate``) regenerates the chain at its atom {0},
+which it reaches from every x with probability P(Z <= -x) > 0, and
+recovers the certificate's g* as g_a - phi(g_a) from the atom's solution
+g_a. The cycles are charged with a control, h = f - (u - Pu) for the fluid
+value function u(x) = x^2 / (2 |E Z|), and each g*(x) gets u(x) - phi(u)
+back: the estimates keep their means and lose most of their variance, and
+each error bar carries pi(f)'s error.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ import numpy as np
 
 from .bounds import envelope_comparison, solution_envelope
 from .errors import NonFiniteResult, QuadratureFailure, SearchExhausted
-from .mc import DEFAULT_MAX_STEPS, MCEstimate, gstar_from_cycles, pif_from_cycles, run_cycles
+from .mc import DEFAULT_MAX_STEPS, gstar_from_cycles, pif_from_cycles, run_cycles
 
 #: tolerance on the truncated density mass
 MASS_TOL = 1e-6
@@ -70,18 +67,6 @@ TAIL_SIGMAS = 15.0
 #: length scanned past the analytic drift horizon, by the drift-margin
 #: grid of ``build_certificate`` and by ``drift_spot_check``
 HORIZON_PAD = 2.0
-
-#: largest m/lam (a lower bound on the mean split-cycle length) at which
-#: ``mc_validate`` keeps the certificate's split chain. Set at the crossover
-#: of seconds x SE^2 measured before the control, when the split chain was
-#: 1.3x cheaper at x = 0 at m/lam = 4.9 (kappa = 2) and the atom cheaper
-#: at both x = 0 and x = 5 from m/lam = 6.5 (kappa = 1.8) on. With the
-#: control (normal(-0.5, 1), 5000 cycles, seed means of three, one 2-core
-#: Intel Xeon; both standard errors carry pi(f)'s error), the atom is
-#: cheaper at m/lam = 2.9 (kappa = 3) at x = 5 (1.3x; the split chain 2.1x
-#: cheaper at x = 0), and at both points at m/lam = 4.9 (1.1x, 1.7x) and
-#: 6.5 (1.8x, 2.0x): the crossover now lies below 4.9.
-SPLIT_MAX_CYCLE = 6.0
 
 #: most points the drift-margin grid of ``build_certificate`` may hold, and
 #: the curve grid of ``gig1 --x-points``, so that a grid past it is refused
@@ -449,19 +434,15 @@ def drift_spot_check(cert: GIG1Certificate, n_points: int, rng: np.random.Genera
 
 
 class QueueSampler:
-    """Batched Lindley-recursion sampler of a certificate's queue, with a regeneration scheme.
+    """Batched Lindley-recursion sampler of a certificate's queue, regenerated at its atom.
 
     Increments are drawn as ``ppf(u)`` of the :class:`Increment` of the
-    certificate's model. The certificate gives the minorizing measure and
-    sets the scheme, ``regeneration`` (see :func:`mc_validate`). On the
-    split chain C = [0, x0], lam is the certificate's and phi is sampled by
-    inverse CDF on its quadrature representation (atom at 0 plus a
-    piecewise-linear density CDF). The residual kernel Q is sampled by
-    rejection: propose a one-step transition from x and accept with
-    probability 1 - psi(y)/p(x, y), where psi is the unnormalized
-    minorizing measure; acceptance happens with overall probability
-    1 - lam, which is exactly the Q-normalization. On the atom scheme the
-    chain regenerates at its atom: C = {0}, lam = 1 and phi = P(0, .).
+    certificate's model. The small set is the atom C = {0}, with m = 1,
+    lam = 1 and phi = P(0, .), so a cycle needs no residual kernel (see
+    :func:`mc_validate`). The certificate's own phi, which centres the
+    estimates, is sampled by ``sample_certificate_phi``: inverse CDF on its
+    quadrature representation (atom at 0 plus a piecewise-linear density
+    CDF).
 
     Cycles are charged with h = f - (u - Pu), not f(x) = x, where u is the
     fluid value function u(x) = x^2 / (2 |E Z|). The x terms of f - u + Pu
@@ -477,13 +458,10 @@ class QueueSampler:
 
     dtype = float
     m = 1
+    lam = 1.0
 
     def __init__(self, cert: GIG1Certificate):
         self.cert = cert
-        at_atom = cert.m / cert.lam > SPLIT_MAX_CYCLE
-        self.regeneration = "atom" if at_atom else "split"
-        self.x0 = 0.0 if at_atom else cert.x0
-        self.lam = 1.0 if at_atom else cert.lam
         self._increment = increment = cert.model.increment
         # the cumulative trapezoid sum of the density, cell by cell
         steps = np.diff(cert.ys) * (cert.density[1:] + cert.density[:-1]) / 2.0
@@ -505,54 +483,30 @@ class QueueSampler:
         return (self._second_moment - (x * (x * m0 + 2.0 * m1) + m2)) * self._fluid
 
     def in_small_set(self, x: np.ndarray) -> np.ndarray:
-        return x <= self.x0
+        return x <= 0.0
 
     def step(self, x, streams, lanes):
         w = x + self._increment.ppf(streams.uniform(lanes))
         return np.where(w > 0.0, w, 0.0)
 
     def sample_phi(self, streams, lanes):
-        if self.regeneration == "atom":
-            return self.step(np.zeros(lanes.size), streams, lanes)
-        return self.sample_certificate_phi(streams, lanes)
+        """Draws from the atom's phi = P(0, .): one step from 0."""
+        return self.step(np.zeros(lanes.size), streams, lanes)
 
     def sample_certificate_phi(self, streams, lanes):
-        """Draws from the certificate's phi, whatever the scheme."""
+        """Draws from the certificate's phi."""
         u = streams.uniform(lanes)
         return np.where(u < self.cert.phi_atom(), 0.0, np.interp(u, self._phi_cum, self.cert.ys))
 
-    def _psi(self, y: np.ndarray) -> np.ndarray:
-        """Unnormalized minorizing density at y > 0; 0 off ``ys``, where lam has no mass."""
-        return np.interp(y, self.cert.ys, self.cert.density, left=0.0, right=0.0)
 
-    def sample_residual(self, x, streams, lanes, budget):
-        y = np.empty(x.size)
-        rejected = np.zeros(x.size, dtype=np.int64)
-        pending = np.arange(x.size)
-        while pending.size:
-            xp = x[pending]
-            yp = self.step(xp, streams, lanes[pending])
-            at_zero = yp == 0.0
-            p = np.where(at_zero, self._increment.cdf(-xp), self._increment.pdf(yp - xp))
-            mass = np.where(at_zero, self.cert.atom, self._psi(yp))
-            ratio = np.divide(mass, p, out=np.ones_like(p), where=p > 0.0)
-            accept = streams.uniform(lanes[pending]) < 1.0 - ratio
-            y[pending[accept]] = yp[accept]
-            pending = pending[~accept]
-            rejected[pending] += 1
-            pending = pending[rejected[pending] <= budget[pending]]
-        return y, rejected
-
-
-def gstar_points(sums: np.ndarray, lengths: np.ndarray, offsets, centred: bool):
+def gstar_points(sums: np.ndarray, lengths: np.ndarray, offsets):
     """pi(f) and each (g*(x), standard error) from the blocks of one ``run_cycles`` pass.
 
     Row 0 of ``sums`` and ``lengths`` is the phi-started block, which gives
-    pi(f) by the ratio estimator; rows 1.. are the blocks from each x, and
-    when ``centred`` the last row is a block started from the certificate's
-    phi (the atom scheme's centring). With g_x the ``gstar_from_cycles``
-    estimate from x and g_phi the centring estimate (0 with no error and
-    no length when not ``centred``), each point is
+    pi(f) by the ratio estimator; the middle rows are the blocks from each
+    x, and the last row is the centring block, started from the
+    certificate's phi. With g_x the ``gstar_from_cycles`` estimate from x
+    and g_phi the centring estimate, each point is
 
         g_x - g_phi + offset,
 
@@ -565,7 +519,7 @@ def gstar_points(sums: np.ndarray, lengths: np.ndarray, offsets, centred: bool):
     """
     pif = pif_from_cycles(sums[0], lengths[0])
     estimates = [gstar_from_cycles(s, t, pif.point) for s, t in zip(sums[1:], lengths[1:])]
-    centre = estimates.pop() if centred else MCEstimate(0.0, 0.0, 0.0)
+    centre = estimates.pop()
     points = [
         (e.point - centre.point + offset, math.hypot(
             e.std_error, centre.std_error, (e.mean_length - centre.mean_length) * pif.std_error
@@ -585,41 +539,29 @@ def mc_validate(
 ) -> dict:
     """Estimate g*(x) of the certificate's queue and check the envelope bounds.
 
-    Two regeneration schemes estimate the same g*, the certificate's
-    canonical solution:
+    The chain is regenerated at its atom {0}, a small set with m = 1,
+    lam = 1 and phi = P(0, .): a cycle runs to the first visit of 0
+    (charged there) and regenerates with certainty. The atom's canonical
+    solution g_a solves the same Poisson equation as the certificate's g*,
+    so it differs from g* by a constant, and phi(g*) = 0 fixes that
+    constant: g* = g_a - phi(g_a) with phi the certificate's minorizing
+    law. pi(f) is the ratio estimator over cycles started from P(0, .),
+    and g_a(x) and phi(g_a) are ``gstar_from_cycles`` over cycles from x
+    and from the certificate's phi.
 
-    * ``"split"``: the certificate's split chain. pi(f) is the ratio
-      estimator over cycles started from phi, and each g*(x) averages
-      sum_h - pi_f * length over cycles from x. A cycle tosses a
-      Bernoulli(lam) coin per visit to C, so it lasts at least m/lam
-      steps on average.
-    * ``"atom"``: the chain regenerated at its atom {0}. Its canonical
-      solution g_a solves the same Poisson equation, so it differs from
-      g* by a constant, and phi(g*) = 0 fixes that constant:
-      g* = g_a - phi(g_a) with phi the certificate's minorizing law.
-      {0} is a small set with m = 1, lam = 1 and phi = P(0, .): an atom
-      cycle runs to the first visit of 0 (charged there) and regenerates
-      with certainty. pi(f) is the ratio estimator over atom cycles, and
-      g_a(x) and phi(g_a) are ``gstar_from_cycles`` over atom cycles from x
-      and from phi.
+    The cycles are charged with the control h = f - (u - Pu) of
+    :class:`QueueSampler`. tau is a stopping time, u(X_n) - u(X_0) -
+    sum_{j<n} (Pu - u)(X_j) is a martingale and X_tau ~ P(0, .), so
+    E_x sum_{j<tau} (u - Pu)(X_j) = u(x) - Pu(0). Hence pi(f) =
+    E sum h / E tau, the same ratio estimator, and the Pu(0) terms of
+    g_a(x) and phi(g_a) cancel: g*(x) is the h-charged g_a(x) - phi(g_a)
+    plus u(x) - phi(u), with phi the certificate's law.
+    :func:`gstar_points` reduces the cycles, and every standard error
+    carries pi(f)'s error. The report names the control under
+    ``"control"``, with phi(u).
 
-    Both schemes charge the cycles with the control h = f - (u - Pu) of
-    :class:`QueueSampler`. Reveal each coin together with the next state:
-    then tau is a stopping time, u(X_n) - u(X_0) - sum_{j<n} (Pu - u)(X_j)
-    is a martingale and X_tau ~ phi, so E_x sum_{j<tau} (u - Pu)(X_j) =
-    u(x) - phi(u). Hence pi(f) = E_phi sum h / E_phi tau, the same ratio
-    estimator, and g*(x) = E_x sum_{j<tau} (h - pi(f))(X_j) + u(x) - phi(u).
-    On the atom scheme the Pu(0) terms of g_a(x) and phi(g_a) cancel, so
-    both schemes add the same u(x) - phi(u), with phi the certificate's
-    law. :func:`gstar_points` reduces the cycles, and every standard error
-    carries pi(f)'s error on both schemes. The report names the control
-    under ``"control"``, with phi(u).
-
-    The scheme depends on the certificate alone: the split chain when
-    m/lam <= SPLIT_MAX_CYCLE, the atom otherwise, and the report names it
-    under ``"regeneration"``. ``max_steps`` only guards each cycle on
-    either scheme: a budget its cycles outrun raises MaxStepsExceeded.
-    Every estimate is one block of a single ``run_cycles`` pass, on its
+    ``max_steps`` guards each cycle's steps: a budget its cycles outrun
+    raises MaxStepsExceeded. Every estimate is one block of a single ``run_cycles`` pass, on its
     own disjoint cycle streams, so one master seed reproduces the whole
     report. Containment is asserted within 3 standard errors of each
     estimate; an envelope that overflows at some x raises NonFiniteResult
@@ -633,18 +575,14 @@ def mc_validate(
         if not math.isfinite(lower):
             raise NonFiniteResult(f"the lower envelope -b1 (v1(x) + b1/lam) at x = {x} overflows")
     sc = QueueSampler(cert)
-    # pi(f) from phi, g* (g_a on the atom scheme) from each x and, on the
-    # atom scheme, the same cycles with starts drawn from the certificate's phi
-    starts = [None, *x_list]
-    centred = sc.regeneration == "atom"
-    if centred:
-        starts.append(sc.sample_certificate_phi)
+    # pi(f) from P(0, .), g_a from each x and phi(g_a) from the certificate's phi
+    starts = [None, *x_list, sc.sample_certificate_phi]
     sums, lengths = (
         a.reshape(len(starts), n_cycles)
         for a in run_cycles(sc, starts, n_cycles, master_seed, workers, max_steps)
     )
     offsets = (sc.u(np.array(x_list)) - sc.phi_u).tolist()
-    pif, points = gstar_points(sums, lengths, offsets, centred)
+    pif, points = gstar_points(sums, lengths, offsets)
     rows = []
     all_inside = True
     for x, lower, upper, (point, se) in zip(x_list, lowers, uppers, points):
@@ -661,7 +599,6 @@ def mc_validate(
             }
         )
     return {
-        "regeneration": sc.regeneration,
         "control": {"u": "x^2 / (2 |E Z|)", "phi_u": sc.phi_u},
         "pi_f": {"estimate": pif.point, "std_error": pif.std_error},
         "n_cycles": n_cycles,

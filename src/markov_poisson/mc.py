@@ -37,9 +37,8 @@ taken from the lane source :class:`CycleStreams` for the lanes given:
 * ``m``, ``lam`` and ``dtype`` (the dtype of a state array);
 * ``charge(x)`` and ``in_small_set(x)``;
 * ``step(x, streams, lanes)`` and ``sample_phi(streams, lanes)``;
-* ``sample_residual(x, streams, lanes, budget)``, returning the endpoints
-  and the proposals each lane rejected; a lane stops proposing once its
-  rejections exceed its budget (needed only when lam < 1);
+* ``sample_residual(x, streams, lanes)``, the endpoints drawn from the
+  residual kernel (needed only when lam < 1);
 * ``sample_bridge(x, y, streams, lanes)``, the m-1 intermediate state
   arrays given the m-step segment's start and endpoint (needed only
   when m >= 2).
@@ -193,9 +192,8 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
     the first ``streams.n`` cycles. A lane whose cycle ends takes the next
     cycle not yet started, on its re-keyed stream and by the rule of that
     cycle's block, until all have started, so the streams hold a window
-    only for the cycles in flight. Sums, lengths and the steps spent
-    accumulate per lane; the sum and length go to the cycle's slot of the
-    result when the cycle ends.
+    only for the cycles in flight. Sums and lengths accumulate per lane;
+    they go to the cycle's slot of the result when the cycle ends.
     """
     count = hi - lo
     lanes = np.arange(streams.n)
@@ -205,17 +203,13 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
     cycle_sums, cycle_lengths = np.empty(count), np.empty(count)
     sums = np.zeros(streams.n)
     length = np.zeros(streams.n, dtype=np.int64)
-    # steps plus rejected residual proposals: what max_steps guards
-    spent = np.zeros(streams.n, dtype=np.int64)
     while lanes.size:
         inside = sc.in_small_set(x)
+        sums[lanes] += sc.charge(x)
+        length[lanes] += np.where(inside, sc.m, 1)
         walk = ~inside
         if walk.any():
-            lw, xw = lanes[walk], x[walk]
-            sums[lw] += sc.charge(xw)
-            x[walk] = sc.step(xw, streams, lw)
-            length[lw] += 1
-            spent[lw] += 1
+            x[walk] = sc.step(x[walk], streams, lanes[walk])
         done = np.zeros(0, dtype=np.intp)  # positions in ``lanes`` of ended cycles
         if inside.any():
             lc, xc = lanes[inside], x[inside]
@@ -225,20 +219,13 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
                 y[success] = sc.sample_phi(streams, lc[success])
             fail = ~success
             if fail.any():
-                lf = lc[fail]
-                y[fail], rejected = sc.sample_residual(
-                    xc[fail], streams, lf, max_steps - spent[lf]
-                )
-                spent[lf] += rejected
-            sums[lc] += sc.charge(xc)
+                y[fail] = sc.sample_residual(xc[fail], streams, lc[fail])
             if sc.m >= 2:
                 for z in sc.sample_bridge(xc, y, streams, lc):
                     sums[lc] += sc.charge(z)
-            length[lc] += sc.m
-            spent[lc] += sc.m
             x[inside] = y
             done = np.flatnonzero(inside)[success]
-        if spent[lanes].max() > max_steps:
+        if length[lanes].max() > max_steps:
             raise MaxStepsExceeded(max_steps)
         if not done.size:
             continue
@@ -252,7 +239,6 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
             streams.restart(lr, cycle[lr])
             sums[lr] = 0.0
             length[lr] = 0
-            spent[lr] = 0
             x[refill] = _start_cycles(sc, starts, n, streams, lr, lo + started)
             started += k
         if k < done.size:
@@ -294,9 +280,8 @@ def run_cycles(
     pool the rest. Results do not depend on ``workers`` or on the lane
     count, and an error comes from the lowest shard that raised one.
 
-    Raises MaxStepsExceeded when a cycle's steps plus its rejected
-    residual proposals exceed ``max_steps``, and MissingBridgeSampler for
-    m >= 2 without a bridge.
+    Raises MaxStepsExceeded when a cycle's steps exceed ``max_steps``, and
+    MissingBridgeSampler for m >= 2 without a bridge.
     """
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError(f"n_cycles must lie in 1..{MAX_CYCLES}")
@@ -413,8 +398,8 @@ class FiniteChainSampler:
     def sample_phi(self, streams, lanes):
         return _inverse_cdf(self.phi_cdf[None, :], streams.uniform(lanes))
 
-    def sample_residual(self, x, streams, lanes, budget):
-        return _inverse_cdf(self.q_cdf[self.c_index[x]], streams.uniform(lanes)), 0
+    def sample_residual(self, x, streams, lanes):
+        return _inverse_cdf(self.q_cdf[self.c_index[x]], streams.uniform(lanes))
 
     def sample_bridge(self, x, y, streams, lanes) -> list:
         path, w = [], x

@@ -234,9 +234,9 @@ def test_a10_queueing_example():
     a, competing_coeff, ours_coeff = envelope_comparison(cert.b1, cert.lam, cert.phi_v1)
     if not ours_coeff < competing_coeff:
         failures.append("coefficient comparison not strict")
-    # the certificate forces lambda ~ 6.2e-12: a split-chain cycle lasts
-    # ~1.6e11 steps on average, far beyond gig1.SPLIT_MAX_CYCLE, so the
-    # estimates must come from regeneration at the atom {0}
+    # the certificate forces lambda ~ 6.2e-12: a split-chain cycle would last
+    # ~1.6e11 steps on average, while the queue's cycles regenerate at its
+    # atom {0} and stay short
     try:
         result = mc_validate(
             cert, [0.0, 1.0, 2.0, 5.0, 10.0], n_cycles=200,

@@ -1,4 +1,3 @@
-import dataclasses
 import types
 import warnings
 
@@ -13,7 +12,6 @@ from markov_poisson.certify import minorize
 from markov_poisson.chain import validate_chain
 from markov_poisson.errors import MaxStepsExceeded, QuadratureFailure, SearchExhausted
 from markov_poisson.gig1 import (
-    SPLIT_MAX_CYCLE,
     GIG1Model,
     Increment,
     QueueSampler,
@@ -214,32 +212,12 @@ def test_comparison_coefficients(cert_tight):
 def test_phi_sampler_matches_quadrature_moments(cert_roomy):
     cert = cert_roomy
     sampler = QueueSampler(cert)
-    draws = sampler.sample_phi(CycleStreams(101, 0, 20000), np.arange(20000))
+    draws = sampler.sample_certificate_phi(CycleStreams(101, 0, 20000), np.arange(20000))
     atom_freq = np.mean(draws == 0.0)
     assert atom_freq == pytest.approx(cert.phi_atom(), abs=0.01)
     mean_quad = (np.trapezoid(cert.density * cert.ys, cert.ys)) / cert.lam
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean() - mean_quad) <= 4 * se
-
-
-def test_residual_sampler_reconstructs_one_step_law(cert_roomy):
-    # lam * phi + (1 - lam) * Q must reproduce P(x, .): compare the mixture
-    # of the two samplers against direct one-step draws via their CDFs
-    cert = cert_roomy
-    sampler = QueueSampler(cert)
-    x = 1.3
-    n = 20000
-    streams, lanes = CycleStreams(103, 0, n), np.arange(n)
-    toss = streams.uniform(lanes) < cert.lam
-    mixture = np.empty(n)
-    mixture[toss] = sampler.sample_phi(streams, lanes[toss])
-    mixture[~toss], _ = sampler.sample_residual(
-        np.full(n, x)[~toss], streams, lanes[~toss], np.full(n, 10**6)[~toss]
-    )
-    rng = np.random.Generator(np.random.Philox(key=np.array([103, n], dtype=np.uint64)))
-    direct = np.maximum(x + stats.norm(-0.5, 1.0).rvs(size=n, random_state=rng), 0.0)
-    result = stats.ks_2samp(mixture, direct)
-    assert result.pvalue > 1e-3
 
 
 def test_mc_validation_inside_envelope(cert_roomy):
@@ -250,49 +228,20 @@ def test_mc_validation_inside_envelope(cert_roomy):
         assert row["std_error"] > 0.0
 
 
-def test_atom_regeneration_matches_split_chain(cert_roomy, monkeypatch):
-    # both schemes estimate the certificate's g*; the split-chain reference
-    # is computed here from raw cycles, its SE carrying pi(f)'s error by the
-    # delta method. A wrong phi(g_a) would shift every point by one constant.
-    cert = cert_roomy
-    xs = [0.0, 1.0, 2.0, 5.0, 10.0]
-    n = 5000
-    # the certificate sets the sampler's scheme: the split chain (m/lam ~ 5)
-    sc = QueueSampler(cert)
-    assert sc.regeneration == "split"
-    blocks = [a.reshape(len(xs) + 1, n) for a in run_cycles(sc, [None, *xs], n, master_seed=42)]
-    # a zero threshold sends the same certificate to the atom scheme
-    monkeypatch.setattr(gig1, "SPLIT_MAX_CYCLE", 0.0)
-    report = mc_validate(cert, xs, n, 41, workers=1, max_steps=10**8)
-    assert report["regeneration"] == "atom"
-    points = [(row["estimate"], row["std_error"]) for row in report["points"]]
-    sums, lengths = blocks[0][0], blocks[1][0]
-    pi_f = sums.sum() / lengths.sum()
-    pi_se = (sums - pi_f * lengths).std(ddof=1) / (lengths.mean() * np.sqrt(n))
-    for k, (x, (point, se)) in enumerate(zip(xs, points)):
-        sums, lengths = blocks[0][k + 1], blocks[1][k + 1]
-        y = sums - pi_f * lengths
-        # the cycles are charged with the control h = f - (u - Pu)
-        ref = y.mean() + sc.u(x) - sc.phi_u
-        ref_se = np.sqrt(y.var(ddof=1) / n + (lengths.mean() * pi_se) ** 2)
-        z = (point - ref) / np.hypot(se, ref_se)
-        assert abs(z) <= 3.5, f"x={x}: atom {point} vs split {ref} (z = {z:.2f})"
-
-
 def test_mc_validate_scheme_follows_certificate_not_budget(cert_tight, cert_roomy):
-    # m/lam is 4.9 at kappa = 2, just below SPLIT_MAX_CYCLE, and 6.5 at
-    # kappa = 1.8, just above it; the step budget must not move the choice
+    # m/lam is 4.9 at kappa = 2, 6.5 at kappa = 1.8 and 1.6e11 at kappa = 1.1:
+    # every certificate's queue regenerates at {0}, and the step budget
+    # only guards the cycles, so both budgets give the same report
     near = build_certificate(GIG1Model(kappa=1.8, **STANDARD))
-    for cert, expected in ((cert_roomy, "split"), (near, "atom"), (cert_tight, "atom")):
-        assert (cert.m / cert.lam <= SPLIT_MAX_CYCLE) == (expected == "split")
-        for max_steps in (10**4, 10**8):
-            report = mc_validate(cert, [1.0], 50, master_seed=3, max_steps=max_steps)
-            assert report["regeneration"] == expected
-            assert report["all_inside"]
-    # a budget the split cycles outrun is an error, not a switch of scheme
-    cert = cert_roomy
+    for cert in (cert_roomy, near, cert_tight):
+        reports = [mc_validate(cert, [1.0], 50, master_seed=3, max_steps=max_steps)
+                   for max_steps in (10**4, 10**8)]
+        assert reports[0] == reports[1]
+        assert reports[0]["all_inside"]
+        assert list(reports[0]) == ["control", "pi_f", "n_cycles", "seed", "points", "all_inside"]
+    # a budget the cycles outrun is an error
     with pytest.raises(MaxStepsExceeded):
-        mc_validate(cert, [1.0], 200, master_seed=3, max_steps=2)
+        mc_validate(cert_roomy, [1.0], 200, master_seed=3, max_steps=2)
 
 
 def test_mc_pif_matches_long_run_average(cert_roomy):
@@ -315,7 +264,7 @@ def test_mc_pif_matches_long_run_average(cert_roomy):
     assert abs(est.point - longrun) <= 5 * est.std_error + 0.02
 
 
-def test_non_normal_family_pipeline(monkeypatch):
+def test_non_normal_family_pipeline():
     # the quadrature and the generic inverse-CDF sampler handle any
     # continuous positive density; laplace exercises the fallback path
     # (its kink needs a finer grid to clear the mass tolerance)
@@ -325,11 +274,7 @@ def test_non_normal_family_pipeline(monkeypatch):
     assert cert.b1 > 0.0
     worst = drift_spot_check(cert, 50, np.random.default_rng(4))
     assert worst <= 1e-6
-    # m/lam ~ 9.4 would take the atom scheme: keep the split sampler, with
-    # its phi and its rejection residual, under test on this family
-    monkeypatch.setattr(gig1, "SPLIT_MAX_CYCLE", 2.0 * cert.m / cert.lam)
     sc = QueueSampler(cert)
-    assert sc.regeneration == "split"
     est = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=6))
     assert np.isfinite(est.point) and est.point > 0.0
 
@@ -405,51 +350,12 @@ def test_one_lattice_per_gig1_op(monkeypatch, capsys):
     assert lattice_calls == []
 
 
-def test_psi_lives_where_lambda_has_mass(cert_roomy):
-    # psi is the minorizing density on the certificate's grid ys and 0 off
-    # it, (0, ys[0]) included: the atom plus the integral of psi is lam, so
-    # the residual sampler removes exactly the mass that phi carries
-    cert = cert_roomy
-    psi = QueueSampler(cert)._psi
-    ys = cert.ys
-    assert ys[0] > 0.0
-    off = np.concatenate([np.linspace(0.0, ys[0], 11)[1:-1], ys[-1] + [1e-9, 0.5, 10.0]])
-    np.testing.assert_array_equal(psi(off), 0.0)
-    np.testing.assert_array_equal(psi(ys), cert.density)
-    mid = (ys[1:] + ys[:-1]) / 2.0
-    np.testing.assert_allclose(psi(mid), (cert.density[1:] + cert.density[:-1]) / 2.0,
-                               rtol=1e-12, atol=0.0)
-    # psi is linear between grid points, so the trapezoid sum on ys is its integral
-    assert cert.atom + np.trapezoid(psi(ys), ys) == pytest.approx(cert.lam, rel=1e-14, abs=0.0)
-
-
 def test_sampler_is_deterministic_per_stream(cert_roomy):
     cert = cert_roomy
     sc = QueueSampler(cert)
     a = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=77))
     b = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=77))
     assert (a.point, a.std_error) == (b.point, b.std_error)
-
-
-def test_residual_rejections_count_against_the_step_budget(cert_roomy):
-    # a residual whose proposals are never accepted (psi >= p everywhere)
-    # must stop at the budget instead of proposing forever
-    cert = cert_roomy
-    never = dataclasses.replace(cert, atom=1.0, density=np.full(cert.density.size, 1e300))
-    sampler = QueueSampler(never)
-    lanes = np.arange(4)
-    y, rejected = sampler.sample_residual(
-        np.full(4, 1.0), CycleStreams(7, 0, 4), lanes, np.array([0, 3, 10, 50])
-    )
-    assert np.array_equal(rejected, [1, 4, 11, 51])
-    # in a cycle the chain steps stay far below the budget, the proposals do not
-    with pytest.raises(MaxStepsExceeded) as err:
-        run_cycles(sampler, [1.0], 20, master_seed=7, max_steps=500)
-    assert err.value.steps == 500
-    assert err.value.code == "max-steps-exceeded"
-    # the unmodified sampler completes the same cycles within that budget
-    _, lengths = run_cycles(QueueSampler(cert), [1.0], 20, master_seed=7, max_steps=500)
-    assert lengths.max() <= 500
 
 
 @pytest.mark.parametrize("family", gig1.FAMILIES)
@@ -513,14 +419,14 @@ def test_phi_u_is_the_mean_of_u_under_the_sampled_phi(kappa):
     assert sc.phi_u == pytest.approx(float(weights @ sc.u(draws)), rel=1e-8, abs=0.0)
 
 
-def _oracle(system, f, xs, centred, n=200, seed=11):
+def _oracle(system, f, xs, n=200, seed=11):
     """gstar_points on cycles charged with u = g*: the charge f - (u - Pu) is pi(f)."""
     g = system.canonical_solution(f)
     sc = FiniteChainSampler(system, f - g + system.chain.kernel @ g)
-    starts = [None, *xs] + ([sc.sample_phi] if centred else [])
+    starts = [None, *xs, sc.sample_phi]
     sums, lengths = (a.reshape(len(starts), n) for a in run_cycles(sc, starts, n, seed))
     phi_g = float(system.phi @ g)
-    pif, points = gstar_points(sums, lengths, g[xs] - phi_g, centred)
+    pif, points = gstar_points(sums, lengths, g[xs] - phi_g)
     scale = max(1.0, float(np.abs(g).max()))
     assert pif.point == pytest.approx(float(system.chain.pi @ f), rel=1e-12, abs=1e-12)
     for x, (point, se) in zip(xs, points):
@@ -533,10 +439,9 @@ def _oracle(system, f, xs, centred, n=200, seed=11):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("centred", [False, True])
-def test_gstar_points_finite_chain_oracle(m, centred):
+def test_gstar_points_finite_chain_oracle(m):
     chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
-    _oracle(CycleSystem(minorize(chain, [0], m)), np.array([1.0, 0.0]), [0, 1], centred)
+    _oracle(CycleSystem(minorize(chain, [0], m)), np.array([1.0, 0.0]), [0, 1])
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -545,8 +450,7 @@ def test_gstar_points_oracle_on_drawn_chains(case):
     chain, small, rng = case
     f = rng.uniform(0.0, 2.0, chain.n)
     xs = list(range(chain.n))
-    for centred in (False, True):
-        _oracle(CycleSystem(small), f, xs, centred, n=50)
+    _oracle(CycleSystem(small), f, xs, n=50)
 
 
 def lattice_reference(cert, step=0.04, length=40.0):
@@ -581,29 +485,33 @@ def lattice_roomy(cert_roomy):
     return lattice_reference(cert_roomy)
 
 
-@pytest.mark.parametrize("scheme", ["split", "atom"])
-def test_estimates_match_the_lattice_reference(cert_roomy, lattice_roomy, scheme, monkeypatch):
-    if scheme == "atom":
-        monkeypatch.setattr(gig1, "SPLIT_MAX_CYCLE", 0.0)
-    report = mc_validate(cert_roomy, [0.0, 5.0], 2000, master_seed=2024)
-    assert report["regeneration"] == scheme
-    pi_f, gstar = lattice_roomy
+@pytest.mark.parametrize("family", gig1.FAMILIES)
+def test_estimates_match_the_lattice_reference(family):
+    # at s = 0.04 and L = 60 the references are pi(f) 0.5320760, 2.3089579
+    # and 1.2323688, g*(0) -2.2660069, -18.9999295 and -8.5929722, g*(5)
+    # 30.0860886, 18.5784334 and 26.6160864 (normal, logistic, laplace);
+    # halving s moves none by more than 7e-4, and the logistic tail needs
+    # L = 60: at L = 40 its g*(0) moves by 1.5e-3
+    inc = Increment(family, -0.5, 1.0)
+    cert = build_certificate(GIG1Model(increment=inc, kappa=2.0, step=CONTROL_STEPS[family]))
+    report = mc_validate(cert, [0.0, 5.0], 2000, master_seed=2024)
+    pi_f, gstar = lattice_reference(cert, length=60.0)
     assert abs(report["pi_f"]["estimate"] - pi_f) <= 3.0 * report["pi_f"]["std_error"]
     for row in report["points"]:
         assert abs(row["estimate"] - gstar[row["x"]]) <= 3.0 * row["std_error"], row
 
 
 def test_error_bars_match_the_seed_spread(cert_roomy, lattice_roomy):
-    # over 40 seeds at x = 0 the reported error bar must match the spread of
-    # the points; a bar without pi(f)'s error is 2.8x too small here (2.4x
-    # at 5000 cycles)
-    reports = [mc_validate(cert_roomy, [0.0], 2000, master_seed=seed) for seed in range(40)]
-    assert {r["regeneration"] for r in reports} == {"split"}
-    points = np.array([r["points"][0]["estimate"] for r in reports])
-    bars = np.array([r["points"][0]["std_error"] for r in reports])
-    ratio = points.std(ddof=1) / bars.mean()
-    assert 1.0 / 1.5 <= ratio <= 1.5
-    # coverage of the sharp reference by 1.96 error bars: with honest bars
-    # at least 34 of 40 points are covered with probability 0.997
-    inside = np.abs(points - lattice_roomy[1][0.0]) <= 1.96 * bars
+    # over 40 seeds at x = 0 and x = 10 the reported error bar must match the
+    # spread of the points. A bar without pi(f)'s error is 1.4x too small at
+    # x = 0, within the bounds, and 1.9x too small at x = 10, whose cycles
+    # are longer than phi's by more
+    reports = [mc_validate(cert_roomy, [0.0, 10.0], 2000, master_seed=seed) for seed in range(40)]
+    points = np.array([[row["estimate"] for row in r["points"]] for r in reports])
+    bars = np.array([[row["std_error"] for row in r["points"]] for r in reports])
+    ratio = points.std(axis=0, ddof=1) / bars.mean(axis=0)
+    assert np.all((1.0 / 1.5 <= ratio) & (ratio <= 1.5)), ratio
+    # coverage of the sharp reference by 1.96 error bars at x = 0: with
+    # honest bars at least 34 of 40 points are covered with probability 0.997
+    inside = np.abs(points[:, 0] - lattice_roomy[1][0.0]) <= 1.96 * bars[:, 0]
     assert inside.mean() >= 0.85
