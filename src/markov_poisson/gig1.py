@@ -89,6 +89,85 @@ _STANDARD_MOMENTS = {
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
+# The normal CDF of scipy.special.ndtr, transcribed from its Cephes source
+# (ndtr.c, by Stephen L. Moshier) in Python floats: the same coefficient
+# tables, Horner loops and libm exp (math.exp, not np.exp, whose SIMD
+# kernel rounds some points differently), so every value is the same float,
+# and the queue certificate's atom loads no scipy module.
+
+#: erfc(x) = exp(-x^2) P(x) / Q(x) on 1 <= x < 8
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+#: erfc(x) = exp(-x^2) R(x) / S(x) on x >= 8
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+#: erf(x) = x T(x^2) / U(x^2) on |x| <= 1
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+#: log of the largest double: exp(-x^2) underflows to 0 past it
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.7071067811865476
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """The polynomial with coefficients ``coef``, highest power first, by Horner's rule.
+
+    A leading 1.0 gives Cephes' p1evl: 1.0 * x is exactly x.
+    """
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """erfc(x) for x >= 0."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.exp(z) * _polevl(x, p) / _polevl(x, q)
+
+
+def _ndtr(a: float) -> float:
+    """P(N(0, 1) <= a), the float scipy.special.ndtr gives."""
+    if math.isnan(a):
+        return a
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
+
 
 @dataclass(frozen=True)
 class Increment:
@@ -100,7 +179,11 @@ class Increment:
     the arithmetic of scipy.stats 1.17, so every value, ppf(0) = -inf and
     ppf(1) = inf included, is the float its frozen law gives
     (``lower_partial_moments`` has no scipy.stats counterpart).
-    scipy.special is imported on first use, so the package import that
+    The normal cdf is ``_ndtr``, scipy.special.ndtr's Cephes code in Python
+    floats, taken point by point, and the laplace law is numpy alone, so a
+    certificate of either family loads no scipy module. The rest (the
+    logistic law, the normal ppf and the partial moments) is vector code
+    from scipy.special, imported on first use, so the package import that
     every command pays leaves it out. Construction checks the arguments and
     raises ValueError.
     """
@@ -135,9 +218,11 @@ class Increment:
         if self.family == "laplace":
             with np.errstate(over="ignore"):
                 return np.where(z > 0, 1.0 - 0.5 * np.exp(-z), 0.5 * np.exp(z))
-        from scipy import special
+        if self.family == "normal":
+            return np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)[()]
+        from scipy.special import expit
 
-        return (special.ndtr if self.family == "normal" else special.expit)(z)
+        return expit(z)
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
@@ -424,9 +509,10 @@ def bound_curves(cert: GIG1Certificate, x_grid) -> dict:
 def drift_spot_check(cert: GIG1Certificate, n_points: int, rng: np.random.Generator) -> float:
     """Worst drift-inequality violation of ``cert`` at random off-grid points.
 
-    Samples x uniformly on [0, horizon] of the certificate's model and
-    evaluates (Pv1)(x) - v1(x) + max(x, 1) - b1*I[x <= x0]; the returned
-    maximum should not exceed the quadrature tolerance.
+    Samples x uniformly on [0, drift_horizon() + HORIZON_PAD] of the
+    certificate's model, the range its drift grid scans, and evaluates
+    (Pv1)(x) - v1(x) + max(x, 1) - b1*I[x <= x0]; the returned maximum
+    should not exceed the quadrature tolerance.
     """
     xs = rng.uniform(0.0, cert.model.drift_horizon() + HORIZON_PAD, size=n_points)
     violation = -cert.model.drift_margin(xs) - cert.b1 * (xs <= cert.x0)

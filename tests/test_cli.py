@@ -987,10 +987,11 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_stats():
-    # importing the front end loads none of the five scipy subpackages
-    # below; the queue commands load scipy.special on first use, the
-    # commands that factor a matrix load scipy.linalg, and no command
-    # loads the other three
+    # importing the front end loads no scipy module at all, and neither do
+    # verify and the normal and laplace queue certificates; the logistic law
+    # and the queue sampler load scipy.special, the commands that factor a
+    # matrix load scipy.linalg, and no command loads the other three of the
+    # five subpackages below
     import markov_poisson
 
     env = {**os.environ, "PYTHONPATH": str(Path(markov_poisson.__file__).parents[1])}
@@ -999,15 +1000,18 @@ def test_cli_import_leaves_out_scipy_integrate_and_stats():
         "from markov_poisson.cli import main",
         "if sys.argv[1:]:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        main(sys.argv[1:])",
+        "        assert main(sys.argv[1:]) == 0",
         "names = ('scipy.stats', 'scipy.sparse', 'scipy.integrate', 'scipy.special',",
         "         'scipy.linalg')",
-        "print([m for m in names if m in sys.modules])",
+        "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "print([m for m in names if m in sys.modules] if scipy else 'no scipy')",
     ])
     cases = [
-        ([], "[]"),
-        (["verify", "--spec", str(BUNDLED_SPEC)], "[]"),
-        (["gig1", "--kappa", "2"], "['scipy.special']"),
+        ([], "no scipy"),
+        (["verify", "--spec", str(BUNDLED_SPEC)], "no scipy"),
+        (["gig1", "--kappa", "2"], "no scipy"),
+        (["gig1", "--kappa", "2", "--family", "laplace", "--grid-step", "0.004"], "no scipy"),
+        (["gig1", "--kappa", "2", "--family", "logistic"], "['scipy.special']"),
         (["simulate", "--gig1", "--kappa", "2", "--x0", "1", "--cycles", "20"],
          "['scipy.special']"),
         (["solve", "--spec", str(BUNDLED_SPEC)], "['scipy.linalg']"),

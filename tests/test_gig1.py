@@ -66,9 +66,9 @@ def test_tight_certificate_regression_values(cert_tight):
     assert 0.0 < cert.lam < 1.0
 
 
-def test_atom_is_tail_mass_below_minus_x0(cert_tight):
-    cert = cert_tight
-    assert cert.atom == pytest.approx(cert.model.increment.cdf(-cert.x0), rel=1e-12)
+def test_atom_is_tail_mass_below_minus_x0(cert_tight, cert_roomy):
+    for cert in (cert_tight, cert_roomy):
+        assert cert.atom == stats.norm(-0.5, 1.0).cdf(-cert.x0)
 
 
 def test_search_exhausted_when_horizon_cut_short(monkeypatch):
@@ -306,6 +306,18 @@ def test_increment_gives_the_frozen_scipy_law_floats(family):
         assert ours.mean() == frozen.mean()
         assert ours.var() == frozen.var()
         assert ours.ppf(0.0) == -np.inf and ours.ppf(1.0) == np.inf
+    # the branch points of the Cephes code that the normal cdf transcribes,
+    # with neighbours one ulp of c apart: erf gives way to erfc at |z| = 1
+    # and erfc to 1 - erf below sqrt(2), erfc changes its rational form at
+    # 8 sqrt(2) and underflows to 0 near 37.68; and the certificate's atom
+    # P(Z <= -x0), at every x0 of the 0.01 grid up to 60
+    ulps = np.arange(-3, 4)
+    branches = [c + ulps * np.spacing(c) for c in (1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0))]
+    z = np.concatenate([*branches, np.linspace(37.5, 38.6, 2201)])
+    xs = np.concatenate([z, -z, -np.arange(0.0, 60.0, 0.01)])
+    for loc in (0.0, -0.5):
+        got, want = Increment(family, loc, 1.0).cdf(xs), SCIPY_LAWS[family](loc, 1.0).cdf(xs)
+        np.testing.assert_array_equal(got, want, err_msg=f"cdf edges at {loc}")
 
 
 def test_unknown_family_rejected():
@@ -464,7 +476,10 @@ def lattice_reference(cert, step=0.04, length=40.0):
     n = int(round(length / step)) + 1
     xs = np.arange(n) * step
     edges = (np.arange(1, n) - 0.5) * step
-    cdf = cert.model.increment.cdf(edges[None, :] - xs[:, None])
+    # scipy's vector cdf: the same floats as Increment.cdf, which takes the
+    # normal law point by point in Python
+    inc = cert.model.increment
+    cdf = SCIPY_LAWS[inc.family](inc.loc, inc.scale).cdf(edges[None, :] - xs[:, None])
     chain = validate_chain(np.diff(cdf, prepend=0.0, append=1.0, axis=1))
     phi_cdf = np.interp(edges, cert.ys, QueueSampler(cert)._phi_cum)
     system = np.zeros((n + 1, n + 1))
