@@ -37,10 +37,13 @@ and E[(x + Z)^2] = x^2 + 2 x E[Z] + E[Z^2].
 Simulation (``mc_validate``) regenerates the chain at its atom {0},
 which it reaches from every x with probability P(Z <= -x) > 0, and
 recovers the certificate's g* as g_a - phi(g_a) from the atom's solution
-g_a. The cycles are charged with a control, h = f - (u - Pu) for the fluid
-value function u(x) = x^2 / (2 |E Z|), and each g*(x) gets u(x) - phi(u)
-back: the estimates keep their means and lose most of their variance, and
-each error bar carries pi(f)'s error.
+g_a. The cycles are charged with a control, f - (w - Pw) for w(x) = u(x) +
+beta x, the fluid value function u(x) = x^2 / (2 |E Z|) plus the linear
+term of the free walk's exact solution, and each g*(x) gets w(x) - phi(w)
+back. Every cycle carries two columns of charges, one for u and one for
+x, so beta is fitted after the pass from its own pi(f) estimate. The
+estimates keep their means and lose most of their variance, and each
+error bar carries pi(f)'s error.
 """
 
 from __future__ import annotations
@@ -530,16 +533,20 @@ class QueueSampler:
     quadrature representation (atom at 0 plus a piecewise-linear density
     CDF).
 
-    Cycles are charged with h = f - (u - Pu), not f(x) = x, where u is the
-    fluid value function u(x) = x^2 / (2 |E Z|). The x terms of f - u + Pu
-    cancel exactly and leave the bounded charge
+    Cycles carry two charges, not f(x) = x. The first is h = f - (u - Pu),
+    where u is the fluid value function u(x) = x^2 / (2 |E Z|). The x terms
+    of f - u + Pu cancel exactly and leave the bounded charge
 
-        h(x) = (E Z^2 - E[(x + Z)^2; Z <= -x]) / (2 |E Z|),
+        h(x) = (E Z^2 - E[(x + Z)^2; Z <= -x]) / (2 |E Z|).
 
-    one ``Increment.lower_partial_moments`` call. ``phi_u`` is the exact
-    mean of u under the law ``sample_certificate_phi`` draws from: the atom
-    at 0 adds nothing, and a cell [a, b] of ``ys`` with phi-mass w is
-    uniform and adds w (a^2 + ab + b^2) / 3 / (2 |E Z|).
+    The second is the drift of the linear term, d(x) = E max(x + Z, 0) - x
+    = E Z - x M0 - M1 with M_k = E[Z^k; Z <= -x]; it tends to E Z for large
+    x. Both come from one ``Increment.lower_partial_moments`` call, and
+    h + beta d is the charge of the control u + beta x (see ``beta`` and
+    :func:`mc_validate`). ``phi_u`` and ``phi_x`` are the exact means of u
+    and x under the law ``sample_certificate_phi`` draws from: the atom at
+    0 adds nothing, and a cell [a, b] of ``ys`` with phi-mass w is uniform
+    and adds w (a^2 + ab + b^2) / 3 / (2 |E Z|) and w (a + b) / 2.
     """
 
     dtype = float
@@ -553,20 +560,28 @@ class QueueSampler:
         steps = np.diff(cert.ys) * (cert.density[1:] + cert.density[:-1]) / 2.0
         cum = np.concatenate(([0.0], np.cumsum(steps)))
         self._phi_cum = (cert.atom + cum) / cert.lam
-        mean = increment.mean()
+        self._mean = mean = increment.mean()
         self._fluid = 1.0 / (2.0 * abs(mean))
         self._second_moment = increment.var() + mean * mean
         a, b = cert.ys[:-1], cert.ys[1:]
-        self.phi_u = float(np.diff(self._phi_cum) @ (a * a + a * b + b * b)) / 3.0 * self._fluid
+        weights = np.diff(self._phi_cum)
+        self.phi_u = float(weights @ (a * a + a * b + b * b)) / 3.0 * self._fluid
+        self.phi_x = float(weights @ (a + b)) / 2.0
 
     def u(self, x) -> np.ndarray:
         """The control's fluid value function x^2 / (2 |E Z|)."""
         return self._fluid * np.square(x)
 
+    def beta(self, pi_f: float) -> float:
+        """The free walk's linear term (E Z^2 / (2 |E Z|) - pi(f)) / |E Z|."""
+        return (self._second_moment * self._fluid - pi_f) * 2.0 * self._fluid
+
     def charge(self, x: np.ndarray) -> np.ndarray:
+        """The columns (h, d) of the control's charges, shape (x.size, 2)."""
         m0, m1, m2 = self._increment.lower_partial_moments(-x)
         # x (x M0 + 2 M1) + M2: M0 and M1 vanish before x^2 could overflow
-        return (self._second_moment - (x * (x * m0 + 2.0 * m1) + m2)) * self._fluid
+        h = (self._second_moment - (x * (x * m0 + 2.0 * m1) + m2)) * self._fluid
+        return np.stack([h, self._mean - x * m0 - m1], axis=-1)
 
     def in_small_set(self, x: np.ndarray) -> np.ndarray:
         return x <= 0.0
@@ -635,23 +650,32 @@ def mc_validate(
     and g_a(x) and phi(g_a) are ``gstar_from_cycles`` over cycles from x
     and from the certificate's phi.
 
-    The cycles are charged with the control h = f - (u - Pu) of
-    :class:`QueueSampler`. tau is a stopping time, u(X_n) - u(X_0) -
-    sum_{j<n} (Pu - u)(X_j) is a martingale and X_tau ~ P(0, .), so
-    E_x sum_{j<tau} (u - Pu)(X_j) = u(x) - Pu(0). Hence pi(f) =
-    E sum h / E tau, the same ratio estimator, and the Pu(0) terms of
-    g_a(x) and phi(g_a) cancel: g*(x) is the h-charged g_a(x) - phi(g_a)
-    plus u(x) - phi(u), with phi the certificate's law.
-    :func:`gstar_points` reduces the cycles, and every standard error
-    carries pi(f)'s error. The report names the control under
-    ``"control"``, with phi(u).
+    The cycles carry the two charges (h, d) of :class:`QueueSampler`, and
+    every estimate reduces h + beta d, the charge f - (w - Pw) of the
+    control w(x) = u(x) + beta x. tau is a stopping time, w(X_n) - w(X_0)
+    - sum_{j<n} (Pw - w)(X_j) is a martingale and X_tau ~ P(0, .), so
+    E_x sum_{j<tau} (w - Pw)(X_j) = w(x) - Pw(0) whatever beta. Hence
+    pi(f) = E sum (h + beta d) / E tau, the same ratio estimator, and the
+    Pw(0) terms of g_a(x) and phi(g_a) cancel: g*(x) is the charged
+    g_a(x) - phi(g_a) plus u(x) - phi(u) + beta (x - phi(x)), with phi the
+    certificate's law.
+
+    At beta = (E Z^2 / (2 |E Z|) - pi(f)) / |E Z|, w solves the Poisson
+    equation of the free walk (no reflection at 0) exactly, so the charge
+    tends to pi(f) for large x and long excursions add little variance.
+    beta is fitted from the ratio estimate of pi(f) on the h column of the
+    P(0, .) block, and every point uses that one beta in its sums and its
+    offset; the plug-in biases the points by O(1/n), far below their error
+    bars. :func:`gstar_points` reduces the cycles, and every standard
+    error carries pi(f)'s error. The report names the control under
+    ``"control"``, with beta, phi(u) and phi(x).
 
     ``max_steps`` guards each cycle's steps: a budget its cycles outrun
-    raises MaxStepsExceeded. Every estimate is one block of a single ``run_cycles`` pass, on its
-    own disjoint cycle streams, so one master seed reproduces the whole
-    report. Containment is asserted within 3 standard errors of each
-    estimate; an envelope that overflows at some x raises NonFiniteResult
-    before any cycle is run.
+    raises MaxStepsExceeded. Every estimate is one block of a single
+    ``run_cycles`` pass, on its own disjoint cycle streams, so one master
+    seed reproduces the whole report. Containment is asserted within 3
+    standard errors of each estimate; an envelope that overflows at some x
+    raises NonFiniteResult before any cycle is run.
     """
     x_list = [float(x) for x in x_list]
     with np.errstate(over="ignore"):  # an overflow is refused below as NonFiniteResult
@@ -663,12 +687,13 @@ def mc_validate(
     sc = QueueSampler(cert)
     # pi(f) from P(0, .), g_a from each x and phi(g_a) from the certificate's phi
     starts = [None, *x_list, sc.sample_certificate_phi]
-    sums, lengths = (
-        a.reshape(len(starts), n_cycles)
-        for a in run_cycles(sc, starts, n_cycles, master_seed, workers, max_steps)
-    )
-    offsets = (sc.u(np.array(x_list)) - sc.phi_u).tolist()
-    pif, points = gstar_points(sums, lengths, offsets)
+    sums, lengths = run_cycles(sc, starts, n_cycles, master_seed, workers, max_steps)
+    sums = sums.reshape(len(starts), n_cycles, 2)
+    lengths = lengths.reshape(len(starts), n_cycles)
+    beta = sc.beta(pif_from_cycles(sums[0, :, 0], lengths[0]).point)
+    xs = np.array(x_list)
+    offsets = (sc.u(xs) - sc.phi_u + beta * (xs - sc.phi_x)).tolist()
+    pif, points = gstar_points(sums[..., 0] + beta * sums[..., 1], lengths, offsets)
     rows = []
     all_inside = True
     for x, lower, upper, (point, se) in zip(x_list, lowers, uppers, points):
@@ -685,7 +710,8 @@ def mc_validate(
             }
         )
     return {
-        "control": {"u": "x^2 / (2 |E Z|)", "phi_u": sc.phi_u},
+        "control": {"u": "x^2 / (2 |E Z|) + beta x", "beta": beta, "phi_u": sc.phi_u,
+                    "phi_x": sc.phi_x},
         "pi_f": {"estimate": pif.point, "std_error": pif.std_error},
         "n_cycles": n_cycles,
         "seed": master_seed,

@@ -6,7 +6,9 @@ endpoint from phi (success) or the residual kernel (failure), fills the
 m-1 intermediate indices with the endpoint-conditioned bridge sampler,
 and stops at the first success. Visits to the small set strictly inside
 a bridge segment never toss coins; the next eligible visit is the first
-one at least m steps after the previous toss.
+one at least m steps after the previous toss. At m = 1 and lam = 1 the
+toss always succeeds and would be the cycle's last draw, so it is not
+drawn: skipping it moves no other draw.
 
 Every estimate is one block of a ``run_cycles`` pass, reduced by
 ``pif_from_cycles`` (a phi-started block) or ``gstar_from_cycles`` (a
@@ -35,7 +37,8 @@ Samplers implement one batched protocol on arrays of states, with draws
 taken from the lane source :class:`CycleStreams` for the lanes given:
 
 * ``m``, ``lam`` and ``dtype`` (the dtype of a state array);
-* ``charge(x)`` and ``in_small_set(x)``;
+* ``charge(x)``, one value per state or one column per charge (shape
+  (states, k)), and ``in_small_set(x)``;
 * ``step(x, streams, lanes)`` and ``sample_phi(streams, lanes)``;
 * ``sample_residual(x, streams, lanes)``, the endpoints drawn from the
   residual kernel (needed only when lam < 1);
@@ -69,8 +72,8 @@ LANES = 4096
 #: (multiples of 4): most cycles end within the first few draws
 FIRST_DRAWS, WINDOW = 8, 32
 
-#: the most cycles per block: a run keeps each cycle's sum and length, 16
-#: bytes per cycle per block
+#: the most cycles per block: a run keeps each cycle's k sums and length,
+#: 8 (k + 1) bytes per cycle per block
 MAX_CYCLES = 10**8
 
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -186,26 +189,37 @@ def _start_cycles(sc, starts, n: int, streams: CycleStreams, lanes, first: int) 
 
 
 def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_steps: int):
-    """Per-cycle (sum_f, length) of cycles ``lo .. hi - 1`` of blocks of ``n``.
+    """Per-cycle (sums, length) of cycles ``lo .. hi - 1`` of blocks of ``n``.
 
     The streams key their first lane to cycle ``lo``. The lanes start with
     the first ``streams.n`` cycles. A lane whose cycle ends takes the next
     cycle not yet started, on its re-keyed stream and by the rule of that
     cycle's block, until all have started, so the streams hold a window
     only for the cycles in flight. Sums and lengths accumulate per lane;
-    they go to the cycle's slot of the result when the cycle ends.
+    they go to the cycle's slot of the result when the cycle ends. The
+    sums take the charge's shape: one per cycle, or a row of k per cycle
+    when the charge has k columns.
     """
     count = hi - lo
     lanes = np.arange(streams.n)
     cycle = lanes.copy()  # the cycle of each lane, counted from lo
     started = streams.n
     x = _start_cycles(sc, starts, n, streams, lanes, lo)
-    cycle_sums, cycle_lengths = np.empty(count), np.empty(count)
-    sums = np.zeros(streams.n)
+    # one row per charge column, lanes along it: a row adds a lane subset
+    # several times faster than a (lanes, k) block would
+    columns = np.shape(sc.charge(x[:1]))[1:]
+    k = math.prod(columns)
+    cycle_sums, cycle_lengths = np.empty((k, count)), np.empty(count)
+    sums = np.zeros((k, streams.n))
     length = np.zeros(streams.n, dtype=np.int64)
+
+    def add_charge(lanes, states):
+        for row, c in zip(sums, np.reshape(sc.charge(states), (states.size, k)).T):
+            row[lanes] += c
+
     while lanes.size:
         inside = sc.in_small_set(x)
-        sums[lanes] += sc.charge(x)
+        add_charge(lanes, x)
         length[lanes] += np.where(inside, sc.m, 1)
         walk = ~inside
         if walk.any():
@@ -213,7 +227,10 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
         done = np.zeros(0, dtype=np.intp)  # positions in ``lanes`` of ended cycles
         if inside.any():
             lc, xc = lanes[inside], x[inside]
-            success = streams.uniform(lc) < sc.lam
+            if sc.lam < 1.0 or sc.m >= 2:
+                success = streams.uniform(lc) < sc.lam
+            else:  # the toss would succeed and be the cycle's last draw
+                success = np.ones(lc.size, dtype=bool)
             y = xc.copy()
             if sc.m >= 2 and success.any():
                 y[success] = sc.sample_phi(streams, lc[success])
@@ -222,7 +239,7 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
                 y[fail] = sc.sample_residual(xc[fail], streams, lc[fail])
             if sc.m >= 2:
                 for z in sc.sample_bridge(xc, y, streams, lc):
-                    sums[lc] += sc.charge(z)
+                    add_charge(lc, z)
             x[inside] = y
             done = np.flatnonzero(inside)[success]
         if length[lanes].max() > max_steps:
@@ -230,26 +247,26 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
         if not done.size:
             continue
         ld = lanes[done]
-        cycle_sums[cycle[ld]] = sums[ld]
+        cycle_sums[:, cycle[ld]] = sums[:, ld]
         cycle_lengths[cycle[ld]] = length[ld]
-        k = min(done.size, count - started)
-        if k:
-            refill, lr = done[:k], ld[:k]
-            cycle[lr] = np.arange(started, started + k)
+        r = min(done.size, count - started)
+        if r:
+            refill, lr = done[:r], ld[:r]
+            cycle[lr] = np.arange(started, started + r)
             streams.restart(lr, cycle[lr])
-            sums[lr] = 0.0
+            sums[:, lr] = 0.0
             length[lr] = 0
             x[refill] = _start_cycles(sc, starts, n, streams, lr, lo + started)
-            started += k
-        if k < done.size:
+            started += r
+        if r < done.size:
             keep = np.ones(lanes.size, dtype=bool)
-            keep[done[k:]] = False
+            keep[done[r:]] = False
             lanes, x = lanes[keep], x[keep]
-    return cycle_sums, cycle_lengths
+    return np.ascontiguousarray(cycle_sums.T).reshape(count, *columns), cycle_lengths
 
 
 def _shard(args):
-    """Per-cycle (sum_f, length) of one contiguous shard, LANES in flight."""
+    """Per-cycle (sums, length) of one contiguous shard, LANES in flight."""
     sc, starts, n, master_seed, lo, hi, max_steps = args
     streams = CycleStreams(master_seed, lo, min(LANES, hi - lo))
     return _run_lanes(sc, starts, n, streams, lo, hi, max_steps)
@@ -263,7 +280,7 @@ def run_cycles(
     workers: int = 1,
     max_steps: int = DEFAULT_MAX_STEPS,
 ):
-    """Per-cycle (sum_f, length) arrays of ``n_cycles`` i.i.d. cycles per block.
+    """Per-cycle (sums, length) arrays of ``n_cycles`` i.i.d. cycles per block.
 
     ``starts`` holds one start rule per block: a start state, ``None`` to
     draw each cycle's start from the sampler's phi, or a start law
@@ -271,7 +288,9 @@ def run_cycles(
     stream. Block b is cycles b n .. (b + 1) n - 1 of the master seed, and
     the charge is summed over indices 0..tau-1. Both arrays hold
     len(starts) * n_cycles entries in cycle-index order, so block b's
-    cycles are row b of ``reshape(len(starts), n_cycles)``.
+    cycles are row b of ``reshape(len(starts), n_cycles)``. A charge with
+    k columns gives sums of shape (len(starts) * n_cycles, k), one column
+    per charge, from the same draws.
 
     All blocks run in one lane pass: a lane whose cycle ends takes the
     next cycle not yet started, from whichever block. ``workers`` splits

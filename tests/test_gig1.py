@@ -247,7 +247,8 @@ def test_mc_validate_scheme_follows_certificate_not_budget(cert_tight, cert_room
 def test_mc_pif_matches_long_run_average(cert_roomy):
     cert = cert_roomy
     sc = QueueSampler(cert)
-    est = pif_from_cycles(*run_cycles(sc, [None], 20000, master_seed=5))
+    sums, lengths = run_cycles(sc, [None], 20000, master_seed=5)
+    est = pif_from_cycles(sums[:, 0], lengths)  # the h column alone
     # independent oracle: time average of a long Lindley trajectory
     rng = np.random.default_rng(12345)
     steps = 400000
@@ -275,7 +276,8 @@ def test_non_normal_family_pipeline():
     worst = drift_spot_check(cert, 50, np.random.default_rng(4))
     assert worst <= 1e-6
     sc = QueueSampler(cert)
-    est = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=6))
+    sums, lengths = run_cycles(sc, [None], 500, master_seed=6)
+    est = pif_from_cycles(sums[:, 0], lengths)
     assert np.isfinite(est.point) and est.point > 0.0
 
 
@@ -365,9 +367,9 @@ def test_one_lattice_per_gig1_op(monkeypatch, capsys):
 def test_sampler_is_deterministic_per_stream(cert_roomy):
     cert = cert_roomy
     sc = QueueSampler(cert)
-    a = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=77))
-    b = pif_from_cycles(*run_cycles(sc, [None], 500, master_seed=77))
-    assert (a.point, a.std_error) == (b.point, b.std_error)
+    a = run_cycles(sc, [None], 500, master_seed=77)
+    b = run_cycles(sc, [None], 500, master_seed=77)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 @pytest.mark.parametrize("family", gig1.FAMILIES)
@@ -410,11 +412,36 @@ def test_control_charge_matches_quadrature(family, kappa):
         lower = sum(integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                     for a, b in zip(cuts[:-1], cuts[1:]) if a < b)
         want = (second - lower) / (2.0 * abs(inc.mean()))
-        got = float(sc.charge(np.array([x]))[0])
+        got = float(sc.charge(np.array([x]))[0, 0])
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, got, want)
     # far out the lower partial moment is 0 and nothing overflows on the way
-    far = sc.charge(np.array([1e152, 1e300]))
+    far = sc.charge(np.array([1e152, 1e300]))[:, 0]
     np.testing.assert_allclose(far, second / (2.0 * abs(inc.mean())), rtol=1e-15)
+
+
+@pytest.mark.parametrize("family", gig1.FAMILIES)
+@pytest.mark.parametrize("kappa", [2.0, 1.1])
+def test_linear_charge_matches_quadrature(family, kappa):
+    # d = E max(x + Z, 0) - x against the integral by quad, as E Z - E[x + Z;
+    # Z <= -x]: the upper integral would cancel away its last digits at x = 30
+    inc = Increment(family, -0.5, 1.0)
+    cert = build_certificate(GIG1Model(increment=inc, kappa=kappa, step=CONTROL_STEPS[family]))
+    sc = QueueSampler(cert)
+    for x in (0.0, cert.x0, 5.0, 30.0):
+        def integrand(z):
+            return (x + z) * inc.pdf(z)
+
+        cuts = [-np.inf, min(inc.loc, -x), -x]
+        lower = sum(integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(cuts[:-1], cuts[1:]) if a < b)
+        want = inc.mean() - lower
+        got = float(sc.charge(np.array([x]))[0, 1])
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, got, want)
+    # far out the walk is free: d is E Z exactly, with no overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = sc.charge(np.array([1e152, 1e300]))[:, 1]
+    assert far.tolist() == [inc.mean(), inc.mean()]
 
 
 @pytest.mark.parametrize("kappa", [2.0, 1.1])
@@ -429,6 +456,20 @@ def test_phi_u_is_the_mean_of_u_under_the_sampled_phi(kappa):
     draws = sc.sample_certificate_phi(types.SimpleNamespace(uniform=lambda lanes: q), None)
     weights = np.repeat(np.diff(cum), 100) / 100.0
     assert sc.phi_u == pytest.approx(float(weights @ sc.u(draws)), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa", [2.0, 1.1])
+def test_phi_x_is_the_mean_of_x_under_the_sampled_phi(kappa):
+    # x is linear on each cell of ys, so the midpoint sum over the sampler's
+    # inverse CDF is exact up to rounding; the atom at 0 adds nothing
+    cert = build_certificate(GIG1Model(kappa=kappa, **STANDARD))
+    sc = QueueSampler(cert)
+    cum = sc._phi_cum
+    mid = (np.arange(100) + 0.5) / 100.0
+    q = (cum[:-1, None] + np.diff(cum)[:, None] * mid[None, :]).ravel()
+    draws = sc.sample_certificate_phi(types.SimpleNamespace(uniform=lambda lanes: q), None)
+    weights = np.repeat(np.diff(cum), 100) / 100.0
+    assert sc.phi_x == pytest.approx(float(weights @ draws), rel=1e-8, abs=0.0)
 
 
 def _oracle(system, f, xs, n=200, seed=11):
@@ -505,8 +546,9 @@ def test_estimates_match_the_lattice_reference(family):
     # at s = 0.04 and L = 60 the references are pi(f) 0.5320760, 2.3089579
     # and 1.2323688, g*(0) -2.2660069, -18.9999295 and -8.5929722, g*(5)
     # 30.0860886, 18.5784334 and 26.6160864 (normal, logistic, laplace);
-    # halving s moves none by more than 7e-4, and the logistic tail needs
-    # L = 60: at L = 40 its g*(0) moves by 1.5e-3
+    # halving s moves none by more than 7e-4, a tenth of the smallest error
+    # bar here (laplace g*(0), 0.0032), and the logistic tail needs L = 60:
+    # at L = 40 its g*(0) moves by 1.5e-3
     inc = Increment(family, -0.5, 1.0)
     cert = build_certificate(GIG1Model(increment=inc, kappa=2.0, step=CONTROL_STEPS[family]))
     report = mc_validate(cert, [0.0, 5.0], 2000, master_seed=2024)
@@ -518,9 +560,9 @@ def test_estimates_match_the_lattice_reference(family):
 
 def test_error_bars_match_the_seed_spread(cert_roomy, lattice_roomy):
     # over 40 seeds at x = 0 and x = 10 the reported error bar must match the
-    # spread of the points. A bar without pi(f)'s error is 1.4x too small at
-    # x = 0, within the bounds, and 1.9x too small at x = 10, whose cycles
-    # are longer than phi's by more
+    # spread of the points (0.85 and 1.00). A bar without pi(f)'s error is
+    # 1.3x too small at x = 0, within the bounds, and 4.3x too small at
+    # x = 10, whose cycles are longer than phi's by more
     reports = [mc_validate(cert_roomy, [0.0, 10.0], 2000, master_seed=seed) for seed in range(40)]
     points = np.array([[row["estimate"] for row in r["points"]] for r in reports])
     bars = np.array([[row["std_error"] for row in r["points"]] for r in reports])

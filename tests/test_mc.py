@@ -305,6 +305,45 @@ def test_refilled_lanes_reproduce_per_cycle_reference(monkeypatch, m, x0):
     _check_against_reference(m, x0)
 
 
+def test_coin_is_tossed_only_when_it_can_decide(chain):
+    # at lam = 1 and m = 1 a cycle started in C regenerates at once with no
+    # draw; at m = 2 the toss comes before the phi and bridge draws, so it
+    # is still drawn: toss, endpoint and one bridge state
+    for m, draws in ((1, 0), (2, 3)):
+        bundle = verify_bundle(chain, [1, 0], [1, 4], [1, 5], [0], m)
+        sc = sampler(bundle, [1, 0])
+        assert sc.lam == 1.0
+        streams = CycleStreams(5, 0, 10)
+        _, lengths = mc._run_lanes(sc, [0], 10, streams, 0, 10, mc.DEFAULT_MAX_STEPS)
+        assert np.all(lengths == m)
+        assert np.all(streams.count == draws), m
+
+
+class _BlockCharged(FiniteChainSampler):
+    """Charges the columns (f, 1) rather than f."""
+
+    def charge(self, x):
+        return np.stack([self.f[x], np.ones(x.size)], axis=-1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_block_charges_sum_column_by_column(monkeypatch, m):
+    # a charge's columns share one pass's draws: column 0 is bitwise the
+    # one-column run and column 1 counts the charged indices, the lengths,
+    # bridge indices included; refilled lanes cross from phi to x0's block
+    rng = np.random.default_rng(5)
+    chain = validate_chain(rng.dirichlet(np.full(9, 0.7), size=9))
+    f = rng.uniform(0.0, 2.0, 9)
+    system = CycleSystem(minorize(chain, [1, 3], m))
+    monkeypatch.setattr(mc, "LANES", 7)
+    sums, lengths = run_cycles(FiniteChainSampler(system, f), [None, 4], 300, master_seed=8)
+    block, block_lengths = run_cycles(_BlockCharged(system, f), [None, 4], 300, master_seed=8)
+    assert block.shape == (600, 2)
+    assert np.array_equal(block[:, 0], sums)
+    assert np.array_equal(block_lengths, lengths)
+    assert np.array_equal(block[:, 1], lengths)
+
+
 def test_max_steps_guard_covers_refilled_cycles(monkeypatch, chain, bundle):
     # under this seed the one cycle longer than 16 steps is cycle 50 (31
     # steps), which starts in a refilled lane when 7 lanes run 60 cycles
