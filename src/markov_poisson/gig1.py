@@ -616,7 +616,8 @@ def gstar_points(sums: np.ndarray, lengths: np.ndarray, offsets):
 
         Var g_x + Var g_phi + ((E_x len - E_phi len) SE(pi_f))^2.
 
-    The offsets are u(x) - phi(u) of the control (see :func:`mc_validate`).
+    The offsets are w(x) - phi(w) of the control w = u + beta x (see
+    :func:`mc_validate`).
     """
     pif = pif_from_cycles(sums[0], lengths[0])
     estimates = [gstar_from_cycles(s, t, pif.point) for s, t in zip(sums[1:], lengths[1:])]

@@ -205,17 +205,22 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
     cycle = lanes.copy()  # the cycle of each lane, counted from lo
     started = streams.n
     x = _start_cycles(sc, starts, n, streams, lanes, lo)
-    # one row per charge column, lanes along it: a row adds a lane subset
-    # several times faster than a (lanes, k) block would
-    columns = np.shape(sc.charge(x[:1]))[1:]
-    k = math.prod(columns)
+    # a charge of one value per state is one column; a (states, k) charge
+    # is k. Each column sums into its own row of lanes: a 1-d row adds a
+    # lane subset about three times faster than a (lanes, k) block does
+    probe = np.shape(sc.charge(x[:1]))
+    blocked = len(probe) == 2
+    k = probe[1] if blocked else 1
     cycle_sums, cycle_lengths = np.empty((k, count)), np.empty(count)
     sums = np.zeros((k, streams.n))
+    rows = list(sums)
     length = np.zeros(streams.n, dtype=np.int64)
+    toss = sc.lam < 1.0 or sc.m >= 2
 
     def add_charge(lanes, states):
-        for row, c in zip(sums, np.reshape(sc.charge(states), (states.size, k)).T):
-            row[lanes] += c
+        charge = sc.charge(states)
+        for row, column in zip(rows, charge.T if blocked else (charge,)):
+            row[lanes] += column
 
     while lanes.size:
         inside = sc.in_small_set(x)
@@ -227,7 +232,7 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
         done = np.zeros(0, dtype=np.intp)  # positions in ``lanes`` of ended cycles
         if inside.any():
             lc, xc = lanes[inside], x[inside]
-            if sc.lam < 1.0 or sc.m >= 2:
+            if toss:
                 success = streams.uniform(lc) < sc.lam
             else:  # the toss would succeed and be the cycle's last draw
                 success = np.ones(lc.size, dtype=bool)
@@ -262,7 +267,7 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
             keep = np.ones(lanes.size, dtype=bool)
             keep[done[r:]] = False
             lanes, x = lanes[keep], x[keep]
-    return np.ascontiguousarray(cycle_sums.T).reshape(count, *columns), cycle_lengths
+    return (cycle_sums.T.copy() if blocked else cycle_sums[0]), cycle_lengths
 
 
 def _shard(args):
@@ -331,6 +336,15 @@ def run_cycles(
     return np.concatenate(sums), np.concatenate(lengths)
 
 
+def _check_one_column(sums) -> None:
+    """Raise ValueError unless ``sums`` holds one value per cycle."""
+    if np.ndim(sums) != 1:
+        raise ValueError(
+            f"sums must hold one value per cycle, got shape {np.shape(sums)}: "
+            "reduce one charge column, e.g. sums[:, 0]"
+        )
+
+
 def gstar_from_cycles(sums: np.ndarray, lengths: np.ndarray, pi_f: float) -> MCEstimate:
     """g*(x0) = E_x0 sum_{j<tau} (f - pi_f)(X_j) from the cycles of one block.
 
@@ -341,8 +355,9 @@ def gstar_from_cycles(sums: np.ndarray, lengths: np.ndarray, pi_f: float) -> MCE
     the same value the sample deviation vanishes, but the point is still
     only as exact as the arithmetic that formed it. The floor is 0 when
     every contribution is exactly 0. Fewer than two cycles give no error
-    bar and raise ValueError.
+    bar and raise ValueError, as do sums of more than one charge column.
     """
+    _check_one_column(sums)
     n = lengths.size
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 cycles, got {n}")
@@ -360,8 +375,9 @@ def pif_from_cycles(sums: np.ndarray, lengths: np.ndarray) -> MCEstimate:
     standard error uses the delta method for the regenerative ratio,
     sd(sum_f - r*length) / (mean length * sqrt(n)), floored at 2 eps |r|
     as in :func:`gstar_from_cycles`. Fewer than two cycles raise
-    ValueError.
+    ValueError, as do sums of more than one charge column.
     """
+    _check_one_column(sums)
     n = lengths.size
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 cycles, got {n}")

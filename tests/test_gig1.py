@@ -21,7 +21,8 @@ from markov_poisson.gig1 import (
     gstar_points,
     mc_validate,
 )
-from markov_poisson.mc import CycleStreams, FiniteChainSampler, pif_from_cycles, run_cycles
+from markov_poisson.mc import (CycleStreams, FiniteChainSampler, gstar_from_cycles, pif_from_cycles,
+                              run_cycles)
 from markov_poisson.split import CycleSystem
 
 STANDARD = dict(increment=Increment("normal", -0.5, 1.0))
@@ -263,6 +264,14 @@ def test_mc_pif_matches_long_run_average(cert_roomy):
     longrun = total / steps
     # batch-means error of the oracle plus the ratio estimator's own SE
     assert abs(est.point - longrun) <= 5 * est.std_error + 0.02
+
+
+def test_reductions_refuse_the_two_column_queue_sums(cert_roomy):
+    # the queue charges (h, d): a reduction takes one column, and says so
+    sums, lengths = run_cycles(QueueSampler(cert_roomy), [None], 20, master_seed=5)
+    for reduce in (pif_from_cycles, lambda s, t: gstar_from_cycles(s, t, 0.5)):
+        with pytest.raises(ValueError, match=r"shape \(20, 2\).*one charge column"):
+            reduce(sums, lengths)
 
 
 def test_non_normal_family_pipeline():
