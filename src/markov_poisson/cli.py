@@ -334,10 +334,11 @@ def _simulate_chain(spec, x0, args, report, checks):
     f = spec.function("f")
     if spec.small is None:
         raise SpecFileError("simulate needs a 'small_set' declaration")
-    system = CycleSystem(minorize(chain, **spec.small))
+    cert = minorize(chain, **spec.small)
+    system = CycleSystem(cert)
     pi_f = float(chain.pi @ f)
     g_exact = system.canonical_solution(f)
-    sc = FiniteChainSampler(system, f)
+    sc = FiniteChainSampler(cert, f)
     n = args.cycles
     sums, lengths = run_cycles(sc, [None, x0], n, args.seed, args.workers, args.max_steps)
     pif_est = pif_from_cycles(sums[:n], lengths[:n])

@@ -129,12 +129,6 @@ class MaxStepsExceeded(ToolkitError):
         self.steps = steps
 
 
-class MissingBridgeSampler(ToolkitError):
-    """m >= 2 simulation requested without a bridge sampler."""
-
-    code = "missing-bridge-sampler"
-
-
 class BoundViolation(ToolkitError):
     """A guaranteed bound failed; indicates a certificate or implementation bug."""
 

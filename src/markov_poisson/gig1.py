@@ -527,8 +527,8 @@ class QueueSampler:
 
     Increments are drawn as ``ppf(u)`` of the :class:`Increment` of the
     certificate's model. The small set is the atom C = {0}, with m = 1,
-    lam = 1 and phi = P(0, .), so a cycle needs no residual kernel (see
-    :func:`mc_validate`). The certificate's own phi, which centres the
+    lam = 1 and phi = P(0, .), so the coin cannot fail and the sampler
+    needs no ``regeneration_probability`` (see :func:`mc_validate`). The certificate's own phi, which centres the
     estimates, is sampled by ``sample_certificate_phi``: inverse CDF on its
     quadrature representation (atom at 0 plus a piecewise-linear density
     CDF).

@@ -1,14 +1,18 @@
 """Regenerative Monte Carlo over sampler-defined chains, in numpy lanes.
 
-A cycle runs the one-step sampler to the next eligible visit of the
-small set, tosses a Bernoulli(lambda) coin there, draws the m-step-ahead
-endpoint from phi (success) or the residual kernel (failure), fills the
-m-1 intermediate indices with the endpoint-conditioned bridge sampler,
-and stops at the first success. Visits to the small set strictly inside
-a bridge segment never toss coins; the next eligible visit is the first
-one at least m steps after the previous toss. At m = 1 and lam = 1 the
-toss always succeeds and would be the cycle's last draw, so it is not
-drawn: skipping it moves no other draw.
+A cycle runs the one-step sampler forward. At an eligible visit to the
+small set, at state x, it starts an m-step segment of ordinary steps and
+charges the segment's first m states; when lam < 1 the segment's endpoint
+y regenerates the cycle with probability lam phi(y) / P^m(x, y), and
+otherwise the cycle goes on from y (retrospective splitting: Nummelin
+1978; Mykland, Tierney and Yu 1995). This draws the split chain's law: a
+segment's path and coin have the law of a Bernoulli(lambda) coin, an
+endpoint from phi or the residual kernel, and the bridge between the
+two. Visits to the small set strictly inside a segment start no segment;
+the next eligible visit is the segment's endpoint or later. When lam = 1
+the coin cannot fail, so a segment skips its last step, whose endpoint
+would only feed the coin: it ends once its last state is charged, and at
+m = 1 it is a segment of zero steps that draws nothing.
 
 Every estimate is one block of a ``run_cycles`` pass, reduced by
 ``pif_from_cycles`` (a phi-started block) or ``gstar_from_cycles`` (a
@@ -17,13 +21,12 @@ Estimates from several starts share one run: ``run_cycles`` takes one
 start rule per block of cycles (a state, phi, or a start law), and
 block b is cycles b n .. (b + 1) n - 1 of the master seed. Cycles run
 in numpy lanes, one cycle per lane and up to ``LANES`` in flight; per
-iteration a lane outside the small set takes a free step, and a lane in
-it tosses the coin, draws the endpoint and runs the bridge draws. When
-a cycle ends, its lane starts the next cycle not yet started, from
-whichever block, so one pass runs every block and every lane stays busy
-until the last cycles are in flight. With workers, the cycle range
-splits into contiguous shards: the calling process runs the first and a
-process pool the rest.
+iteration every lane charges its state and takes one step, unless its
+cycle ends there. When a cycle ends, its lane starts the next cycle not
+yet started, from whichever block, so one pass runs every block and
+every lane stays busy until the last cycles are in flight. With workers,
+the cycle range splits into contiguous shards: the calling process runs
+the first and a process pool the rest.
 
 The k-th uniform of cycle i is word k % 4 of the Philox-4x64-10 block
 with key (master_seed, i) and counter k // 4 + 1, as (w >> 11) 2^-53:
@@ -39,12 +42,10 @@ taken from the lane source :class:`CycleStreams` for the lanes given:
 * ``m``, ``lam`` and ``dtype`` (the dtype of a state array);
 * ``charge(x)``, one value per state or one column per charge (shape
   (states, k)), and ``in_small_set(x)``;
-* ``step(x, streams, lanes)`` and ``sample_phi(streams, lanes)``;
-* ``sample_residual(x, streams, lanes)``, the endpoints drawn from the
-  residual kernel (needed only when lam < 1);
-* ``sample_bridge(x, y, streams, lanes)``, the m-1 intermediate state
-  arrays given the m-step segment's start and endpoint (needed only
-  when m >= 2).
+* ``step(x, streams, lanes)`` and ``sample_phi(streams, lanes)``, the
+  start law phi;
+* ``regeneration_probability(x, y)``, lam phi(y) / P^m(x, y) for segment
+  starts x and endpoints y (needed only when lam < 1).
 
 Samplers must be picklable when workers > 1.
 """
@@ -58,8 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import values_of
-from .errors import MaxStepsExceeded, MissingBridgeSampler
-from .split import CycleSystem
+from .errors import MaxStepsExceeded
 
 DEFAULT_MAX_STEPS = 10**8
 EPS = float(np.finfo(float).eps)
@@ -195,10 +195,16 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
     the first ``streams.n`` cycles. A lane whose cycle ends takes the next
     cycle not yet started, on its re-keyed stream and by the rule of that
     cycle's block, until all have started, so the streams hold a window
-    only for the cycles in flight. Sums and lengths accumulate per lane;
-    they go to the cycle's slot of the result when the cycle ends. The
-    sums take the charge's shape: one per cycle, or a row of k per cycle
-    when the charge has k columns.
+    only for the cycles in flight. Per iteration each lane charges its
+    state and steps: a lane outside a segment starts one at an eligible
+    visit to the small set, and a segment that reaches its endpoint tosses
+    the coin (lam < 1) or, at lam = 1, ends on its last charged state
+    without that step. The steps each segment has left (-1 outside one)
+    and, when lam < 1, its start are kept by position in the lanes in
+    flight, like the states. Sums and lengths accumulate per lane; they
+    go to the cycle's slot of the result when the cycle ends. The sums
+    take the charge's shape: one per cycle, or a row of k per cycle when
+    the charge has k columns.
     """
     count = hi - lo
     lanes = np.arange(streams.n)
@@ -215,40 +221,39 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
     sums = np.zeros((k, streams.n))
     rows = list(sums)
     length = np.zeros(streams.n, dtype=np.int64)
-    toss = sc.lam < 1.0 or sc.m >= 2
-
-    def add_charge(lanes, states):
-        charge = sc.charge(states)
-        for row, column in zip(rows, charge.T if blocked else (charge,)):
-            row[lanes] += column
+    coin = sc.lam < 1.0
+    # a segment's steps after its first state: at lam = 1 the coin cannot
+    # fail, so its endpoint is never drawn
+    steps = sc.m if coin else sc.m - 1
+    left = np.full(streams.n, -1)  # steps each segment has left, -1 outside one
+    origin = x.copy()  # each segment's start, read by the coin when lam < 1
 
     while lanes.size:
-        inside = sc.in_small_set(x)
-        add_charge(lanes, x)
-        length[lanes] += np.where(inside, sc.m, 1)
-        walk = ~inside
-        if walk.any():
-            x[walk] = sc.step(x[walk], streams, lanes[walk])
-        done = np.zeros(0, dtype=np.intp)  # positions in ``lanes`` of ended cycles
-        if inside.any():
-            lc, xc = lanes[inside], x[inside]
-            if toss:
-                success = streams.uniform(lc) < sc.lam
-            else:  # the toss would succeed and be the cycle's last draw
-                success = np.ones(lc.size, dtype=bool)
-            y = xc.copy()
-            if sc.m >= 2 and success.any():
-                y[success] = sc.sample_phi(streams, lc[success])
-            fail = ~success
-            if fail.any():
-                y[fail] = sc.sample_residual(xc[fail], streams, lc[fail])
-            if sc.m >= 2:
-                for z in sc.sample_bridge(xc, y, streams, lc):
-                    add_charge(lc, z)
-            x[inside] = y
-            done = np.flatnonzero(inside)[success]
+        enter = (left < 0) & sc.in_small_set(x)
+        left[enter] = steps
+        if coin:
+            origin[enter] = x[enter]
+        charge = sc.charge(x)
+        for row, column in zip(rows, charge.T if blocked else (charge,)):
+            row[lanes] += column
+        length[lanes] += 1
         if length[lanes].max() > max_steps:
             raise MaxStepsExceeded(max_steps)
+        # positions in ``lanes`` of ended cycles: at lam = 1, the segments
+        # whose last state was just charged; every other lane steps
+        done = np.flatnonzero(left == 0)
+        if not done.size:
+            x = sc.step(x, streams, lanes)
+        elif done.size < lanes.size:
+            move = left != 0
+            x[move] = sc.step(x[move], streams, lanes[move])
+        left[left > 0] -= 1
+        if coin:
+            end = np.flatnonzero(left == 0)
+            if end.size:
+                u = streams.uniform(lanes[end])
+                done = end[u < sc.regeneration_probability(origin[end], x[end])]
+                left[end] = -1
         if not done.size:
             continue
         ld = lanes[done]
@@ -261,12 +266,13 @@ def _run_lanes(sc, starts, n: int, streams: CycleStreams, lo: int, hi: int, max_
             streams.restart(lr, cycle[lr])
             sums[:, lr] = 0.0
             length[lr] = 0
+            left[refill] = -1
             x[refill] = _start_cycles(sc, starts, n, streams, lr, lo + started)
             started += r
         if r < done.size:
             keep = np.ones(lanes.size, dtype=bool)
             keep[done[r:]] = False
-            lanes, x = lanes[keep], x[keep]
+            lanes, x, left, origin = lanes[keep], x[keep], left[keep], origin[keep]
     return (cycle_sums.T.copy() if blocked else cycle_sums[0]), cycle_lengths
 
 
@@ -305,14 +311,12 @@ def run_cycles(
     count, and an error comes from the lowest shard that raised one.
 
     Raises MaxStepsExceeded when a cycle's steps exceed ``max_steps``, and
-    MissingBridgeSampler for m >= 2 without a bridge.
+    ValueError for lam < 1 without ``regeneration_probability``.
     """
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError(f"n_cycles must lie in 1..{MAX_CYCLES}")
-    if sc.m >= 2 and getattr(sc, "sample_bridge", None) is None:
-        raise MissingBridgeSampler(f"m={sc.m} requires a bridge sampler")
-    if sc.lam < 1.0 and getattr(sc, "sample_residual", None) is None:
-        raise ValueError("lam < 1 requires a residual sampler")
+    if sc.lam < 1.0 and getattr(sc, "regeneration_probability", None) is None:
+        raise ValueError("lam < 1 requires regeneration_probability(x, y)")
     starts = list(starts)
     if not starts:
         raise ValueError("run_cycles needs at least one start rule")
@@ -396,30 +400,29 @@ def _inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class FiniteChainSampler:
-    """Exact batched sampler of a finite chain under its regeneration system.
+    """Exact batched sampler of a finite chain under a minorization certificate.
 
-    Every draw is an inverse-CDF lookup. The kernel powers and residual
-    rows come from the chain's :class:`CycleSystem`. The bridge draws
-    the intermediate states by sequential conditionals: given the
-    previous bridge state w and the endpoint y at lag r, the next state
-    has law proportional to P(w, .) * P^{r-1}(., y).
+    Every draw is an inverse-CDF lookup: a step on the kernel's row, a
+    start on phi. A segment from x to y regenerates with probability
+    lam phi(y) / P^m(x, y), read from the chain's cached power P^m, the
+    array :class:`~markov_poisson.split.CycleSystem` reads. Only the
+    minorization is read, so a bare SmallSetCertificate and a full
+    CertificateBundle both serve as ``cert``.
     """
 
     dtype = np.intp
 
-    def __init__(self, system: CycleSystem, f):
-        n = system.chain.n
-        self.kernel = system.chain.kernel
-        self.cdf = np.cumsum(self.kernel, axis=1)
-        self.f = values_of(f, n)
-        self.m = system.m
-        self.lam = system.lam
-        self.powers = system.powers
-        self.members = np.zeros(n, dtype=bool)
-        self.members[list(system.C)] = True
-        self.c_index = np.cumsum(self.members) - 1
-        self.phi_cdf = np.cumsum(system.phi)
-        self.q_cdf = np.cumsum(system.Q, axis=1)
+    def __init__(self, cert, f):
+        chain = cert.chain
+        self.cdf = np.cumsum(chain.kernel, axis=1)
+        self.f = values_of(f, chain.n)
+        self.m = cert.m
+        self.lam = cert.lam
+        self.members = np.zeros(chain.n, dtype=bool)
+        self.members[list(cert.C)] = True
+        self.phi = cert.phi.mass
+        self.phi_cdf = np.cumsum(self.phi)
+        self.power = chain.powers(cert.m)[-1]
 
     def charge(self, x: np.ndarray) -> np.ndarray:
         return self.f[x]
@@ -433,17 +436,5 @@ class FiniteChainSampler:
     def sample_phi(self, streams, lanes):
         return _inverse_cdf(self.phi_cdf[None, :], streams.uniform(lanes))
 
-    def sample_residual(self, x, streams, lanes):
-        return _inverse_cdf(self.q_cdf[self.c_index[x]], streams.uniform(lanes))
-
-    def sample_bridge(self, x, y, streams, lanes) -> list:
-        path, w = [], x
-        for j in range(1, self.m):
-            probs = self.kernel[w] * self.powers[self.m - j][:, y].T
-            total = probs.sum(axis=1)
-            if not np.all(total > 0.0):
-                i = int(np.argmin(total))
-                raise ValueError(f"no bridge path from {x[i]} to {y[i]} at lag {self.m}")
-            w = _inverse_cdf(np.cumsum(probs / total[:, None], axis=1), streams.uniform(lanes))
-            path.append(w)
-        return path
+    def regeneration_probability(self, x, y):
+        return self.lam * self.phi[y] / self.power[x, y]

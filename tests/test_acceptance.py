@@ -34,7 +34,7 @@ from markov_poisson.gig1 import (
 )
 from markov_poisson.mc import FiniteChainSampler, run_cycles
 from markov_poisson.potential import truncated_potential
-from markov_poisson.split import CycleSystem, marginal_curve
+from markov_poisson.split import marginal_curve
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -197,8 +197,7 @@ def test_a08_truncated_potential(suite, two_state):
 
 
 def test_a09_two_state_monte_carlo(two_state):
-    system = CycleSystem(two_state.bundle)
-    sc = FiniteChainSampler(system, two_state.f)
+    sc = FiniteChainSampler(two_state.bundle, two_state.f)
     t0 = time.perf_counter()
     sums, lengths = run_cycles(sc, [1], 100_000, master_seed=424242)
     pi_f = float(two_state.pi @ two_state.f)

@@ -481,10 +481,11 @@ def test_phi_x_is_the_mean_of_x_under_the_sampled_phi(kappa):
     assert sc.phi_x == pytest.approx(float(weights @ draws), rel=1e-8, abs=0.0)
 
 
-def _oracle(system, f, xs, n=200, seed=11):
+def _oracle(cert, f, xs, n=200, seed=11):
     """gstar_points on cycles charged with u = g*: the charge f - (u - Pu) is pi(f)."""
+    system = CycleSystem(cert)
     g = system.canonical_solution(f)
-    sc = FiniteChainSampler(system, f - g + system.chain.kernel @ g)
+    sc = FiniteChainSampler(cert, f - g + system.chain.kernel @ g)
     starts = [None, *xs, sc.sample_phi]
     sums, lengths = (a.reshape(len(starts), n) for a in run_cycles(sc, starts, n, seed))
     phi_g = float(system.phi @ g)
@@ -503,7 +504,7 @@ def _oracle(system, f, xs, n=200, seed=11):
 @pytest.mark.parametrize("m", [1, 2])
 def test_gstar_points_finite_chain_oracle(m):
     chain = validate_chain([[0.5, 0.5], [0.25, 0.75]])
-    _oracle(CycleSystem(minorize(chain, [0], m)), np.array([1.0, 0.0]), [0, 1])
+    _oracle(minorize(chain, [0], m), np.array([1.0, 0.0]), [0, 1])
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -512,7 +513,7 @@ def test_gstar_points_oracle_on_drawn_chains(case):
     chain, small, rng = case
     f = rng.uniform(0.0, 2.0, chain.n)
     xs = list(range(chain.n))
-    _oracle(CycleSystem(small), f, xs, n=50)
+    _oracle(small, f, xs, n=50)
 
 
 def lattice_reference(cert, step=0.04, length=40.0):
